@@ -13,21 +13,21 @@ Usage::
         [--workers N] [--shards-per-cell N] [--op mul,add,fma] [--out PATH]
 
 ``--op`` switches the measured evaluation to the operation axis
-(docs/operations.md): the same serial-vs-sharded comparison over
-``run_operation_campaign``, with per-operation throughput
-(samples per simulator-wall second) recorded beside the scaling numbers.
+(docs/operations.md): the same serial-vs-sharded comparison over the
+``operation_cells`` grid, with per-operation throughput (samples per
+simulator-wall second) recorded beside the scaling numbers.
 
 ``--pipeline-sweep`` switches it to the microarchitecture design-space
-study (docs/pipeline.md): the same serial-vs-sharded comparison over
-``run_pipeline_sweep_campaign`` (a small depth × width grid by default),
-with the per-group Pareto frontier points recorded beside the scaling
-numbers.
+study (docs/pipeline.md): the same serial-vs-sharded comparison over a
+grid of staged-pipeline design points (a small depth × width grid by
+default), with the per-group Pareto frontier points recorded beside the
+scaling numbers.
 
 ``--service`` benchmarks the campaign service instead (docs/service.md):
 start a live HTTP server against a throwaway content-addressed result
 cache, submit the same Table IV campaign twice, and record the cold
-(computed) vs warm (100% cache hit) request latency, the hit rate, and
-whether the two summaries were bit-identical.
+(computed) vs warm (100% cache hit) request latency, the warm request's
+own hit rate, and whether the two summaries were bit-identical.
 
 The paper-scale acceptance run is ``--samples 8000`` on a >= 4-core host;
 ``cpu_count`` is recorded with every entry because the achievable speedup is
@@ -40,6 +40,7 @@ CLI with a tiny sample count as a smoke test.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -48,10 +49,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core.campaign import (  # noqa: E402
-    run_operation_campaign,
-    run_pipeline_sweep_campaign,
-    run_table_iv_campaign,
+    grid_cells,
+    operation_cells,
+    run_campaign,
+    table_iv_cells,
 )
+from repro.core.pareto import frontier_summary  # noqa: E402
+from repro.testgen.config import SolutionKind  # noqa: E402
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_campaign.json")
 
@@ -84,57 +88,25 @@ def _per_operation_stats(result) -> dict:
     return stats
 
 
-def _frontier_points(result) -> dict:
-    """Per-(operation, format) Pareto points of a pipeline-sweep campaign."""
-    from repro.core.pareto import frontier_of, points_from_campaign
-
-    groups = {}
-    for (op, fmt), points in points_from_campaign(result).items():
-        frontier = frontier_of(points)
-        groups[f"{op}/{fmt}"] = [
-            {
-                "name": point.name,
-                "avg_cycles": round(point.avg_cycles, 3),
-                "gate_equivalents": round(point.gate_equivalents, 1),
-                "flip_flops": point.flip_flops,
-                "pareto": point in frontier,
-            }
-            for point in sorted(
-                points,
-                key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name),
-            )
-        ]
-    return groups
-
-
 def run_benchmark(samples: int, workers: int, shards_per_cell: int,
                   workload: str = None, operations=None,
                   pipeline_sweep: bool = False,
                   depths=(1, 2, 4), widths=(1, 2)) -> dict:
     if pipeline_sweep:
-        def run(workers):
-            return run_pipeline_sweep_campaign(
-                depths=depths, widths=widths,
-                operations=operations or ("multiply",),
-                num_samples=samples, shards_per_cell=shards_per_cell,
-                workers=workers,
-            )
+        cells = grid_cells(
+            num_samples=samples, ops=operations or ("multiply",),
+            solutions=(SolutionKind.SOFTWARE, *itertools.product(depths, widths)),
+        )
     elif operations:
-        def run(workers):
-            return run_operation_campaign(
-                operations, num_samples=samples,
-                shards_per_cell=shards_per_cell,
-                workloads=(workload,) if workload else None,
-                workers=workers,
-            )
+        cells = operation_cells(
+            operations, num_samples=samples,
+            workloads=(workload,) if workload else None,
+        )
     else:
-        def run(workers):
-            return run_table_iv_campaign(
-                num_samples=samples, shards_per_cell=shards_per_cell,
-                workload=workload, workers=workers,
-            )
-    serial = run(workers=1)
-    parallel = run(workers=workers)
+        cells = table_iv_cells(num_samples=samples, workload=workload)
+    serial = run_campaign(cells, workers=1, shards_per_cell=shards_per_cell)
+    parallel = run_campaign(cells, workers=workers,
+                            shards_per_cell=shards_per_cell)
     if not _reports_identical(serial, parallel):
         raise AssertionError(
             "merged campaign reports diverged between the serial and "
@@ -161,14 +133,14 @@ def run_benchmark(samples: int, workers: int, shards_per_cell: int,
         record["pipeline_sweep"] = {
             "depths": list(depths), "widths": list(widths),
         }
-        record["pipeline_frontier"] = _frontier_points(parallel)
+        record["pipeline_frontier"] = frontier_summary(parallel)
     elif operations:
         record["operations"] = [str(op) for op in operations]
         record["per_operation"] = _per_operation_stats(parallel)
         record["table_iv_rows"] = {
             f"{op}/{fmt}/{wl or 'default'}": table.rows()
             for (op, fmt, wl), table in
-            parallel.table_iv_by_operation().items()
+            parallel.group(("op", "fmt", "workload")).items()
         }
     else:
         record["table_iv_rows"] = parallel.table_iv().rows()
@@ -195,7 +167,9 @@ def run_service_benchmark(samples: int, workers: int,
             started = time.perf_counter()
             warm = submit_and_wait(server.base_url, spec)
             warm_seconds = time.perf_counter() - started
-        hit_rate = cache.hit_rate
+    # The warm request's own hit rate; the cache's cumulative counters also
+    # hold the cold request's misses.
+    hit_rate = warm["cache"]["hits"] / warm["cache"]["cells"]
     identical = comparable_summary(cold["summary"]) == comparable_summary(
         warm["summary"]
     )

@@ -19,7 +19,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core import reporting  # noqa: E402
-from repro.core.campaign import run_table_iv_campaign  # noqa: E402
+from repro.core.campaign import run_campaign, table_iv_cells  # noqa: E402
 from repro.core.evaluation import EvaluationFramework  # noqa: E402
 
 
@@ -31,7 +31,8 @@ def main(argv=None) -> None:
     # Fan the three Table IV cells out over worker processes.  With the
     # default shards_per_cell=1 every cell is still measured in a single
     # simulator run, so the merged table is bit-identical to the serial one.
-    result = run_table_iv_campaign(num_samples=samples, workers=workers)
+    cells = table_iv_cells(num_samples=samples)
+    result = run_campaign(cells, workers=workers)
     table = result.table_iv()
     print(reporting.render_table_iv(table))
     print()
@@ -45,8 +46,8 @@ def main(argv=None) -> None:
     # For throughput-oriented campaigns, shard inside the cells too: the
     # measurement then has per-shard cache warm-up (documented in
     # docs/campaigns.md) but the run scales with the number of cores.
-    sharded = run_table_iv_campaign(
-        num_samples=samples, workers=workers, shards_per_cell=max(2, workers)
+    sharded = run_campaign(
+        cells, workers=workers, shards_per_cell=max(2, workers)
     )
     print(f"sharded run: {sharded.total_shards} shards, "
           f"wall {sharded.wall_seconds:.2f}s vs "

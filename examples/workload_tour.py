@@ -22,7 +22,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core import reporting  # noqa: E402
-from repro.core.campaign import run_workload_campaign  # noqa: E402
+from repro.core.campaign import grid_cells, run_campaign  # noqa: E402
 from repro.testgen.config import SolutionKind  # noqa: E402
 from repro.workloads import get_workload  # noqa: E402
 
@@ -40,15 +40,15 @@ def main(argv=None) -> None:
         print(f"  {name:<16s} {get_workload(name).description}")
     print()
 
-    result = run_workload_campaign(
-        TOUR,
+    cells = grid_cells(
+        workloads=TOUR,
         num_samples=samples,
-        kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
-        workers=workers,
+        solutions=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
     )
-    print(reporting.render_workload_tables(result))
+    result = run_campaign(cells, workers=workers)
+    print(reporting.render_tables(result, ("workload",)))
     print()
-    print(reporting.render_workload_matrix(result))
+    print(reporting.render_matrix(result, ("workload",)))
     print()
     print(reporting.render_campaign(result))
 

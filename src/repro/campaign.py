@@ -1,8 +1,8 @@
 """Command-line entry point for paper-scale evaluation campaigns.
 
-Runs a Table IV-style campaign through the sharded multiprocess engine
-(:mod:`repro.core.campaign`) and prints the merged table plus a campaign
-summary.  Typical paper-scale invocation::
+Builds one campaign grid from the flags (:func:`build_cells`), runs it
+through the sharded multiprocess engine (:mod:`repro.core.campaign`) and
+prints the merged tables plus a campaign summary.  Typical paper-scale invocation::
 
     PYTHONPATH=src python -m repro.campaign --samples 8000 --workers 4
 
@@ -22,8 +22,9 @@ speedup comparison::
 ``--format NAME[,NAME...]`` adds the interchange-format axis
 (docs/formats.md): each named format gets its own kernels, accelerator
 sizing, operand distributions and oracle contexts.  With ``--differential``
-and no explicit workload list, every registered format-compatible workload
-is co-simulated across spike/rocket/gem5 under each format::
+and no explicit workload list, every registered workload that supports the
+paper's multiply under a requested format is co-simulated across
+spike/rocket/gem5::
 
     PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
         --format decimal64,decimal128 --differential
@@ -49,89 +50,50 @@ and operation, and each group renders a cycles-vs-area Pareto frontier::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from repro.core import reporting
 from repro.core.campaign import (
-    run_format_campaign,
-    run_operation_campaign,
-    run_pipeline_sweep_campaign,
-    run_table_iv_campaign,
-    run_workload_campaign,
+    TABLE_IV_KINDS,
+    grid_cells,
+    run_campaign,
+    workload_fits,
 )
+from repro.decnumber.formats import resolve_format_name
+from repro.decnumber.operations import resolve_operation_name
+from repro.errors import ReproError
 from repro.testgen.config import SolutionKind
 from repro.verification.database import OperandClass
-from repro.workloads import registered_workloads, workloads_for_format
+from repro.workloads import get_workload, registered_workloads
 
 
-def _parse_workloads(text: str):
-    from repro.errors import ConfigurationError
-    from repro.workloads import get_workload
+def _parse_names(flag: str, noun: str, resolve):
+    """A ``--flag a,b,c`` parser: canonical names via ``resolve``, no repeats."""
+    def parse(text: str):
+        names = []
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            try:
+                names.append(resolve(part))
+            except ReproError as error:  # keeps did-you-mean hints
+                raise argparse.ArgumentTypeError(str(error)) from None
+        if not names:
+            raise argparse.ArgumentTypeError(
+                f"{flag} needs at least one {noun} name"
+            )
+        duplicates = {name for name in names if names.count(name) > 1}
+        if duplicates:
+            raise argparse.ArgumentTypeError(
+                f"duplicate {noun} name(s): {', '.join(sorted(duplicates))}"
+            )
+        return tuple(names)
 
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(
-            "--workload needs at least one workload name"
-        )
-    for name in names:
-        try:
-            get_workload(name)  # unknown names get the registry's
-        except ConfigurationError as error:  # did-you-mean message
-            raise argparse.ArgumentTypeError(str(error)) from None
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate workload name(s): {', '.join(sorted(duplicates))}"
-        )
-    return names
-
-
-def _parse_formats(text: str):
-    from repro.decnumber.formats import resolve_format_name
-    from repro.errors import DecimalError
-
-    names = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            names.append(resolve_format_name(part))
-        except DecimalError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-    if not names:
-        raise argparse.ArgumentTypeError("--format needs at least one format name")
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate format name(s): {', '.join(sorted(duplicates))}"
-        )
-    return tuple(names)
-
-
-def _parse_operations(text: str):
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
-
-    names = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            names.append(resolve_operation_name(part))
-        except DecimalError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-    if not names:
-        raise argparse.ArgumentTypeError("--op needs at least one operation name")
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate operation name(s): {', '.join(sorted(duplicates))}"
-        )
-    return tuple(names)
+    return parse
 
 
 def _parse_positive_ints(flag: str):
@@ -217,7 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
              "mutually exclusive with --workload)",
     )
     parser.add_argument(
-        "--workload", type=_parse_workloads, default=None, metavar="NAME[,NAME...]",
+        "--workload",
+        type=_parse_names("--workload", "workload",
+                          lambda name: get_workload(name).name),
+        default=None, metavar="NAME[,NAME...]",
         help=(
             "registered workload scenario(s) to evaluate (see "
             "--list-workloads and docs/workloads.md); more than one name "
@@ -230,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered workloads and exit",
     )
     parser.add_argument(
-        "--format", type=_parse_formats, default=None, metavar="NAME[,NAME...]",
+        "--format", type=_parse_names("--format", "format", resolve_format_name),
+        default=None, metavar="NAME[,NAME...]",
         dest="formats",
         help=(
             "interchange format(s) to evaluate: decimal64 and/or decimal128 "
@@ -241,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--op", type=_parse_operations, default=None, metavar="NAME[,NAME...]",
+        "--op", type=_parse_names("--op", "operation", resolve_operation_name),
+        default=None, metavar="NAME[,NAME...]",
         dest="operations",
         help=(
             "decimal operation(s) to evaluate: multiply, add, subtract "
@@ -312,6 +279,58 @@ def _render_cache_line(result, cache) -> str:
     )
 
 
+def build_cells(args) -> list:
+    """The campaign grid a parsed command line asks for."""
+    ops = args.operations or ("multiply",)
+    formats = args.formats or ("decimal64",)
+    workloads = args.workload or (None,)
+    if (args.formats and args.differential and args.operations is None
+            and not args.workload and args.classes is None
+            and not args.pipeline_sweep):
+        # The "does the whole pipeline generalise?" sweep: every registered
+        # workload that fits the requested formats and operations.  A
+        # pipeline sweep always measures the class mix per design point.
+        workloads = tuple(sorted(
+            name for name, workload in registered_workloads().items()
+            if workload_fits(workload, ops, formats)
+        ))
+    if args.pipeline_sweep:
+        # Method-1 staged-pipeline design points plus the software baseline
+        # as the zero-hardware reference.
+        solutions = (SolutionKind.SOFTWARE,
+                     *itertools.product(args.depths, args.widths))
+    elif args.operations is not None:
+        # The dummy row measures multiply-shaped stub traffic and adds
+        # nothing to a per-operation comparison.
+        solutions = args.kinds or (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
+    else:
+        solutions = args.kinds or TABLE_IV_KINDS
+    return grid_cells(
+        num_samples=args.samples,
+        ops=ops,
+        formats=formats,
+        workloads=workloads,
+        solutions=solutions,
+        repetitions=args.repetitions,
+        seed=args.seed,
+        operand_classes=(
+            args.classes if args.classes is not None
+            else OperandClass.TABLE_IV_MIX
+        ),
+        verify_functionally=not args.no_verify,
+        differential=args.differential,
+    )
+
+
+def _grouping(args) -> tuple:
+    """The axes whose groups render as separate tables."""
+    if args.operations is not None:
+        return ("op", "fmt", "workload")
+    if args.formats is not None:
+        return ("fmt", "workload")
+    return ("workload",) if args.workload else ()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_workloads:
@@ -339,155 +358,33 @@ def main(argv=None) -> int:
         from repro.service.cache import ResultCache
 
         cache = ResultCache(args.cache_dir)
-
-    if args.pipeline_sweep:
-        # Microarchitecture design-space study: one cell per (operation x
-        # format x pipeline design point), rendered as per-group Pareto
-        # frontiers over (cycles, gate equivalents).
-        from repro.core.pareto import frontier_of, points_from_campaign
-
-        result = run_pipeline_sweep_campaign(
-            depths=args.depths,
-            widths=args.widths,
-            formats=args.formats or ("decimal64",),
-            operations=args.operations or ("multiply",),
-            num_samples=args.samples,
-            repetitions=args.repetitions,
-            seed=args.seed,
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            verify_functionally=not args.no_verify,
-            differential=args.differential,
-            workers=args.workers,
-            shards_per_cell=args.shards_per_cell,
-            mp_start_method=args.mp_start_method,
-            cache=cache,
-        )
-        print(reporting.render_pipeline_frontier(result))
-        if args.differential:
-            print()
-            print(reporting.render_differential(result))
-        print()
-        print(reporting.render_campaign(result))
-        if cache is not None:
-            print(_render_cache_line(result, cache))
-        if args.json:
-            summary = result.to_summary()
-            summary["pipeline_frontier"] = {}
-            for (op, fmt), points in points_from_campaign(result).items():
-                frontier = frontier_of(points)
-                summary["pipeline_frontier"][f"{op}/{fmt}"] = [
-                    {
-                        "name": point.name,
-                        "avg_cycles": round(point.avg_cycles, 3),
-                        "gate_equivalents": round(point.gate_equivalents, 1),
-                        "flip_flops": point.flip_flops,
-                        "pareto": point in frontier,
-                    }
-                    for point in sorted(
-                        points,
-                        key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name),
-                    )
-                ]
-            with open(args.json, "w") as handle:
-                json.dump(summary, handle, indent=2)
-                handle.write("\n")
-            print(f"summary -> {os.path.abspath(args.json)}")
-        if args.differential and not result.differential_clean:
-            return 1
-        return 0
-
-    common = dict(
-        num_samples=args.samples,
-        kinds=args.kinds,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        verify_functionally=not args.no_verify,
+    result = run_campaign(
+        build_cells(args),
         workers=args.workers,
         shards_per_cell=args.shards_per_cell,
         mp_start_method=args.mp_start_method,
-        differential=args.differential,
         cache=cache,
     )
-    if args.operations is not None:
-        # Operation axis: one cell group per (operation x format x
-        # workload-or-mix x solution), rendered as per-operation speedup
-        # tables.  Kinds default to the two verifiable Table IV rows — the
-        # dummy row measures multiply-shaped stub traffic and contributes
-        # nothing to a per-operation comparison.
-        result = run_operation_campaign(
-            args.operations,
-            formats=args.formats or ("decimal64",),
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workloads=args.workload,
-            **common,
-        )
-        tables = result.table_iv_by_operation()
-        print(reporting.render_operation_tables(result, tables=tables))
-        if len(tables) > 1:
-            print()
-            print(reporting.render_operation_matrix(result, tables=tables))
-    elif args.formats is not None:
-        # Explicit format axis: one cell group per (format x workload-or-mix
-        # x solution), rendered as per-format speedup tables.  In
-        # differential mode with no explicit workload list, every
-        # registered workload compatible with a requested format runs —
-        # the "does the whole pipeline generalise?" sweep.
-        workloads = args.workload
-        if args.differential and not workloads and args.classes is None:
-            workloads = tuple(sorted({
-                name
-                for fmt in args.formats
-                for name in workloads_for_format(fmt)
-            }))
-        result = run_format_campaign(
-            args.formats,
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workloads=workloads,
-            **common,
-        )
-        tables = result.table_iv_grouped()
-        print(reporting.render_format_tables(result, tables=tables))
-        if len(tables) > 1:
-            print()
-            print(reporting.render_format_matrix(result, tables=tables))
-    elif args.workload and len(args.workload) > 1:
-        result = run_workload_campaign(args.workload, **common)
-        tables = result.table_iv_by_workload()
-        print(reporting.render_workload_tables(result, tables=tables))
-        print()
-        print(reporting.render_workload_matrix(result, tables=tables))
+    summary = result.to_summary()
+    if args.pipeline_sweep:
+        # Per-group Pareto frontiers over (cycles, gate equivalents).
+        from repro.core.pareto import frontier_summary
+
+        print(reporting.render_pipeline_frontier(result))
+        summary["pipeline_frontier"] = frontier_summary(result)
     else:
-        # Zero or one workload: a plain Table IV campaign.  With
-        # --workload paper-uniform this is bit-identical to the default
-        # class-mix path at the same seed.
-        workload = args.workload[0] if args.workload else None
-        result = run_table_iv_campaign(
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workload=workload,
-            **common,
-        )
-        tables = {workload: result.table_iv()}
-        if workload is None:
-            print(reporting.render_table_iv(tables[None]))
-        else:
-            # The paper's published rows only make sense next to the
-            # paper's own operand mix.
-            print(reporting.render_workload_tables(
-                result, include_paper=(workload == "paper-uniform"),
-                tables=tables,
-            ))
+        by = _grouping(args)
+        tables = result.group(by)
+        print(reporting.render_tables(result, by))
+        if len(tables) > 1:
+            print()
+            print(reporting.render_matrix(result, by))
+        rows = {
+            "/".join(value or "default" for value in key): table.rows()
+            for key, table in tables.items()
+        }
+        # An ungrouped campaign keeps its rows as a flat list.
+        summary["table_iv_rows"] = rows if by else rows[""]
     if args.differential:
         print()
         print(reporting.render_differential(result))
@@ -496,26 +393,6 @@ def main(argv=None) -> int:
     if cache is not None:
         print(_render_cache_line(result, cache))
     if args.json:
-        summary = result.to_summary()
-        if args.operations is not None:
-            summary["table_iv_rows"] = {
-                f"{op}/{fmt}/{workload or 'default'}": table.rows()
-                for (op, fmt, workload), table in tables.items()
-            }
-        elif args.formats is not None:
-            summary["table_iv_rows"] = {
-                f"{fmt}/{workload or 'default'}": table.rows()
-                for (fmt, workload), table in tables.items()
-            }
-        else:
-            summary["table_iv_rows"] = {
-                workload or "default": table.rows()
-                for workload, table in tables.items()
-            }
-            if not args.workload:
-                # Pre-workload schema: a single default campaign keeps its
-                # rows as a flat list.
-                summary["table_iv_rows"] = summary["table_iv_rows"]["default"]
         with open(args.json, "w") as handle:
             json.dump(summary, handle, indent=2)
             handle.write("\n")

@@ -29,9 +29,9 @@ from repro.core.evaluation import EvaluationFramework, run_solution_shard
 from repro.core.campaign import (
     CampaignCell,
     CampaignResult,
+    grid_cells,
     plan_shards,
     run_campaign,
-    run_table_iv_campaign,
     table_iv_cells,
 )
 from repro.core.method1 import Method1HostModel, DummyHardware, FunctionalHardware
@@ -46,8 +46,8 @@ __all__ = [
     "CampaignCell",
     "CampaignResult",
     "plan_shards",
+    "grid_cells",
     "run_campaign",
-    "run_table_iv_campaign",
     "table_iv_cells",
     "run_solution_shard",
     "merge_shard_reports",

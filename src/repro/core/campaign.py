@@ -4,12 +4,13 @@ The paper evaluates with 8,000 constrained-random samples per table; the
 serial :class:`~repro.core.evaluation.EvaluationFramework` runs every
 solution in one process, one simulator run after another.  The campaign
 engine decomposes an evaluation into independent units and fans them out
-over ``multiprocessing`` workers:
+over worker processes:
 
-* a **cell** is one (co-design solution × workload-or-operand-mix ×
-  RocketConfig) combination with its sample count and seed — one row of a
-  table, one scenario of a ``--workload`` campaign, or one design point of
-  a config sweep;
+* a **cell** is one (operation × format × workload-or-operand-mix ×
+  co-design solution × RocketConfig) combination with its sample count and
+  seed; :func:`grid_cells` builds every campaign — a Table IV, a
+  ``--workload``/``--format``/``--op`` sweep or a pipeline design-space
+  study — as the product of those axes;
 * each cell's shared vector set is generated once from the seed
   (bit-identical to the serial framework's) and **sharded** into contiguous
   slices; a shard is the unit of work: the worker builds and links the
@@ -39,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import BrokenExecutor, Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.evaluation import run_solution_shard
@@ -47,11 +49,27 @@ from repro.core.results import (
     TableIVReport,
     merge_shard_reports,
 )
-from repro.core.solution import CoDesignSolution, standard_solutions
-from repro.errors import ConfigurationError
+from repro.core.solution import (
+    CoDesignSolution,
+    microarchitecture_variants,
+    standard_solutions,
+)
+from repro.errors import CampaignError, ConfigurationError, DecimalError
 from repro.rocket.config import RocketConfig
 from repro.testgen.config import SolutionKind
-from repro.verification.database import OperandClass, VerificationDatabase
+from repro.verification.database import OperandClass
+
+#: The grouping axes of a campaign grid (attribute -> name), outermost
+#: first: cells, :meth:`CampaignResult.group` keys and rendered tables all
+#: follow this order.
+AXES = {"op": "operation", "fmt": "format", "workload": "workload"}
+
+#: The paper's Table IV rows, in its order.
+TABLE_IV_KINDS = (
+    SolutionKind.METHOD1,
+    SolutionKind.SOFTWARE,
+    SolutionKind.METHOD1_DUMMY,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +104,6 @@ class CampaignCell:
     def __post_init__(self) -> None:
         from repro.decnumber.formats import resolve_format_name
         from repro.decnumber.operations import resolve_operation_name
-        from repro.errors import DecimalError
 
         if self.num_samples < 1:
             raise ConfigurationError("cell num_samples must be at least 1")
@@ -156,6 +173,185 @@ def plan_shards(num_samples: int, shards: int) -> list:
     return plan
 
 
+def workload_fits(workload, ops, formats) -> bool:
+    """Whether ``workload`` declares at least one (operation, format) pair."""
+    return any(
+        workload.supports_operation(op) and workload.supports_format(fmt)
+        for op in ops
+        for fmt in formats
+    )
+
+
+def grid_cells(
+    num_samples: int = 100,
+    ops=("multiply",),
+    formats=("decimal64",),
+    workloads=(None,),
+    solutions=TABLE_IV_KINDS,
+    rocket_configs=None,
+    repetitions: int = 1,
+    seed: int = 2018,
+    operand_classes=OperandClass.TABLE_IV_MIX,
+    verify_functionally: bool = True,
+    differential: bool = False,
+) -> list:
+    """One campaign cell per op × fmt × workload × solution × RocketConfig.
+
+    The axes vary outermost first in that order, so the cells of one
+    (op, fmt, workload) group are adjacent.  ``workloads`` holds registered
+    names, or ``None`` for the ``operand_classes`` mix; a workload is
+    skipped for every (op, fmt) pair it does not declare, and one that fits
+    none of them raises.  ``solutions`` holds solution kinds (resolved to
+    the paper's standard solutions), :class:`CoDesignSolution` objects, or
+    ``(depth, width)`` staged-pipeline design points of Method-1 with a
+    datapath sized per format (docs/pipeline.md).  Design points share one
+    kind, so a grid that has any labels every cell ``"<solution name>
+    (<op>) [<fmt>]"``; other cells take :class:`CampaignCell`'s default
+    label.  ``rocket_configs`` defaults to one default :class:`RocketConfig`.
+    """
+    from repro.decnumber.formats import resolve_format_name
+    from repro.decnumber.operations import resolve_operation_name
+    from repro.workloads import get_workload
+
+    try:
+        ops = [resolve_operation_name(op) for op in ops]
+        formats = [resolve_format_name(fmt) for fmt in formats]
+    except DecimalError as error:
+        raise ConfigurationError(str(error)) from None
+    workloads = list(workloads)
+    solutions = list(solutions)
+    rocket_configs = list(rocket_configs or (RocketConfig(),))
+    for axis, values in (("operation", ops), ("format", formats),
+                         ("workload", workloads), ("solution", solutions),
+                         ("RocketConfig", rocket_configs)):
+        if not values:
+            raise ConfigurationError(f"a campaign grid needs at least one {axis}")
+    for name in workloads:
+        if name is None:
+            continue
+        workload = get_workload(name)
+        if not workload_fits(workload, ops, formats):
+            raise ConfigurationError(
+                f"workload {name!r} supports none of the requested "
+                f"(operation, format) combinations ({ops} x {formats}; "
+                f"declares {workload.operations} x {workload.formats})"
+            )
+    standard = standard_solutions()
+    design_points = any(isinstance(entry, tuple) for entry in solutions)
+
+    def resolve(entry, fmt) -> CoDesignSolution:
+        if isinstance(entry, str):
+            return standard[entry]
+        if isinstance(entry, tuple):
+            depth, width = entry
+            return microarchitecture_variants((depth,), (width,), fmt=fmt)[0]
+        return entry
+
+    cells = []
+    for op in ops:
+        for fmt in formats:
+            for name in workloads:
+                if name is not None and not workload_fits(
+                    get_workload(name), (op,), (fmt,)
+                ):
+                    continue
+                for entry in solutions:
+                    solution = resolve(entry, fmt)
+                    label = ""
+                    if design_points:
+                        label = f"{solution.name} ({op}) [{fmt}]" + (
+                            " [diff]" if differential else ""
+                        )
+                    for rocket_config in rocket_configs:
+                        cells.append(CampaignCell(
+                            solution=solution,
+                            num_samples=num_samples,
+                            operand_classes=tuple(operand_classes),
+                            repetitions=repetitions,
+                            seed=seed,
+                            rocket_config=rocket_config,
+                            verify_functionally=verify_functionally,
+                            label=label,
+                            workload=name,
+                            differential=differential,
+                            fmt=fmt,
+                            op=op,
+                        ))
+    return cells
+
+
+def table_iv_cells(
+    num_samples: int = 100,
+    kinds=None,
+    repetitions: int = 1,
+    seed: int = 2018,
+    operand_classes=OperandClass.TABLE_IV_MIX,
+    rocket_config: RocketConfig = None,
+    verify_functionally: bool = True,
+    solutions: dict = None,
+    workload: str = None,
+    differential: bool = False,
+    fmt: str = "decimal64",
+    op: str = "multiply",
+) -> list:
+    """One campaign cell per Table IV solution kind (a one-group grid).
+
+    ``solutions`` maps kinds to the solutions to run (default: the paper's
+    standard solutions).
+    """
+    kinds = kinds or TABLE_IV_KINDS
+    return grid_cells(
+        num_samples=num_samples,
+        ops=(op,),
+        formats=(fmt,),
+        workloads=(workload,),
+        solutions=[solutions[kind] for kind in kinds] if solutions else kinds,
+        rocket_configs=(rocket_config,) if rocket_config is not None else None,
+        repetitions=repetitions,
+        seed=seed,
+        operand_classes=operand_classes,
+        verify_functionally=verify_functionally,
+        differential=differential,
+    )
+
+
+def operation_cells(
+    operations,
+    formats=("decimal64",),
+    num_samples: int = 100,
+    kinds=None,
+    repetitions: int = 1,
+    seed: int = 2018,
+    operand_classes=OperandClass.TABLE_IV_MIX,
+    rocket_config: RocketConfig = None,
+    verify_functionally: bool = True,
+    solutions: dict = None,
+    workloads=None,
+    differential: bool = False,
+) -> list:
+    """The operation × format × workload-or-mix × kind grid of ``--op``.
+
+    ``kinds`` defaults to the two *verifiable* Table IV kinds (method1 and
+    the software baseline) — the dummy row measures multiply-shaped stub
+    traffic and contributes nothing to a per-operation speedup comparison,
+    but can be requested explicitly.
+    """
+    kinds = kinds or (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
+    return grid_cells(
+        num_samples=num_samples,
+        ops=operations,
+        formats=formats,
+        workloads=workloads or (None,),
+        solutions=[solutions[kind] for kind in kinds] if solutions else kinds,
+        rocket_configs=(rocket_config,) if rocket_config is not None else None,
+        repetitions=repetitions,
+        seed=seed,
+        operand_classes=operand_classes,
+        verify_functionally=verify_functionally,
+        differential=differential,
+    )
+
+
 #: Per-process warm-simulator cache (see :mod:`repro.sim.batch`).  Pool
 #: workers live across many shard tasks, so shards sharing a program shape
 #: (same solution x format x shard size) reuse one warm executor — tier-2
@@ -175,8 +371,9 @@ def _shard_runner():
 
 
 def _run_shard_task(task):
-    """Worker entry point: run one shard and return its picklable report."""
-    cell_id, shard_index, start, stop, cell, vectors = task
+    """Worker entry point: one shard's picklable report and busy seconds."""
+    cell, shard_index, start, vectors = task
+    started = time.perf_counter()
     outcome = run_solution_shard(
         cell.solution,
         vectors,
@@ -193,7 +390,7 @@ def _run_shard_task(task):
         operation=cell.op,
         runner=_shard_runner(),
     )
-    return cell_id, outcome.shard_report
+    return outcome.shard_report, time.perf_counter() - started
 
 
 @dataclass
@@ -287,158 +484,47 @@ class CampaignResult:
                 + (f" under format {fmt!r}" if fmt else "")
                 + (f" for operation {op!r}" if op else "")
             )
-        if workload is None and len({cell.workload for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several workloads "
-                f"({sorted(str(cell.workload) for cell, _ in matches)}); "
-                "pass report_for(kind, workload=...)"
-            )
-        if fmt is None and len({cell.fmt for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several formats "
-                f"({sorted(cell.fmt for cell, _ in matches)}); "
-                "pass report_for(kind, fmt=...)"
-            )
-        if op is None and len({cell.op for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several operations "
-                f"({sorted(cell.op for cell, _ in matches)}); "
-                "pass report_for(kind, op=...)"
-            )
+        for axis, wanted in (("workload", workload), ("fmt", fmt), ("op", op)):
+            values = {getattr(cell, axis) for cell, _ in matches}
+            if wanted is None and len(values) > 1:
+                raise ConfigurationError(
+                    f"kind {kind!r} was evaluated under several "
+                    f"{AXES[axis]}s ({sorted(map(str, values))}); "
+                    f"pass report_for(kind, {axis}=...)"
+                )
         return matches[0][1]
 
-    @property
-    def workloads(self) -> tuple:
-        """Distinct workload names of the cells, in first-seen order.
-
-        Cells without a workload (legacy class-mix cells) appear as ``None``.
-        """
-        seen = []
-        for cell in self.cells:
-            if cell.workload not in seen:
-                seen.append(cell.workload)
-        return tuple(seen)
-
-    @property
-    def formats(self) -> tuple:
-        """Distinct interchange formats of the cells, in first-seen order."""
-        seen = []
-        for cell in self.cells:
-            if cell.fmt not in seen:
-                seen.append(cell.fmt)
-        return tuple(seen)
-
-    @property
-    def operations(self) -> tuple:
-        """Distinct decimal operations of the cells, in first-seen order."""
-        seen = []
-        for cell in self.cells:
-            if cell.op not in seen:
-                seen.append(cell.op)
-        return tuple(seen)
-
     def table_iv(self, baseline_kind: str = None) -> TableIVReport:
-        """The campaign's rows as a Table IV report (one cell per kind)."""
-        kinds = [cell.solution.kind for cell in self.cells]
-        if len(set(kinds)) != len(kinds):
-            raise ConfigurationError(
-                "table_iv() needs one cell per solution kind; this campaign "
-                f"evaluated {kinds} (use table_iv_by_workload() for multi-"
-                "workload campaigns, .reports for sweep-style ones)"
-            )
-        report = TableIVReport(
-            num_samples=max((c.num_samples for c in self.cells), default=0),
-            baseline_kind=baseline_kind or self.baseline_kind,
-        )
-        for cell, cycle_report in zip(self.cells, self.reports):
-            report.reports[cell.solution.kind] = cycle_report
-        return report
+        """The campaign's rows as one Table IV report (one cell per kind)."""
+        return self.group((), baseline_kind)[()]
 
-    def table_iv_by_workload(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per evaluated workload (keyed by name).
+    def group(self, by=tuple(AXES), baseline_kind: str = None) -> dict:
+        """One Table IV report per distinct value of the ``by`` axes.
 
-        A multi-workload campaign holds one cell per (solution × workload);
-        this groups its rows so each workload renders as its own table and
-        speedups are computed against that workload's own baseline run.
-        Raises on multi-format campaigns — group those with
-        :meth:`table_iv_grouped` instead.
+        ``by`` names axes of :data:`AXES` (``"op"``, ``"fmt"``,
+        ``"workload"``); keys are tuples of the cells' values on those axes,
+        in first-seen order, and each report holds its group's solution
+        rows, so speedups are computed against the group's own baseline
+        run.  An axis left out of ``by`` must hold one value across the
+        campaign, and a kind may appear once per group; both raise
+        otherwise.
         """
-        if len(self.formats) > 1:
+        by = tuple(by)
+        unknown = [axis for axis in by if axis not in AXES]
+        if unknown:
             raise ConfigurationError(
-                "table_iv_by_workload() is ambiguous over formats "
-                f"{self.formats}; use table_iv_grouped()"
+                f"cannot group by {unknown}; the axes are {tuple(AXES)}"
             )
-        if len(self.operations) > 1:
-            raise ConfigurationError(
-                "table_iv_by_workload() is ambiguous over operations "
-                f"{self.operations}; use table_iv_by_operation()"
-            )
-        grouped: dict = {}
-        for cell, cycle_report in zip(self.cells, self.reports):
-            table = grouped.setdefault(
-                cell.workload,
-                TableIVReport(
-                    num_samples=cell.num_samples,
-                    baseline_kind=baseline_kind or self.baseline_kind,
-                ),
-            )
-            if cell.solution.kind in table.reports:
+        for axis, name in AXES.items():
+            values = tuple(dict.fromkeys(getattr(c, axis) for c in self.cells))
+            if axis not in by and len(values) > 1:
                 raise ConfigurationError(
-                    f"workload {cell.workload!r} has duplicate cells for "
-                    f"kind {cell.solution.kind!r}"
+                    f"group(by={by}) is ambiguous over {name}s {values}; "
+                    f"add {axis!r} to by"
                 )
-            table.reports[cell.solution.kind] = cycle_report
-            table.num_samples = max(table.num_samples, cell.num_samples)
-        return grouped
-
-    def table_iv_grouped(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per (format, workload) cell group.
-
-        The fully general grouping: keys are ``(fmt, workload)`` tuples in
-        first-seen order, each holding that group's solution rows, so a
-        ``--format decimal64,decimal128`` campaign renders one speedup
-        table per format (per workload) with speedups computed against the
-        group's own baseline run.  Raises on multi-operation campaigns —
-        group those with :meth:`table_iv_by_operation` instead (the keys
-        here stay ``(fmt, workload)`` so multiply-only callers are
-        unaffected by the operation axis).
-        """
-        if len(self.operations) > 1:
-            raise ConfigurationError(
-                "table_iv_grouped() is ambiguous over operations "
-                f"{self.operations}; use table_iv_by_operation()"
-            )
         grouped: dict = {}
         for cell, cycle_report in zip(self.cells, self.reports):
-            key = (cell.fmt, cell.workload)
-            table = grouped.setdefault(
-                key,
-                TableIVReport(
-                    num_samples=cell.num_samples,
-                    baseline_kind=baseline_kind or self.baseline_kind,
-                ),
-            )
-            if cell.solution.kind in table.reports:
-                raise ConfigurationError(
-                    f"cell group {key!r} has duplicate cells for kind "
-                    f"{cell.solution.kind!r}"
-                )
-            table.reports[cell.solution.kind] = cycle_report
-            table.num_samples = max(table.num_samples, cell.num_samples)
-        return grouped
-
-    def table_iv_by_operation(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per (operation, format, workload) cell group.
-
-        The operation-axis grouping behind ``python -m repro.campaign
-        --op mul,add,fma``: keys are ``(op, fmt, workload)`` tuples in
-        first-seen order, each holding that group's solution rows, so every
-        operation renders its own speedup table (per format, per workload)
-        against the group's own baseline run.
-        """
-        grouped: dict = {}
-        for cell, cycle_report in zip(self.cells, self.reports):
-            key = (cell.op, cell.fmt, cell.workload)
+            key = tuple(getattr(cell, axis) for axis in by)
             table = grouped.setdefault(
                 key,
                 TableIVReport(
@@ -506,6 +592,131 @@ class CampaignResult:
         return summary
 
 
+class _InlineExecutor(Executor):
+    """Runs each task as it is submitted: the serial, in-process mode.
+
+    A task's exception propagates from ``submit`` itself, so an inline
+    campaign stops at its first failing shard, as a plain loop would.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def process_pool(workers: int, mp_start_method: str = None) -> ProcessPoolExecutor:
+    """A worker-process pool (``None``: the platform's start method)."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(mp_start_method),
+    )
+
+
+def lost_shard(cell, start: int, stop: int, error) -> CampaignError:
+    """The error for a shard pending when a worker process died.
+
+    A dead worker breaks every pending shard at once, so the shard named
+    is one the campaign lost, not necessarily the one that killed it.
+    """
+    return CampaignError(
+        f"a worker process died and broke the pool while shard "
+        f"[{start}, {stop}) of cell {cell.label!r} was pending "
+        f"({type(error).__name__}: {error})"
+    )
+
+
+class CampaignRun:
+    """The plan → cache lookup → compute → store → merge core of a campaign.
+
+    :func:`run_campaign` drives these steps to completion on one executor;
+    :class:`repro.service.engine.CampaignService` drives the same steps from
+    its event loop and adds request coalescing, progress events and job
+    state.  ``shards[cell_id]`` holds each cell's shard reports once it is
+    loaded, computed or handed over by another run.
+    """
+
+    def __init__(self, cells, shards_per_cell: int = 1, cache=None) -> None:
+        self.started = time.perf_counter()
+        self.cells = list(cells)
+        if not self.cells:
+            raise ConfigurationError("a campaign needs at least one cell")
+        self.shards_per_cell = shards_per_cell
+        self.cache = cache
+        self.plans = [
+            plan_shards(cell.num_samples, shards_per_cell) for cell in self.cells
+        ]
+        self.keys = [
+            cache.key_for(cell, shards_per_cell) if cache is not None else None
+            for cell in self.cells
+        ]
+        self.shards = [None] * len(self.cells)
+        self.cache_hits = 0
+
+    def pool_size(self, workers: int) -> int:
+        """Workers the plan is sized for (1 = in-process; see CampaignResult)."""
+        if workers is None:
+            workers = os.cpu_count() or 1
+        planned = sum(len(plan) for plan in self.plans)
+        return 1 if workers <= 1 or planned == 1 else min(workers, planned)
+
+    def load(self, cell_id: int) -> bool:
+        """Satisfy one cell from the result cache; False on a miss."""
+        if self.cache is None:
+            return False
+        cached = self.cache.load(self.keys[cell_id])
+        if cached is None:
+            return False
+        self.shards[cell_id] = list(cached)
+        self.cache_hits += 1
+        return True
+
+    def submit(self, executor, cell_id: int, vectors) -> list:
+        """Submit one task per planned shard: ``(future, start, stop)``.
+
+        Vectors are generated once per cell and pre-sliced into the tasks,
+        so workers never regenerate a cell's full set per shard.
+        """
+        cell = self.cells[cell_id]
+        return [
+            (executor.submit(_run_shard_task,
+                             (cell, index, start, vectors[start:stop])),
+             start, stop)
+            for index, (start, stop) in enumerate(self.plans[cell_id])
+        ]
+
+    def store(self, cell_id: int) -> None:
+        """Persist one computed cell for later runs (no-op without a cache)."""
+        if self.cache is not None:
+            self.cache.store(self.keys[cell_id], self.shards[cell_id],
+                             label=self.cells[cell_id].label)
+
+    def result(self, workers: int) -> CampaignResult:
+        """Merge every cell's shards into the campaign's result."""
+        wall_seconds = time.perf_counter() - self.started
+        reports = [
+            merge_shard_reports(
+                solution_name=cell.solution.name,
+                solution_kind=cell.solution.kind,
+                shards=shards,
+                repetitions=cell.repetitions,
+            )
+            for cell, shards in zip(self.cells, self.shards)
+        ]
+        return CampaignResult(
+            cells=self.cells,
+            reports=reports,
+            workers=self.pool_size(workers),
+            shards_per_cell=self.shards_per_cell,
+            wall_seconds=wall_seconds,
+            cache_hits=self.cache_hits,
+            cache_misses=(
+                len(self.cells) - self.cache_hits if self.cache is not None
+                else 0
+            ),
+        )
+
+
 def run_campaign(
     cells,
     workers: int = 1,
@@ -519,7 +730,9 @@ def run_campaign(
     any worker count produces the same merged reports for the same shard
     plan, because the plan — not the scheduling — defines the measurement.
     ``mp_start_method`` overrides the platform's multiprocessing start
-    method ("fork" is fastest where available).
+    method ("fork" is fastest where available).  A worker process that dies
+    fails the campaign at once with a :class:`~repro.errors.CampaignError`
+    naming a cell and shard that was pending when the pool broke.
 
     ``cache`` may pass a :class:`repro.service.cache.ResultCache`: cells
     whose content address (inputs + code fingerprint) is already stored are
@@ -529,637 +742,31 @@ def run_campaign(
     bit-identical to the cold run's (the ``--cache-dir`` CLI mode and the
     campaign service both rest on this).
     """
-    cells = list(cells)
-    if not cells:
-        raise ConfigurationError("a campaign needs at least one cell")
-
-    started = time.perf_counter()
-    plans = [plan_shards(cell.num_samples, shards_per_cell) for cell in cells]
-    planned_shards = sum(len(plan) for plan in plans)
-    # Vectors are generated once per cell in the parent and pre-sliced into
-    # the tasks, so workers never regenerate a cell's full set per shard.
-    # Cache-hit cells skip vector generation entirely — their measurements
-    # are already on disk.
-    tasks = []
-    shard_reports = {}
-    cell_keys = [None] * len(cells)
-    computed_ids = set()
-    for cell_id, cell in enumerate(cells):
-        if cache is not None:
-            key = cache.key_for(cell, shards_per_cell)
-            cell_keys[cell_id] = key
-            cached = cache.load(key)
-            if cached is not None:
-                shard_reports[cell_id] = list(cached)
-                continue
-            computed_ids.add(cell_id)
-        shard_reports[cell_id] = []
-        vectors = cell.generate_vectors()
-        for shard_index, (start, stop) in enumerate(plans[cell_id]):
-            tasks.append(
-                (cell_id, shard_index, start, stop, cell, vectors[start:stop])
-            )
-
-    if workers is None:
-        workers = os.cpu_count() or 1
-    # Plan-based, so a fully cached rerun reports the same worker count as
-    # the cold run it is replaying (see CampaignResult.workers).
-    pool_size = 1 if workers <= 1 or planned_shards == 1 else min(
-        workers, planned_shards
+    run = CampaignRun(cells, shards_per_cell, cache)
+    missing = [cell_id for cell_id in range(len(run.cells))
+               if not run.load(cell_id)]
+    tasks = sum(len(run.plans[cell_id]) for cell_id in missing)
+    pool_size = min(run.pool_size(workers), tasks)
+    executor = (
+        process_pool(pool_size, mp_start_method) if pool_size > 1
+        else _InlineExecutor()
     )
-    if pool_size == 1 or len(tasks) <= 1:
-        for task in tasks:
-            cell_id, report = _run_shard_task(task)
-            shard_reports[cell_id].append(report)
-    elif tasks:
-        context = (
-            multiprocessing.get_context(mp_start_method)
-            if mp_start_method
-            else multiprocessing.get_context()
-        )
-        with context.Pool(processes=min(pool_size, len(tasks))) as pool:
-            for cell_id, report in pool.imap_unordered(_run_shard_task, tasks):
-                shard_reports[cell_id].append(report)
-    if cache is not None:
-        for cell_id in sorted(computed_ids):
-            cache.store(
-                cell_keys[cell_id],
-                shard_reports[cell_id],
-                label=cells[cell_id].label,
-            )
-    wall_seconds = time.perf_counter() - started
-
-    reports = [
-        merge_shard_reports(
-            solution_name=cell.solution.name,
-            solution_kind=cell.solution.kind,
-            shards=shard_reports[cell_id],
-            repetitions=cell.repetitions,
-        )
-        for cell_id, cell in enumerate(cells)
-    ]
-    return CampaignResult(
-        cells=cells,
-        reports=reports,
-        workers=pool_size,
-        shards_per_cell=shards_per_cell,
-        wall_seconds=wall_seconds,
-        cache_hits=len(cells) - len(computed_ids) if cache is not None else 0,
-        cache_misses=len(computed_ids),
-    )
-
-
-def table_iv_cells(
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workload: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per Table IV solution kind."""
-    kinds = kinds or (
-        SolutionKind.METHOD1,
-        SolutionKind.SOFTWARE,
-        SolutionKind.METHOD1_DUMMY,
-    )
-    solutions = solutions if solutions is not None else standard_solutions()
-    return [
-        CampaignCell(
-            solution=solutions[kind],
-            num_samples=num_samples,
-            operand_classes=tuple(operand_classes),
-            repetitions=repetitions,
-            seed=seed,
-            rocket_config=(
-                rocket_config if rocket_config is not None else RocketConfig()
-            ),
-            verify_functionally=verify_functionally,
-            workload=workload,
-            differential=differential,
-            fmt=fmt,
-            op=op,
-        )
-        for kind in kinds
-    ]
-
-
-def workload_cells(
-    workloads,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per (solution kind × workload name).
-
-    The cell grid this returns is what ``python -m repro.campaign
-    --workload a,b,c`` runs: every named scenario is evaluated with every
-    solution kind over the same shard plan, so
-    :meth:`CampaignResult.table_iv_by_workload` can render one table per
-    workload and the speedup comparison across them.
-    """
-    workloads = list(workloads)
-    if not workloads:
-        raise ConfigurationError("workload_cells needs at least one workload")
-    cells = []
-    for workload in workloads:
-        cells.extend(
-            table_iv_cells(
-                num_samples=num_samples,
-                kinds=kinds,
-                repetitions=repetitions,
-                seed=seed,
-                rocket_config=rocket_config,
-                verify_functionally=verify_functionally,
-                solutions=solutions,
-                workload=workload,
-                differential=differential,
-                fmt=fmt,
-                op=op,
-            )
-        )
-    return cells
-
-
-def format_cells(
-    formats,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    differential: bool = False,
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per (format × workload-or-mix × solution kind).
-
-    The cell grid behind ``python -m repro.campaign --format
-    decimal64,decimal128``: every named interchange format is evaluated
-    with every solution kind, optionally crossed with a workload list.
-    ``workloads`` entries not supporting a format are skipped for that
-    format (e.g. a decimal64-only third-party scenario in a two-format
-    sweep); a workload supported by *no* requested format raises.
-    """
-    from repro.workloads import get_workload
-
-    formats = list(formats)
-    if not formats:
-        raise ConfigurationError("format_cells needs at least one format")
-    cells = []
-    if workloads:
-        workloads = list(workloads)
-        for name in workloads:
-            workload = get_workload(name)
-            if not any(workload.supports_format(fmt) for fmt in formats):
-                raise ConfigurationError(
-                    f"workload {name!r} supports none of the requested "
-                    f"formats {formats} (declares {workload.formats})"
-                )
-    for fmt in formats:
-        if workloads:
-            for name in workloads:
-                if not get_workload(name).supports_format(fmt):
-                    continue
-                cells.extend(
-                    table_iv_cells(
-                        num_samples=num_samples,
-                        kinds=kinds,
-                        repetitions=repetitions,
-                        seed=seed,
-                        rocket_config=rocket_config,
-                        verify_functionally=verify_functionally,
-                        solutions=solutions,
-                        workload=name,
-                        differential=differential,
-                        fmt=fmt,
-                        op=op,
-                    )
-                )
-        else:
-            cells.extend(
-                table_iv_cells(
-                    num_samples=num_samples,
-                    kinds=kinds,
-                    repetitions=repetitions,
-                    seed=seed,
-                    operand_classes=operand_classes,
-                    rocket_config=rocket_config,
-                    verify_functionally=verify_functionally,
-                    solutions=solutions,
-                    differential=differential,
-                    fmt=fmt,
-                    op=op,
-                )
-            )
-    return cells
-
-
-def run_format_campaign(
-    formats,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    differential: bool = False,
-    op: str = "multiply",
-    cache=None,
-) -> CampaignResult:
-    """Fan (format × workload × solution) cells over the campaign engine."""
-    cells = format_cells(
-        formats,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        workloads=workloads,
-        differential=differential,
-        op=op,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def operation_cells(
-    operations,
-    formats=("decimal64",),
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    differential: bool = False,
-) -> list:
-    """One campaign cell per (operation × format × workload-or-mix × kind).
-
-    The cell grid behind ``python -m repro.campaign --op mul,add,fma``:
-    every requested decimal operation is evaluated with every solution kind
-    under every requested format, optionally crossed with a workload list.
-    ``kinds`` defaults to the two *verifiable* Table IV kinds (method1 and
-    the software baseline) — the dummy row measures multiply-shaped stub
-    traffic and contributes nothing to a per-operation speedup comparison,
-    but can be requested explicitly.  Workload entries not supporting an
-    (operation, format) pair are skipped for that pair; a workload
-    supported by *no* requested combination raises.
-    """
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
-
-    operations = list(operations)
-    if not operations:
-        raise ConfigurationError("operation_cells needs at least one operation")
     try:
-        operations = [resolve_operation_name(name) for name in operations]
-    except DecimalError as error:
-        raise ConfigurationError(str(error)) from None
-    formats = list(formats)
-    if not formats:
-        raise ConfigurationError("operation_cells needs at least one format")
-    kinds = kinds or (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
-    cells = []
-    if workloads:
-        from repro.workloads import get_workload
-
-        workloads = list(workloads)
-        for name in workloads:
-            workload = get_workload(name)
-            if not any(
-                workload.supports_format(fmt) and workload.supports_operation(op)
-                for fmt in formats
-                for op in operations
-            ):
-                raise ConfigurationError(
-                    f"workload {name!r} supports none of the requested "
-                    f"(operation, format) combinations "
-                    f"({operations} x {formats}; declares "
-                    f"{workload.operations} x {workload.formats})"
-                )
-        for op in operations:
-            for fmt in formats:
-                for name in workloads:
-                    workload = get_workload(name)
-                    if not (
-                        workload.supports_format(fmt)
-                        and workload.supports_operation(op)
-                    ):
-                        continue
-                    cells.extend(
-                        table_iv_cells(
-                            num_samples=num_samples,
-                            kinds=kinds,
-                            repetitions=repetitions,
-                            seed=seed,
-                            rocket_config=rocket_config,
-                            verify_functionally=verify_functionally,
-                            solutions=solutions,
-                            workload=name,
-                            differential=differential,
-                            fmt=fmt,
-                            op=op,
-                        )
-                    )
-        return cells
-    for op in operations:
-        for fmt in formats:
-            cells.extend(
-                table_iv_cells(
-                    num_samples=num_samples,
-                    kinds=kinds,
-                    repetitions=repetitions,
-                    seed=seed,
-                    operand_classes=operand_classes,
-                    rocket_config=rocket_config,
-                    verify_functionally=verify_functionally,
-                    solutions=solutions,
-                    differential=differential,
-                    fmt=fmt,
-                    op=op,
-                )
-            )
-    return cells
-
-
-def run_operation_campaign(
-    operations,
-    formats=("decimal64",),
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    differential: bool = False,
-    cache=None,
-) -> CampaignResult:
-    """Fan (operation × format × workload × solution) cells over the engine.
-
-    The default grid of ``--op mul,add,fma --format decimal64,decimal128
-    --differential`` is 3 operations × 2 formats × 2 verifiable kinds =
-    12 differential cells, each dual-oracle checked and cross-model
-    diffed; :meth:`CampaignResult.table_iv_by_operation` then renders one
-    speedup table per (operation, format) group.
-    """
-    cells = operation_cells(
-        operations,
-        formats=formats,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        workloads=workloads,
-        differential=differential,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def pipeline_sweep_cells(
-    depths=(1, 2, 4, 8),
-    widths=(1, 2, 4),
-    formats=("decimal64",),
-    operations=("multiply",),
-    num_samples: int = 100,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    differential: bool = False,
-    include_baseline: bool = True,
-) -> list:
-    """One campaign cell per (operation × format × pipeline design point).
-
-    The cell grid behind ``python -m repro.campaign --pipeline-sweep``:
-    every (depth, width) microarchitecture variant of Method-1 — plus the
-    software baseline as the zero-hardware reference — is evaluated per
-    requested operation and format over the same shard plan, so the CLI can
-    render one cycles-vs-area Pareto frontier per group (docs/pipeline.md).
-    The default grid is 4 depths × 3 widths + baseline = 13 design points
-    per group.
-    """
-    from repro.core.solution import microarchitecture_variants
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
-
-    operations = list(operations)
-    formats = list(formats)
-    if not operations:
-        raise ConfigurationError("pipeline_sweep_cells needs at least one operation")
-    if not formats:
-        raise ConfigurationError("pipeline_sweep_cells needs at least one format")
-    try:
-        operations = [resolve_operation_name(name) for name in operations]
-    except DecimalError as error:
-        raise ConfigurationError(str(error)) from None
-    baseline = standard_solutions()[SolutionKind.SOFTWARE]
-    cells = []
-    for op in operations:
-        for fmt in formats:
-            solutions = [baseline] if include_baseline else []
-            solutions.extend(microarchitecture_variants(depths, widths, fmt=fmt))
-            for solution in solutions:
-                label = f"{solution.name} ({op}) [{fmt}]"
-                if differential:
-                    label += " [diff]"
-                cells.append(
-                    CampaignCell(
-                        solution=solution,
-                        num_samples=num_samples,
-                        operand_classes=tuple(operand_classes),
-                        repetitions=repetitions,
-                        seed=seed,
-                        rocket_config=(
-                            rocket_config
-                            if rocket_config is not None
-                            else RocketConfig()
-                        ),
-                        verify_functionally=verify_functionally,
-                        differential=differential,
-                        fmt=fmt,
-                        op=op,
-                        label=label,
-                    )
-                )
-    return cells
-
-
-def run_pipeline_sweep_campaign(
-    depths=(1, 2, 4, 8),
-    widths=(1, 2, 4),
-    formats=("decimal64",),
-    operations=("multiply",),
-    num_samples: int = 100,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    differential: bool = False,
-    include_baseline: bool = True,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    cache=None,
-) -> CampaignResult:
-    """Fan the pipeline design-space grid over the campaign engine.
-
-    The design-space study ROADMAP item 2 asks for: each cell measures one
-    staged-pipeline microarchitecture (cycles) whose area comes straight
-    off its pinned configuration; ``repro.core.pareto.points_from_campaign``
-    turns the result into per-group Pareto point clouds.
-    """
-    cells = pipeline_sweep_cells(
-        depths=depths,
-        widths=widths,
-        formats=formats,
-        operations=operations,
-        num_samples=num_samples,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        differential=differential,
-        include_baseline=include_baseline,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def run_workload_campaign(
-    workloads,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-    cache=None,
-) -> CampaignResult:
-    """Fan (solution × workload) cells over the sharded campaign engine."""
-    cells = workload_cells(
-        workloads,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        differential=differential,
-        fmt=fmt,
-        op=op,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def run_table_iv_campaign(
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    workload: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-    cache=None,
-) -> CampaignResult:
-    """Convenience wrapper: plan, run and merge a Table IV campaign."""
-    cells = table_iv_cells(
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        workload=workload,
-        differential=differential,
-        fmt=fmt,
-        op=op,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
+        submitted = [
+            (cell_id, run.submit(executor, cell_id,
+                                 run.cells[cell_id].generate_vectors()))
+            for cell_id in missing
+        ]
+        for cell_id, shards in submitted:
+            reports = []
+            for future, start, stop in shards:
+                try:
+                    reports.append(future.result()[0])
+                except BrokenExecutor as error:
+                    raise lost_shard(run.cells[cell_id], start, stop,
+                                     error) from error
+            run.shards[cell_id] = reports
+            run.store(cell_id)
+    finally:
+        executor.shutdown(cancel_futures=True)
+    return run.result(workers)

@@ -424,9 +424,9 @@ class EvaluationFramework:
             SolutionKind.METHOD1_DUMMY,
         )
         if workers is not None and workers > 1:
-            from repro.core.campaign import run_table_iv_campaign
+            from repro.core.campaign import run_campaign, table_iv_cells
 
-            return run_table_iv_campaign(
+            cells = table_iv_cells(
                 kinds=kinds,
                 num_samples=self.num_samples,
                 repetitions=self.repetitions,
@@ -435,11 +435,12 @@ class EvaluationFramework:
                 rocket_config=self.rocket_config,
                 verify_functionally=self.verify_functionally,
                 solutions=self.solutions,
-                workers=workers,
-                shards_per_cell=shards_per_cell,
                 workload=self.workload,
                 fmt=self.fmt,
                 op=self.operation,
+            )
+            return run_campaign(
+                cells, workers=workers, shards_per_cell=shards_per_cell
             ).table_iv()
         report = TableIVReport(
             num_samples=self.num_samples, baseline_kind=SolutionKind.SOFTWARE

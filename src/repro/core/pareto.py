@@ -8,7 +8,7 @@ frontier over (average cycles, gate equivalents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.evaluation import EvaluationFramework
 from repro.core.solution import CoDesignSolution
@@ -51,10 +51,17 @@ def frontier_of(points) -> list:
         for point in points
         if not any(other.dominates(point) for other in points)
     ]
-    return sorted(
-        frontier,
-        key=lambda point: (point.avg_cycles, point.gate_equivalents, point.name),
-    )
+    return sorted(frontier, key=_rank)
+
+
+def _rank(point: ParetoPoint) -> tuple:
+    return point.avg_cycles, point.gate_equivalents, point.name
+
+
+def ranked_points(points) -> list:
+    """``(point, on_frontier)`` pairs, sorted as :func:`frontier_of` sorts."""
+    frontier = frontier_of(points)
+    return [(point, point in frontier) for point in sorted(points, key=_rank)]
 
 
 def points_from_campaign(result) -> dict:
@@ -76,6 +83,23 @@ def points_from_campaign(result) -> dict:
         )
         groups.setdefault((cell.op, cell.fmt), []).append(point)
     return groups
+
+
+def frontier_summary(result) -> dict:
+    """JSON-ready design points of a sweep campaign, per ``"op/fmt"`` group."""
+    return {
+        f"{op}/{fmt}": [
+            {
+                "name": point.name,
+                "avg_cycles": round(point.avg_cycles, 3),
+                "gate_equivalents": round(point.gate_equivalents, 1),
+                "flip_flops": point.flip_flops,
+                "pareto": on_frontier,
+            }
+            for point, on_frontier in ranked_points(points)
+        ]
+        for (op, fmt), points in points_from_campaign(result).items()
+    }
 
 
 @dataclass
@@ -120,31 +144,31 @@ class ParetoAnalyzer:
     ) -> list:
         """Evaluate a family of design points through the campaign engine.
 
-        Builds one campaign cell per (solution × RocketConfig) combination —
-        all over the framework's shared vector parameters — runs them (in
-        parallel when ``workers > 1``) and records the resulting points.
-        Unlike :meth:`evaluate_solution` this never touches
-        ``framework.solutions``, so there is no state to restore.
+        Builds the campaign grid of (solution × RocketConfig) cells — all
+        over the framework's operation, format, workload or operand mix and
+        vector parameters — runs them (in parallel when ``workers > 1``)
+        and records the resulting points.  Unlike :meth:`evaluate_solution`
+        this never touches ``framework.solutions``, so there is no state to
+        restore.
         """
-        from repro.core.campaign import CampaignCell, run_campaign
+        from repro.core.campaign import grid_cells, run_campaign
 
         framework = self.framework
-        configs = list(rocket_configs) if rocket_configs else [framework.rocket_config]
         cells = [
-            CampaignCell(
-                solution=solution,
+            replace(cell, label=f"{cell.solution.name} @ "
+                                f"{cell.rocket_config.frequency_hz / 1e6:.0f}MHz")
+            for cell in grid_cells(
                 num_samples=framework.num_samples,
-                operand_classes=tuple(framework.operand_classes),
+                ops=(framework.operation,),
+                formats=(framework.fmt,),
+                workloads=(framework.workload,),
+                solutions=solutions,
+                rocket_configs=rocket_configs or (framework.rocket_config,),
                 repetitions=framework.repetitions,
                 seed=framework.seed,
-                rocket_config=config,
+                operand_classes=framework.operand_classes,
                 verify_functionally=framework.verify_functionally,
-                workload=framework.workload,
-                fmt=framework.fmt,
-                label=f"{solution.name} @ {config.frequency_hz / 1e6:.0f}MHz",
             )
-            for solution in solutions
-            for config in configs
         ]
         result = run_campaign(
             cells, workers=workers, shards_per_cell=shards_per_cell

@@ -8,6 +8,7 @@ against the published numbers side by side (EXPERIMENTS.md records both).
 from __future__ import annotations
 
 from repro.asm import macros
+from repro.core.campaign import AXES
 from repro.isa.rocc import DecimalFunct
 from repro.testgen.config import SolutionKind
 
@@ -213,192 +214,70 @@ def render_differential(result) -> str:
     return "\n".join(lines)
 
 
-def render_format_tables(result, tables: dict = None) -> str:
-    """One Table IV-style block per (format, workload) cell group.
-
-    The renderer behind ``python -m repro.campaign --format ...``: every
-    interchange format gets its own table (per workload when the campaign
-    crossed formats with workloads), with speedups against that group's own
-    baseline.  The paper's published rows are only meaningful next to the
-    paper's own experiment, so they render exclusively under decimal64 with
-    the default mix or the ``paper-uniform`` workload.
-    """
-    blocks = []
-    if tables is None:
-        tables = result.table_iv_grouped()
-    for (fmt, workload), table in tables.items():
-        title = f"Format: {fmt}"
-        if workload is not None:
-            title += f" · workload: {workload}"
-        include_paper = fmt == "decimal64" and workload in (None, "paper-uniform")
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
-    return "\n\n".join(blocks)
-
-
-def render_format_matrix(result, baseline_kind: str = None,
-                         tables: dict = None) -> str:
-    """Cross-format/workload comparison: per-solution cycles and speedups.
-
-    One row per (format, workload) group — the format axis analogue of
-    :func:`render_workload_matrix`, answering "how does the co-design's
-    advantage change with the interchange width?" at a glance.
-    """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_grouped(baseline_kind=baseline_kind)
+def _group_title(by, key) -> str:
+    """``"Operation: add · format: decimal64 · workload: x"`` (None omitted)."""
+    title = " · ".join(
+        f"{AXES[axis]}: {value}" for axis, value in zip(by, key)
+        if value is not None
     )
-    kinds = []
-    for table in grouped.values():
-        for kind in table.reports:
-            if kind not in kinds:
-                kinds.append(kind)
-    header = f"{'Format / workload':<34s}" + "".join(
-        f" {kind:>24s}" for kind in kinds
-    )
-    lines = [
-        "Cross-format comparison (avg cycles, speedup vs baseline)",
-        header,
-        "-" * len(header),
-    ]
-    for (fmt, workload), table in grouped.items():
-        speedups = table.speedups()
-        label = fmt if workload is None else f"{fmt} / {workload}"
-        row = f"{label:<34s}"
-        for kind in kinds:
-            report = table.reports.get(kind)
-            if report is None:
-                row += f" {'-':>24s}"
-                continue
-            cell = f"{report.avg_total_cycles:.0f}"
-            if kind != table.baseline_kind:
-                cell += f" ({_format_speedup(speedups.get(kind))})"
-            row += f" {cell:>24s}"
-        lines.append(row)
-    return "\n".join(lines)
+    return title[:1].upper() + title[1:]
 
 
-def render_operation_tables(result, tables: dict = None) -> str:
-    """One Table IV-style block per (operation, format, workload) group.
+def render_tables(result, by) -> str:
+    """One Table IV-style block per group of ``result.group(by)``.
 
-    The renderer behind ``python -m repro.campaign --op mul,add,fma``:
-    every decimal operation gets its own table (per format, per workload
-    when the campaign crossed axes), with speedups against that group's
-    own baseline.  The paper only published multiply numbers, so its rows
-    render exclusively under (multiply, decimal64) with the default mix or
-    the ``paper-uniform`` workload — other operations show measured data
-    alone.
+    Each group's speedups are against its own baseline run, under a title
+    naming its axis values (an ungrouped campaign, ``by=()``, renders the
+    bare table).  The paper published decimal64 multiply numbers over its
+    own operand mix, so its rows render exactly for groups of that
+    operation and format with the default mix or the ``paper-uniform``
+    workload.
     """
+    by = tuple(by)
+    shared = {axis: getattr(result.cells[0], axis) for axis in AXES}
     blocks = []
-    if tables is None:
-        tables = result.table_iv_by_operation()
-    for (op, fmt, workload), table in tables.items():
-        title = f"Operation: {op} · format: {fmt}"
-        if workload is not None:
-            title += f" · workload: {workload}"
+    for key, table in result.group(by).items():
+        axes = {**shared, **dict(zip(by, key))}
         include_paper = (
-            op == "multiply"
-            and fmt == "decimal64"
-            and workload in (None, "paper-uniform")
+            axes["op"] == "multiply"
+            and axes["fmt"] == "decimal64"
+            and axes["workload"] in (None, "paper-uniform")
         )
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
+        block = render_table_iv(table, include_paper)
+        title = _group_title(by, key)
+        if title:
+            block = "\n".join([title, "=" * len(title), block])
+        blocks.append(block)
     return "\n\n".join(blocks)
 
 
-def render_operation_matrix(result, baseline_kind: str = None,
-                            tables: dict = None) -> str:
-    """Cross-operation comparison: per-solution cycles and speedups.
+def render_matrix(result, by, baseline_kind: str = None) -> str:
+    """Cross-group comparison: per-solution average cycles and speedups.
 
-    One row per (operation, format, workload) group — the operation-axis
-    analogue of :func:`render_workload_matrix`, answering "how does the
-    co-design's advantage change with the arithmetic operation?" at a
-    glance.
+    One row per group of ``result.group(by)``; for every non-baseline
+    solution kind the row shows ``avg cycles (speedup vs that group's own
+    baseline run)``, so the matrix answers "*where* does the co-design help
+    most?" — across workloads, formats or operations — at a glance.
     """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_by_operation(baseline_kind=baseline_kind)
-    )
+    by = tuple(by)
+    grouped = result.group(by, baseline_kind=baseline_kind)
     kinds = []
     for table in grouped.values():
         for kind in table.reports:
             if kind not in kinds:
                 kinds.append(kind)
-    header = f"{'Operation / format':<34s}" + "".join(
-        f" {kind:>24s}" for kind in kinds
-    )
+    width = 18 if len(by) == 1 else 34
+    first = " / ".join(AXES[axis] for axis in by[:2]).capitalize()
+    header = f"{first:<{width}s}" + "".join(f" {kind:>24s}" for kind in kinds)
     lines = [
-        "Cross-operation comparison (avg cycles, speedup vs baseline)",
+        f"Cross-{AXES[by[0]]} comparison (avg cycles, speedup vs baseline)",
         header,
         "-" * len(header),
     ]
-    for (op, fmt, workload), table in grouped.items():
+    for key, table in grouped.items():
         speedups = table.speedups()
-        label = f"{op} / {fmt}"
-        if workload is not None:
-            label += f" / {workload}"
-        row = f"{label:<34s}"
-        for kind in kinds:
-            report = table.reports.get(kind)
-            if report is None:
-                row += f" {'-':>24s}"
-                continue
-            cell = f"{report.avg_total_cycles:.0f}"
-            if kind != table.baseline_kind:
-                cell += f" ({_format_speedup(speedups.get(kind))})"
-            row += f" {cell:>24s}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def render_workload_tables(result, include_paper: bool = False,
-                           tables: dict = None) -> str:
-    """One Table IV-style block per workload of a multi-workload campaign.
-
-    ``tables`` takes a precomputed ``result.table_iv_by_workload()``
-    grouping so callers rendering several views need not regroup.
-    """
-    blocks = []
-    if tables is None:
-        tables = result.table_iv_by_workload()
-    for workload, table in tables.items():
-        title = f"Workload: {workload or 'default mix'}"
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
-    return "\n\n".join(blocks)
-
-
-def render_workload_matrix(result, baseline_kind: str = None,
-                           tables: dict = None) -> str:
-    """Cross-workload comparison: per-solution average cycles and speedups.
-
-    One row per workload; for every non-baseline solution kind the row shows
-    ``avg cycles (speedup vs that workload's own baseline run)``, so the
-    matrix answers "*where* does the co-design help most?" at a glance.
-    ``tables`` takes a precomputed grouping, as in
-    :func:`render_workload_tables`.
-    """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_by_workload(baseline_kind=baseline_kind)
-    )
-    kinds = []
-    for table in grouped.values():
-        for kind in table.reports:
-            if kind not in kinds:
-                kinds.append(kind)
-    header = f"{'Workload':<18s}" + "".join(f" {kind:>24s}" for kind in kinds)
-    lines = [
-        "Cross-workload comparison (avg cycles, speedup vs baseline)",
-        header,
-        "-" * len(header),
-    ]
-    for workload, table in grouped.items():
-        speedups = table.speedups()
-        row = f"{(workload or 'default'):<18s}"
+        label = " / ".join(value for value in key if value is not None)
+        row = f"{label or 'default':<{width}s}"
         for kind in kinds:
             report = table.reports.get(kind)
             if report is None:
@@ -420,13 +299,10 @@ def render_pipeline_frontier(result) -> str:
     cycles, with area and frontier membership, so the cycles-vs-area
     trade-off reads directly off the table (docs/pipeline.md).
     """
-    from repro.core.pareto import frontier_of, points_from_campaign
+    from repro.core.pareto import points_from_campaign, ranked_points
 
     sections = []
     for (op, fmt), points in points_from_campaign(result).items():
-        frontier = {
-            (p.name, p.avg_cycles, p.gate_equivalents) for p in frontier_of(points)
-        }
         header = (
             f"{'Design point':<36s} {'Avg cycles':>12s} "
             f"{'Gate equiv.':>12s} {'Flip-flops':>11s} {'Pareto':>8s}"
@@ -436,15 +312,7 @@ def render_pipeline_frontier(result) -> str:
             header,
             "-" * len(header),
         ]
-        for point in sorted(
-            points,
-            key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name),
-        ):
-            on_frontier = (
-                point.name,
-                point.avg_cycles,
-                point.gate_equivalents,
-            ) in frontier
+        for point, on_frontier in ranked_points(points):
             lines.append(
                 f"{point.name:<36s} {point.avg_cycles:>12.0f} "
                 f"{point.gate_equivalents:>12.0f} {point.flip_flops:>11d} "

@@ -62,3 +62,7 @@ class VerificationError(ReproError):
 
 class ConfigurationError(ReproError):
     """An evaluation/test-generator configuration is inconsistent."""
+
+
+class CampaignError(ReproError):
+    """A campaign lost work it cannot recover, e.g. to a dead worker process."""

@@ -8,9 +8,11 @@ cell is content-addressed through :mod:`repro.service.cache`:
 * **in-flight** cells (an identical cell already being computed for another
   job) coalesce onto the first job's future — concurrent duplicate
   submissions cost one computation;
-* **novel** cells are sharded with the same
-  :func:`~repro.core.campaign.plan_shards` plan as the CLI engine and
-  scheduled onto a worker pool via ``loop.run_in_executor``, then stored.
+* **novel** cells go through the same plan → compute → store steps
+  (:class:`~repro.core.campaign.CampaignRun`) as ``run_campaign``, on a
+  worker pool the engine keeps across jobs; a worker process that dies
+  fails its job naming a shard it left pending, and the broken pool is
+  replaced.
 
 All shard reports — cached, coalesced and fresh alike — merge through
 :func:`repro.core.results.merge_shard_reports`, so a fully cache-hit job's
@@ -28,18 +30,19 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.campaign import (
     CampaignResult,
-    _run_shard_task,
+    CampaignRun,
+    grid_cells,
+    lost_shard,
     plan_shards,
-    table_iv_cells,
-    workload_cells,
+    process_pool,
 )
-from repro.core.results import merge_shard_reports
 from repro.errors import ConfigurationError
+from repro.verification.database import OperandClass
 
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -52,7 +55,7 @@ _SPEC_FIELDS = frozenset({
 
 
 def cells_from_spec(spec: dict) -> list:
-    """Campaign cells for one submitted job spec.
+    """Campaign cells for one submitted job spec: a one-op, one-format grid.
 
     The spec is the JSON body of ``POST /submit`` (fields documented in
     docs/service.md); unknown fields are rejected so a typo cannot silently
@@ -71,28 +74,28 @@ def cells_from_spec(spec: dict) -> list:
         workloads = [spec["workload"]]
     if workloads is not None and not isinstance(workloads, (list, tuple)):
         raise ConfigurationError("'workloads' must be a list of workload names")
-    common = dict(
+    classes = spec.get("classes")
+    if workloads and classes is not None:
+        raise ConfigurationError(
+            "'classes' and 'workloads' are mutually exclusive: a "
+            "workload defines its own operand distribution"
+        )
+    grid = dict(
         num_samples=int(spec.get("samples", 100)),
-        kinds=tuple(spec["kinds"]) if spec.get("kinds") else None,
+        ops=(spec.get("op", "multiply"),),
+        formats=(spec.get("fmt", "decimal64"),),
+        workloads=tuple(workloads) if workloads else (None,),
         repetitions=int(spec.get("repetitions", 1)),
         seed=int(spec.get("seed", 2018)),
+        operand_classes=(
+            tuple(classes) if classes is not None else OperandClass.TABLE_IV_MIX
+        ),
         verify_functionally=bool(spec.get("verify", True)),
         differential=bool(spec.get("differential", False)),
-        fmt=spec.get("fmt", "decimal64"),
-        op=spec.get("op", "multiply"),
     )
-    if workloads and len(workloads) > 1:
-        if spec.get("classes") is not None:
-            raise ConfigurationError(
-                "'classes' and 'workloads' are mutually exclusive: a "
-                "workload defines its own operand distribution"
-            )
-        return workload_cells(workloads, **common)
-    if workloads:
-        common["workload"] = workloads[0]
-    elif spec.get("classes") is not None:
-        common["operand_classes"] = tuple(spec["classes"])
-    return table_iv_cells(**common)
+    if spec.get("kinds"):
+        grid["solutions"] = tuple(spec["kinds"])
+    return grid_cells(**grid)
 
 
 def comparable_summary(summary: dict) -> dict:
@@ -172,20 +175,18 @@ class CampaignService:
     # ------------------------------------------------------------- lifecycle
     def _ensure_executor(self):
         if self._executor is None:
-            if self.workers <= 1:
-                self._executor = ThreadPoolExecutor(max_workers=1)
-            else:
-                import multiprocessing
-
-                context = (
-                    multiprocessing.get_context(self.mp_start_method)
-                    if self.mp_start_method
-                    else multiprocessing.get_context()
-                )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
+            self._executor = (
+                process_pool(self.workers, self.mp_start_method)
+                if self.workers > 1 else ThreadPoolExecutor(max_workers=1)
+            )
         return self._executor
+
+    def _lost(self, executor, cell, start: int, stop: int, error):
+        """Drop a broken pool, so the next job gets a fresh one."""
+        if self._executor is executor:
+            self._executor = None
+            executor.shutdown(wait=False)
+        return lost_shard(cell, start, stop, error)
 
     def shutdown(self) -> None:
         if self._executor is not None:
@@ -289,36 +290,16 @@ class CampaignService:
             use_cache = bool(job.spec.get("cache", True))
             if not use_cache:
                 self.cache.bypass(len(job.cells))
-            shard_sets = await asyncio.gather(*(
-                self._cell_shards(job, cell_id, cell, use_cache)
-                for cell_id, cell in enumerate(job.cells)
+            run = CampaignRun(job.cells, job.shards_per_cell, self.cache)
+            outcomes = await asyncio.gather(*(
+                self._cell_shards(job, run, cell_id, use_cache)
+                for cell_id in range(len(job.cells))
             ), return_exceptions=True)
-            for shards in shard_sets:
-                if isinstance(shards, BaseException):
-                    raise shards
-            reports = [
-                merge_shard_reports(
-                    solution_name=cell.solution.name,
-                    solution_kind=cell.solution.kind,
-                    shards=shards,
-                    repetitions=cell.repetitions,
-                )
-                for cell, shards in zip(job.cells, shard_sets)
-            ]
-            job.wall_seconds = time.monotonic() - started
-            planned = job.shards_total
-            job.result = CampaignResult(
-                cells=job.cells,
-                reports=reports,
-                workers=(
-                    1 if self.workers <= 1 or planned == 1
-                    else min(self.workers, planned)
-                ),
-                shards_per_cell=job.shards_per_cell,
-                wall_seconds=job.wall_seconds,
-                cache_hits=job.cells_cached,
-                cache_misses=job.cells_computed + job.cells_coalesced,
-            )
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+            job.result = run.result(self.workers)
+            job.wall_seconds = job.result.wall_seconds
             job.summary = job.result.to_summary()
             job.status = DONE
             await self._emit(
@@ -334,66 +315,72 @@ class CampaignService:
             job.status = FAILED
             await self._emit(job, "failed", error=job.error)
 
-    async def _cell_shards(self, job: Job, cell_id: int, cell, use_cache: bool):
-        key = self.cache.key_for(cell, job.shards_per_cell)
-        if use_cache:
-            pending = self._inflight.get(key)
-            if pending is not None:
-                shards = await asyncio.shield(pending)
-                job.cells_coalesced += 1
-                job.shards_done += len(shards)
-                await self._emit(job, "cell_coalesced", cell=cell.label,
-                                 key=key, shards=len(shards))
-                return shards
-            cached = self.cache.load(key)
-            if cached is not None:
-                job.cells_cached += 1
-                job.shards_done += len(cached)
-                await self._emit(job, "cell_cached", cell=cell.label,
-                                 key=key, shards=len(cached))
-                return cached
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = future
-            try:
-                shards = await self._compute_cell(job, cell_id, cell)
-                self.cache.store(key, shards, label=cell.label)
-                future.set_result(shards)
-            except BaseException as error:
-                future.set_exception(error)
-                # A coalesced awaiter consumes the exception; nobody else
-                # should trip "exception was never retrieved".
-                future.exception()
-                raise
-            finally:
-                self._inflight.pop(key, None)
+    async def _cell_shards(self, job: Job, run, cell_id: int,
+                           use_cache: bool) -> None:
+        """Coalesce onto, load or compute one cell, and report which."""
+        key = run.keys[cell_id]
+        pending = self._inflight.get(key) if use_cache else None
+        if pending is not None:
+            run.shards[cell_id] = await asyncio.shield(pending)
+            job.cells_coalesced += 1
+            event = "cell_coalesced"
+        elif use_cache and run.load(cell_id):
+            job.cells_cached += 1
+            event = "cell_cached"
         else:
-            shards = await self._compute_cell(job, cell_id, cell)
-        job.cells_computed += 1
-        await self._emit(job, "cell_done", cell=cell.label, key=key,
-                         shards=len(shards))
-        return shards
+            await self._compute(job, run, cell_id, use_cache)
+            job.cells_computed += 1
+            event = "cell_done"
+        shards = len(run.shards[cell_id])
+        if event != "cell_done":  # computed shards were counted one by one
+            job.shards_done += shards
+        await self._emit(job, event, cell=run.cells[cell_id].label, key=key,
+                         shards=shards)
 
-    async def _compute_cell(self, job: Job, cell_id: int, cell):
+    async def _compute(self, job: Job, run, cell_id: int,
+                       use_cache: bool) -> None:
+        """Shard one cell onto the pool; with the cache on, concurrent jobs
+        coalesce onto it and it is stored."""
         loop = asyncio.get_running_loop()
-        executor = self._ensure_executor()
-        vectors = await loop.run_in_executor(executor, cell.generate_vectors)
-        plan = plan_shards(cell.num_samples, job.shards_per_cell)
-        tasks = [
-            (cell_id, shard_index, start, stop, cell, vectors[start:stop])
-            for shard_index, (start, stop) in enumerate(plan)
-        ]
-        shards = await asyncio.gather(*(
-            self._run_shard(job, cell, task) for task in tasks
-        ))
-        return sorted(shards, key=lambda s: (s.start, s.shard_index))
+        key, cell = run.keys[cell_id], run.cells[cell_id]
+        inflight = loop.create_future()
+        if use_cache:
+            self._inflight[key] = inflight
+        try:
+            executor = self._ensure_executor()
+            try:
+                vectors = await loop.run_in_executor(
+                    executor, cell.generate_vectors
+                )
+                submitted = run.submit(executor, cell_id, vectors)
+            except BrokenExecutor as error:
+                raise self._lost(executor, cell, 0, cell.num_samples,
+                                 error) from error
+            shards = await asyncio.gather(*(
+                self._run_shard(job, executor, cell, *shard)
+                for shard in submitted
+            ))
+            run.shards[cell_id] = shards
+            if use_cache:
+                run.store(cell_id)
+            inflight.set_result(shards)
+        except BaseException as error:
+            inflight.set_exception(error)
+            # A coalesced awaiter consumes the exception; nobody else
+            # should trip "exception was never retrieved".
+            inflight.exception()
+            raise
+        finally:
+            if self._inflight.get(key) is inflight:
+                del self._inflight[key]
 
-    async def _run_shard(self, job: Job, cell, task):
-        loop = asyncio.get_running_loop()
-        started = time.monotonic()
-        _cell_id, report = await loop.run_in_executor(
-            self._ensure_executor(), _run_shard_task, task
-        )
-        self._busy_seconds += time.monotonic() - started
+    async def _run_shard(self, job: Job, executor, cell, future, start: int,
+                         stop: int):
+        try:
+            report, busy_seconds = await asyncio.wrap_future(future)
+        except BrokenExecutor as error:
+            raise self._lost(executor, cell, start, stop, error) from error
+        self._busy_seconds += busy_seconds
         self.shards_computed += 1
         job.shards_done += 1
         await self._emit(

@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.campaign import (
     CampaignCell,
+    operation_cells,
     plan_shards,
     run_campaign,
-    run_table_iv_campaign,
     table_iv_cells,
 )
 from repro.core.evaluation import EvaluationFramework, run_solution_shard
@@ -146,8 +146,8 @@ class TestCampaignEqualsSerial:
 
     @pytest.fixture(scope="class")
     def campaign_table_iv(self):
-        return run_table_iv_campaign(
-            num_samples=SAMPLES, seed=SEED, workers=4
+        return run_campaign(
+            table_iv_cells(num_samples=SAMPLES, seed=SEED), workers=4
         ).table_iv()
 
     def test_rows_identical(self, serial_table_iv, campaign_table_iv):
@@ -173,9 +173,9 @@ class TestCampaignEqualsSerial:
 
 class TestCampaignDeterminism:
     def test_worker_count_independence_with_sharding(self):
-        kwargs = dict(num_samples=45, seed=11, shards_per_cell=3)
-        serial = run_table_iv_campaign(workers=1, **kwargs)
-        parallel = run_table_iv_campaign(workers=3, **kwargs)
+        cells = table_iv_cells(num_samples=45, seed=11)
+        serial = run_campaign(cells, workers=1, shards_per_cell=3)
+        parallel = run_campaign(cells, workers=3, shards_per_cell=3)
         assert serial.total_shards == parallel.total_shards == 9
         for a, b in zip(serial.reports, parallel.reports):
             assert a.per_sample_cycles == b.per_sample_cycles
@@ -190,7 +190,7 @@ class TestCampaignDeterminism:
         assert cell.generate_vectors() == framework.vectors
 
     def test_render_campaign(self):
-        result = run_table_iv_campaign(num_samples=10, seed=4, workers=1)
+        result = run_campaign(table_iv_cells(num_samples=10, seed=4), workers=1)
         text = render_campaign(result)
         assert "3 cells" in text and "workers" in text
 
@@ -238,6 +238,33 @@ class TestAccountingRegressions:
         assert points[0].avg_cycles > points[1].avg_cycles  # software slower
         # The sweep never registers temporaries in the framework.
         assert set(framework.solutions) == set(standard_solutions())
+
+    def test_pareto_sweep_grid_over_rocket_configs(self, monkeypatch):
+        from repro.core import campaign
+        from repro.rocket.config import RocketConfig
+
+        built = []
+
+        def recording(cells, **options):
+            built.extend(cells)
+            return run_campaign(cells, **options)
+
+        monkeypatch.setattr(campaign, "run_campaign", recording)
+        framework = EvaluationFramework(num_samples=4, seed=3, operation="add")
+        analyzer = ParetoAnalyzer(framework)
+        software = framework.solutions[SolutionKind.SOFTWARE]
+        points = analyzer.evaluate_sweep(
+            [software],
+            rocket_configs=[RocketConfig(), RocketConfig(frequency_hz=500_000_000)],
+        )
+        assert len(points) == 2
+        assert [cell.label for cell in built] == [
+            f"{software.name} @ 1000MHz", f"{software.name} @ 500MHz",
+        ]
+        # The sweep measures the framework's own operation.
+        assert {cell.op for cell in built} == {"add"}
+        assert points[0].avg_cycles == \
+            analyzer.evaluate_solution(software).avg_cycles
 
     def test_repetitions_no_floor_drift(self):
         framework = EvaluationFramework(
@@ -301,15 +328,13 @@ class TestOperationDifferentialSmoke:
 
     @pytest.fixture(scope="class")
     def mixed_op_result(self):
-        from repro.core.campaign import run_operation_campaign
-
-        return run_operation_campaign(
+        return run_campaign(operation_cells(
             ("multiply", "add", "fma"),
             formats=("decimal64",),
             num_samples=100,
             seed=SEED,
             differential=True,
-        )
+        ))
 
     def test_differential_clean(self, mixed_op_result):
         assert mixed_op_result.differential
@@ -325,5 +350,5 @@ class TestOperationDifferentialSmoke:
             assert report.num_samples == 100
 
     def test_per_operation_tables(self, mixed_op_result):
-        tables = mixed_op_result.table_iv_by_operation()
+        tables = mixed_op_result.group(("op", "fmt", "workload"))
         assert {key[0] for key in tables} == {"multiply", "add", "fma"}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.gem5.atomic_cpu as atomic_cpu
-from repro.core.campaign import run_campaign, table_iv_cells, workload_cells
+from repro.core.campaign import grid_cells, run_campaign, table_iv_cells
 from repro.core.evaluation import run_solution_shard
 from repro.core.solution import standard_solutions
 from repro.core import reporting
@@ -259,10 +259,10 @@ def test_differential_campaign_counts_divergences_per_cell(broken_gem5):
 
 
 def test_differential_workload_cells_cover_the_grid():
-    cells = workload_cells(
-        ("telco-billing", "carry-stress"),
+    cells = grid_cells(
+        workloads=("telco-billing", "carry-stress"),
         num_samples=10,
-        kinds=(SolutionKind.METHOD1,),
+        solutions=(SolutionKind.METHOD1,),
         differential=True,
     )
     assert [cell.label for cell in cells] == [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import CampaignCell, format_cells, run_campaign
+from repro.core.campaign import CampaignCell, grid_cells, run_campaign
 from repro.core.solution import CoDesignSolution, standard_solutions
 from repro.decnumber.formats import DECIMAL128, get_format, resolve_format_name
 from repro.decnumber.number import DecNumber
@@ -365,21 +365,23 @@ class TestFormatCampaign:
             unregister("d64-only-cell-test")
 
     def test_format_cells_grid_and_run(self):
-        cells = format_cells(
-            ["decimal64", "decimal128"], num_samples=4,
-            kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
+        cells = grid_cells(
+            formats=["decimal64", "decimal128"], num_samples=4,
+            solutions=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
         )
         assert len(cells) == 4
         assert {cell.fmt for cell in cells} == {"decimal64", "decimal128"}
         result = run_campaign(cells, workers=1)
-        assert result.formats == ("decimal64", "decimal128")
-        grouped = result.table_iv_grouped()
+        assert tuple(result.group(("fmt",))) == (
+            ("decimal64",), ("decimal128",)
+        )
+        grouped = result.group(("fmt", "workload"))
         assert set(grouped) == {("decimal64", None), ("decimal128", None)}
         for table in grouped.values():
             speedup = table.speedups()[SolutionKind.METHOD1]
             assert speedup and speedup > 1.0
         with pytest.raises(ConfigurationError, match="formats"):
-            result.table_iv_by_workload()
+            result.group(("workload",))
         with pytest.raises(ConfigurationError, match="formats"):
             result.report_for(SolutionKind.METHOD1)
         report = result.report_for(SolutionKind.METHOD1, fmt="decimal128")
@@ -390,8 +392,9 @@ class TestFormatCampaign:
         }
 
     def test_differential_format_cell_is_clean(self):
-        cells = format_cells(
-            ["decimal128"], num_samples=4, kinds=(SolutionKind.METHOD1,),
+        cells = grid_cells(
+            formats=["decimal128"], num_samples=4,
+            solutions=(SolutionKind.METHOD1,),
             workloads=["carry-stress"], differential=True,
         )
         result = run_campaign(cells, workers=1)
@@ -410,9 +413,9 @@ class TestFormatCampaign:
 
         register(D64Grid(), replace=True)
         try:
-            cells = format_cells(
-                ["decimal64", "decimal128"], num_samples=4,
-                kinds=(SolutionKind.METHOD1,),
+            cells = grid_cells(
+                formats=["decimal64", "decimal128"], num_samples=4,
+                solutions=(SolutionKind.METHOD1,),
                 workloads=["d64-grid-test", "carry-stress"],
             )
             labels = [cell.label for cell in cells]
@@ -422,8 +425,8 @@ class TestFormatCampaign:
                 for label in labels
             )
             with pytest.raises(ConfigurationError, match="supports none"):
-                format_cells(["decimal128"], num_samples=4,
-                             workloads=["d64-grid-test"])
+                grid_cells(formats=["decimal128"], num_samples=4,
+                           workloads=["d64-grid-test"])
         finally:
             unregister("d64-grid-test")
 

@@ -11,10 +11,13 @@ import asyncio
 import dataclasses
 import json
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from repro.core.campaign import run_table_iv_campaign, table_iv_cells
+from repro.core.campaign import run_campaign, table_iv_cells
 from repro.core.results import shard_report_from_dict, shard_report_to_dict
 from repro.errors import ConfigurationError
 from repro.service import (
@@ -149,10 +152,10 @@ class TestResultCache:
 class TestRunCampaignCache:
     def test_warm_rerun_is_bit_identical(self, tmp_path):
         cache = ResultCache(tmp_path)
-        options = dict(num_samples=SAMPLES, kinds=KINDS, cache=cache)
-        cold = run_table_iv_campaign(**options)
+        cells = table_iv_cells(num_samples=SAMPLES, kinds=KINDS)
+        cold = run_campaign(cells, cache=cache)
         assert cold.cache_misses == len(KINDS) and cold.cache_hits == 0
-        warm = run_table_iv_campaign(**options)
+        warm = run_campaign(cells, cache=cache)
         assert warm.cache_hits == len(KINDS) and warm.cache_misses == 0
         assert comparable_summary(cold.to_summary()) == comparable_summary(
             warm.to_summary()
@@ -166,11 +169,9 @@ class TestRunCampaignCache:
 
     def test_sharded_warm_rerun_matches(self, tmp_path):
         cache = ResultCache(tmp_path)
-        options = dict(
-            num_samples=SAMPLES, kinds=KINDS, shards_per_cell=3, cache=cache
-        )
-        cold = run_table_iv_campaign(**options)
-        warm = run_table_iv_campaign(**options)
+        cells = table_iv_cells(num_samples=SAMPLES, kinds=KINDS)
+        cold = run_campaign(cells, shards_per_cell=3, cache=cache)
+        warm = run_campaign(cells, shards_per_cell=3, cache=cache)
         assert warm.cache_hits == len(KINDS)
         assert comparable_summary(cold.to_summary()) == comparable_summary(
             warm.to_summary()
@@ -243,12 +244,12 @@ class TestCampaignService:
         asyncio.run(scenario())
 
     def test_runtime_failure_marks_job_failed(self, tmp_path, monkeypatch):
-        from repro.service import engine
+        from repro.core import campaign
 
         def explode(task):
             raise RuntimeError("simulator caught fire")
 
-        monkeypatch.setattr(engine, "_run_shard_task", explode)
+        monkeypatch.setattr(campaign, "_run_shard_task", explode)
 
         async def scenario():
             service = CampaignService(ResultCache(tmp_path))
@@ -263,6 +264,26 @@ class TestCampaignService:
         assert job.status == "failed"
         assert "simulator caught fire" in job.error
         assert job.summary is None
+
+    def test_busy_seconds_exclude_queue_wait(self, tmp_path):
+        # Three cells queue behind one worker: each shard's busy time is
+        # measured inside its task, so the total cannot exceed the job's
+        # wall clock.
+        async def scenario():
+            service = CampaignService(ResultCache(tmp_path), workers=1)
+            try:
+                job = await service.submit(
+                    {"samples": SAMPLES, "verify": False}
+                )
+                await service.wait(job)
+            finally:
+                service.shutdown()
+            return job, service.stats()
+
+        job, stats = asyncio.run(scenario())
+        assert job.status == "done" and len(job.cells) == 3
+        assert 0 < stats["busy_seconds"] <= round(job.wall_seconds, 3)
+        assert stats["worker_utilization"] < 1.0
 
     def test_cache_bypass_spec(self, tmp_path):
         async def scenario():
@@ -352,6 +373,108 @@ class TestHttpService:
             assert early in (200, 409)
             final = submit_and_wait(server.base_url, ticket)
             assert final["status"] == "done"
+
+
+#: Runs ``SCENARIO`` in a fresh interpreter whose shard function ``KILLER``
+#: kills its worker process, on a forked two-worker pool: ``die`` in every
+#: shard, ``die_in_method1`` only in the method1 cell's.
+_DEAD_WORKER = """
+import asyncio, json, os, sys, tempfile
+from repro.core import campaign
+from repro.core.campaign import run_campaign, table_iv_cells
+from repro.errors import CampaignError
+from repro.service import CampaignService, ResultCache
+
+healthy = campaign._run_shard_task
+
+def die(task):
+    os._exit(3)
+
+def die_in_method1(task):
+    if task[0].solution.kind == "method1":
+        os._exit(3)
+    return healthy(task)
+
+campaign._run_shard_task = KILLER
+cells = table_iv_cells(num_samples=4, kinds=("software", "method1"),
+                       verify_functionally=False)
+SCENARIO
+print(json.dumps(out))
+"""
+
+_RUNNER_SCENARIO = """
+try:
+    run_campaign(cells, workers=2, mp_start_method="fork")
+    out = {"error": None}
+except CampaignError as error:
+    out = {"error": str(error)}
+"""
+
+_SERVICE_SCENARIO = """
+async def scenario():
+    service = CampaignService(ResultCache(tempfile.mkdtemp()), workers=2,
+                              mp_start_method="fork")
+    spec = {"samples": 4, "kinds": ["software", "method1"], "verify": False}
+    try:
+        broken = await service.wait(await service.submit(spec))
+        campaign._run_shard_task = healthy
+        fresh = await service.wait(await service.submit(spec))
+    finally:
+        service.shutdown()
+    return {"error": broken.error, "status": broken.status,
+            "next": fresh.status}
+
+out = asyncio.run(scenario())
+"""
+
+
+def _run_dead_worker(scenario: str, killer: str = "die") -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = _DEAD_WORKER.replace("SCENARIO", scenario).replace("KILLER", killer)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+#: A dead worker breaks every shard pending in the pool at once, so the
+#: error names a shard that was pending, not the one that killed it.
+_PENDING_SHARD = (
+    r"worker process died and broke the pool while shard \[0, 4\) of "
+    r"cell '(software|method1)' was pending"
+)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs fork")
+class TestDeadWorker:
+    def test_run_campaign_fails_fast_naming_the_shard(self):
+        out = _run_dead_worker(_RUNNER_SCENARIO)
+        assert out["error"] is not None
+        assert "worker process died" in out["error"]
+        assert "shard [0, 4) of cell" in out["error"]
+
+    def test_service_fails_the_job_and_replaces_the_pool(self):
+        out = _run_dead_worker(_SERVICE_SCENARIO)
+        assert out["status"] == "failed"
+        assert "CampaignError" in out["error"]
+        assert "shard [0, 4) of cell" in out["error"]
+        assert out["next"] == "done"
+
+    # Only the method1 cell's worker dies; both cells' shards may be lost.
+    def test_run_campaign_fails_fast_when_one_cell_kills_its_worker(self):
+        out = _run_dead_worker(_RUNNER_SCENARIO, killer="die_in_method1")
+        assert re.search(_PENDING_SHARD, out["error"] or ""), out
+
+    def test_service_survives_one_cell_killing_its_worker(self):
+        out = _run_dead_worker(_SERVICE_SCENARIO, killer="die_in_method1")
+        assert out["status"] == "failed"
+        assert re.search(_PENDING_SHARD, out["error"]), out
+        assert out["next"] == "done"
 
 
 class TestSerialization:

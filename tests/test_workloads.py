@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.campaign import (
     CampaignCell,
-    run_table_iv_campaign,
-    run_workload_campaign,
-    workload_cells,
+    grid_cells,
+    run_campaign,
+    table_iv_cells,
 )
 from repro.core.evaluation import EvaluationFramework, run_solution_shard
-from repro.core.reporting import render_workload_matrix, render_workload_tables
+from repro.core.reporting import render_matrix, render_tables
 from repro.core.solution import standard_solutions
 from repro.errors import ConfigurationError
 from repro.testgen.config import SolutionKind, TestProgramConfig
@@ -229,9 +229,10 @@ class TestPaperUniformBitIdentity:
         legacy = EvaluationFramework(
             num_samples=SAMPLES, seed=SEED
         ).evaluate_table_iv()
-        campaign = run_table_iv_campaign(
-            num_samples=SAMPLES, seed=SEED, workers=2,
-            workload="paper-uniform",
+        campaign = run_campaign(
+            table_iv_cells(num_samples=SAMPLES, seed=SEED,
+                           workload="paper-uniform"),
+            workers=2,
         ).table_iv()
         assert legacy.rows() == campaign.rows()
         for kind, serial in legacy.reports.items():
@@ -265,22 +266,24 @@ class TestEndToEndSmoke:
 class TestWorkloadCampaigns:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_workload_campaign(
-            ["telco-billing", "carry-stress"],
+        return run_campaign(grid_cells(
+            workloads=["telco-billing", "carry-stress"],
             num_samples=8,
-            kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
+            solutions=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
             seed=5,
-        )
+        ))
 
     def test_cell_grid(self, result):
         assert len(result.cells) == 4
-        assert result.workloads == ("telco-billing", "carry-stress")
+        assert tuple(result.group(("workload",))) == (
+            ("telco-billing",), ("carry-stress",)
+        )
         labels = [cell.label for cell in result.cells]
         assert "method1 @ telco-billing" in labels
 
     def test_table_iv_by_workload(self, result):
-        tables = result.table_iv_by_workload()
-        assert set(tables) == {"telco-billing", "carry-stress"}
+        tables = result.group(("workload",))
+        assert set(tables) == {("telco-billing",), ("carry-stress",)}
         for table in tables.values():
             assert set(table.reports) == {
                 SolutionKind.METHOD1, SolutionKind.SOFTWARE
@@ -289,14 +292,14 @@ class TestWorkloadCampaigns:
             assert speedup and speedup > 1.0
 
     def test_table_iv_rejects_multi_workload(self, result):
-        with pytest.raises(ConfigurationError, match="table_iv_by_workload"):
+        with pytest.raises(ConfigurationError, match="group"):
             result.table_iv()
 
     def test_rendering(self, result):
-        tables_text = render_workload_tables(result)
+        tables_text = render_tables(result, ("workload",))
         assert "Workload: telco-billing" in tables_text
         assert "Workload: carry-stress" in tables_text
-        matrix = render_workload_matrix(result)
+        matrix = render_matrix(result, ("workload",))
         assert "Cross-workload comparison" in matrix
         assert "telco-billing" in matrix and "carry-stress" in matrix
 
@@ -307,7 +310,7 @@ class TestWorkloadCampaigns:
 
     def test_workload_cells_requires_a_workload(self):
         with pytest.raises(ConfigurationError):
-            workload_cells([])
+            grid_cells(workloads=[])
 
     def test_report_for_workload(self, result):
         telco = result.report_for(SolutionKind.METHOD1, "telco-billing")
@@ -319,6 +322,19 @@ class TestWorkloadCampaigns:
             result.report_for(SolutionKind.METHOD1)
         with pytest.raises(ConfigurationError, match="no campaign cell"):
             result.report_for(SolutionKind.METHOD1, "sparse-digits")
+
+    def test_paper_rows_follow_the_one_rule(self):
+        # The paper's rows render under the paper-uniform group of a
+        # multi-workload campaign, and under no other workload.
+        result = run_campaign(grid_cells(
+            workloads=["paper-uniform", "telco-billing"], num_samples=4,
+            solutions=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
+        ))
+        paper, telco = render_tables(result, ("workload",)).split("\n\n")
+        assert paper.startswith("Workload: paper-uniform")
+        assert paper.count("(paper)") == 2
+        assert telco.startswith("Workload: telco-billing")
+        assert "(paper)" not in telco
 
     def test_pareto_sweep_uses_framework_workload(self):
         """evaluate_sweep must measure the framework's workload vectors,

@@ -10,7 +10,11 @@ Scans ``README.md``, ``PAPER.md`` and every ``docs/*.md`` for
   looks like a path into a tracked top-level directory (``src/…``,
   ``docs/…``, ``examples/…``, ``benchmarks/…``, ``tools/…``, ``tests/…``)
   or a root-level ``*.md``/``*.py`` file must exist, so quickstart commands
-  and examples cannot silently rot.
+  and examples cannot silently rot;
+* **backticked dotted ``repro.…`` names** — an inline code span that starts
+  with a name such as ``repro.core.campaign.run_campaign`` must resolve:
+  the longest importable module prefix is imported and the rest looked up
+  with ``getattr``, so docs cannot keep naming deleted functions.
 
 Exit status is non-zero if anything is dangling; every finding is printed
 as ``file:line: message``.  Run locally or in CI from anywhere inside the
@@ -21,6 +25,7 @@ repository::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -37,6 +42,7 @@ _DIR_PATH_RE = re.compile(
 )
 _ROOT_FILE_RE = re.compile(r"(?<![\w./@-])[A-Za-z][\w.-]*\.(?:md|py)\b")
 _EXTERNAL = ("http://", "https://", "mailto:")
+_CODE_SPAN_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 
 
 def _documents():
@@ -106,6 +112,37 @@ def check_fence_paths(path: Path, lines) -> list:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` is an importable module or an attribute of one."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_dotted_names(path: Path, lines) -> list:
+    """Backticked ``repro.…`` names that no longer resolve."""
+    errors = []
+    for lineno, line in enumerate(lines, 1):
+        for name in _CODE_SPAN_RE.findall(line):
+            if not resolves(name):
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: {name!r} does "
+                    "not resolve to a module or attribute"
+                )
+    return errors
+
+
 def main() -> int:
     errors = []
     documents = _documents()
@@ -113,6 +150,7 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         errors.extend(check_links(path, lines))
         errors.extend(check_fence_paths(path, lines))
+        errors.extend(check_dotted_names(path, lines))
     for error in sorted(errors):
         print(error)
     print(
