@@ -63,6 +63,21 @@ SEED_BASELINE = {"functional": 365_000, "rocket": 152_000}
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sim.json")
 
+#: Record fields (dotted paths) that repeat exactly on any host for a given
+#: sample count: ``--check-regression`` requires them to equal the latest
+#: history entry at that count.
+DETERMINISTIC_COUNTS = (
+    "results_sha256",
+    "instructions",
+    "rocket_tiers.cycles",
+    "rocket_tiers.timing_spans",
+    "rocket_tiers.compiled_instructions",
+    "tiers.tier1_instructions",
+    "tiers.tier2_blocks",
+    "tiers.tier2_deopts",
+    "gem5_tiers.tier2_blocks",
+)
+
 
 def _best_of(repeats, make_and_run):
     """Return (instructions, best_instr_per_s) over ``repeats`` fresh runs."""
@@ -292,12 +307,21 @@ def persist(record: dict, path: str) -> dict:
     return document
 
 
+def _field(entry: dict, path: str):
+    """The value at dotted ``path`` in a record, or None."""
+    for key in path.split("."):
+        entry = entry.get(key) if isinstance(entry, dict) else None
+    return entry
+
+
 def check_regression(record: dict, baseline_path: str, tolerance: float) -> list:
     """Compare a fresh record against the recorded throughput history.
 
     Returns a list of human-readable failures for every front end whose
     throughput dropped more than ``tolerance`` (a fraction, e.g. 0.1 for
-    10%) below the *slowest* recorded run of that front end.  Using the
+    10%) below the *slowest* recorded run of that front end, and for every
+    :data:`DETERMINISTIC_COUNTS` field that differs from the latest entry
+    recorded at the same sample count (fields that entry lacks are skipped).  Using the
     history minimum rather than the latest entry makes the floor the
     demonstrated worst case across recorded machines/loads — ordinary
     run-to-run and runner-to-runner noise stays inside the recorded
@@ -316,10 +340,11 @@ def check_regression(record: dict, baseline_path: str, tolerance: float) -> list
     try:
         with open(baseline_path) as handle:
             history = json.load(handle)["history"]
-        comparable = [
+        same_samples = [
             entry for entry in history
             if entry.get("samples") == record.get("samples")
-        ] or history
+        ]
+        comparable = same_samples or history
         baseline = {}
         for entry in comparable:
             for front_end, rate in entry.get("instr_per_s", {}).items():
@@ -338,6 +363,17 @@ def check_regression(record: dict, baseline_path: str, tolerance: float) -> list
                 f"{front_end}: {measured:,.0f} instr/s is more than "
                 f"{tolerance:.0%} below the slowest recorded {reference:,.0f}"
             )
+    if same_samples:
+        latest = same_samples[-1]
+        for name in DETERMINISTIC_COUNTS:
+            expected = _field(latest, name)
+            measured = _field(record, name)
+            if expected is not None and measured != expected:
+                failures.append(
+                    f"{name}: {measured!r} differs from {expected!r} recorded "
+                    f"at {latest.get('timestamp')} (re-record the history "
+                    f"if a change moves it on purpose)"
+                )
     return failures
 
 
@@ -358,8 +394,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-regression", metavar="BASELINE", default=None,
         help="compare against a recorded BENCH_sim.json and exit non-zero "
-             "on a throughput regression beyond --tolerance (the fresh run "
-             "is NOT appended to the baseline file in this mode)",
+             "on a throughput regression beyond --tolerance or on any "
+             "deterministic count differing from the latest entry at the "
+             "same sample count (the fresh run is NOT appended to the "
+             "baseline file in this mode)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.1,

@@ -8,8 +8,10 @@ This subpackage defines the subset of RV64 needed by the evaluation framework:
 * the four ``custom-0`` .. ``custom-3`` opcodes used by RoCC accelerators,
   with the paper's decimal instruction set (Table II) layered on top.
 
-The layer is purely about *representation*: encoding mnemonics + operands into
-32-bit machine words and decoding machine words back.  Semantics live in
+The layer is mostly about *representation*: encoding mnemonics + operands
+into 32-bit machine words and decoding machine words back.  The one
+exception is :mod:`repro.isa.semantics`, the table of RV64IM value semantics
+that every simulator tier renders its code from; execution itself lives in
 :mod:`repro.sim` (functional) and :mod:`repro.rocket` (timing).
 """
 

@@ -87,12 +87,10 @@ class DecimalAcceleratorConfig:
     digits: int = 16
     #: Microarchitecture knobs (docs/pipeline.md).  ``pipeline_depth`` is the
     #: physical register stage count of the staged datapath; ``issue_width``
-    #: the number of stage-0 issue slots.  The 1/1 default is timing-identical
-    #: to the paper's blocking FSM; ``pipelined=False`` removes the pipeline
-    #: model entirely (the legacy timing path, kept for lockstep tests).
+    #: the number of stage-0 issue slots.  The 1/1 default is the paper's
+    #: blocking FSM.
     pipeline_depth: int = 1
     issue_width: int = 1
-    pipelined: bool = True
 
     def __post_init__(self) -> None:
         if self.digits < 1:
@@ -247,11 +245,10 @@ class DecimalAccelerator(Accelerator):
             else None
         )
         self.fsm = InterfaceFsm()
-        if self.config.pipelined:
-            self.pipeline = AcceleratorPipeline(
-                depth=self.config.pipeline_depth,
-                width=self.config.issue_width,
-            )
+        self.pipeline = AcceleratorPipeline(
+            depth=self.config.pipeline_depth,
+            width=self.config.issue_width,
+        )
         self.accumulator = 0
         self.status = 0
         self.function_counts = Counter()

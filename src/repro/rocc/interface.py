@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AcceleratorError
+from repro.rocc.pipeline import AcceleratorPipeline
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,9 @@ class Accelerator:
 
     def __init__(self) -> None:
         self.stats = RoccStatistics()
-        #: Occupancy model for staged datapaths (an
-        #: :class:`~repro.rocc.pipeline.AcceleratorPipeline`), or ``None``
-        #: for blocking accelerators.  The Rocket timing model threads
-        #: back-to-back command occupancy through this attribute.
-        self.pipeline = None
+        #: Command occupancy model threaded through the Rocket timing
+        #: model; the 1-deep, 1-wide default is a blocking accelerator.
+        self.pipeline = AcceleratorPipeline()
 
     # ------------------------------------------------------------ statistics
     # Historic attribute spelling; the counters live on ``self.stats``.
@@ -157,8 +156,7 @@ class Accelerator:
     def reset(self) -> None:
         """Reset architectural state and statistics."""
         self.stats.reset()
-        if self.pipeline is not None:
-            self.pipeline.reset()
+        self.pipeline.reset()
 
     def area_report(self):
         """Hardware overhead report; subclasses should override."""

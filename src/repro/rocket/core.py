@@ -241,10 +241,10 @@ class RocketEmulator:
         div_latency = config.div_latency_cycles
         rocc_cmd_latency = config.rocc_cmd_latency_cycles
         rocc_resp_latency = config.rocc_resp_latency_cycles
-        # Staged accelerators expose an occupancy model; blocking ones leave
-        # it None and take the legacy serialising timing path below.
-        rocc_pipeline = getattr(self.accelerator, "pipeline", None)
-        rocc_issue = rocc_pipeline.issue if rocc_pipeline is not None else None
+        rocc_issue = (
+            self.accelerator.pipeline.issue
+            if self.accelerator is not None else None
+        )
         jump_penalty = config.jump_penalty_cycles
         branch_penalty = config.branch_penalty_cycles
 
@@ -419,34 +419,25 @@ class RocketEmulator:
                                 cycle + cost + load_use_latency - 1
                             )
                     elif timing_class == TC_ROCC:
-                        if rocc_issue is not None:
-                            # Staged datapath: the command reaches the issue
-                            # queue after the issue stall + command latency,
-                            # waits for a stage-0 slot, and the core resumes
-                            # at the transaction's release point (completion
-                            # + response latency when it blocks for data,
-                            # the initiation interval otherwise).  At
-                            # depth=1/width=1 this is cycle-identical to the
-                            # legacy arithmetic in the else branch.
-                            txn = rocc_issue(
-                                cycle + cost + rocc_cmd_latency,
-                                info.rocc_busy_cycles,
-                                info.rocc_has_response,
-                                info.rocc_funct7,
-                            )
-                            if info.rocc_has_response:
-                                resume = txn.complete + rocc_resp_latency
-                                ready[decoded.rd] = resume
-                            else:
-                                resume = txn.next_issue
-                            hw_cost = resume - cycle
+                        # The command reaches the accelerator's issue queue
+                        # after the issue stall + command latency, waits for
+                        # a stage-0 slot, and the core resumes at the
+                        # transaction's release point (completion + response
+                        # latency when it blocks for data, the initiation
+                        # interval otherwise).  Every cycle from issue to
+                        # resume counts against the hardware part.
+                        txn = rocc_issue(
+                            cycle + cost + rocc_cmd_latency,
+                            info.rocc_busy_cycles,
+                            info.rocc_has_response,
+                            info.rocc_funct7,
+                        )
+                        if info.rocc_has_response:
+                            resume = txn.complete + rocc_resp_latency
+                            ready[decoded.rd] = resume
                         else:
-                            hw_cost = cost  # issue counts against the hardware part
-                            hw_cost += rocc_cmd_latency
-                            hw_cost += info.rocc_busy_cycles
-                            if info.rocc_has_response:
-                                hw_cost += rocc_resp_latency
-                                ready[decoded.rd] = cycle + hw_cost
+                            resume = txn.next_issue
+                        hw_cost = resume - cycle
                         cost = 0
                         rocc_commands += 1
                     elif info.branch_taken:

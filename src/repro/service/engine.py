@@ -42,6 +42,7 @@ from repro.core.campaign import (
     process_pool,
 )
 from repro.errors import ConfigurationError
+from repro.testgen.config import SolutionKind
 from repro.verification.database import OperandClass
 
 #: Job lifecycle states.
@@ -52,6 +53,29 @@ _SPEC_FIELDS = frozenset({
     "fmt", "op", "classes", "verify", "differential", "shards_per_cell",
     "cache", "label",
 })
+
+
+def _spec_int(spec: dict, name: str, default: int, minimum: int = None) -> int:
+    """Integer field ``name`` of a submitted spec (a JSON integer)."""
+    value = spec.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"'{name}' must be at least {minimum}, got {value}")
+    return value
+
+
+def _spec_names(spec: dict, name: str, known) -> tuple:
+    """List-of-names field ``name`` of a submitted spec, each one of ``known``."""
+    values = spec[name]
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ConfigurationError(f"'{name}' must be a list of names, got {values!r}")
+    unknown = [v for v in values if v not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown '{name}' entries {unknown} (choose from {', '.join(known)})"
+        )
+    return tuple(values)
 
 
 def cells_from_spec(spec: dict) -> list:
@@ -81,20 +105,23 @@ def cells_from_spec(spec: dict) -> list:
             "workload defines its own operand distribution"
         )
     grid = dict(
-        num_samples=int(spec.get("samples", 100)),
+        num_samples=_spec_int(spec, "samples", 100, minimum=1),
         ops=(spec.get("op", "multiply"),),
         formats=(spec.get("fmt", "decimal64"),),
         workloads=tuple(workloads) if workloads else (None,),
-        repetitions=int(spec.get("repetitions", 1)),
-        seed=int(spec.get("seed", 2018)),
+        repetitions=_spec_int(spec, "repetitions", 1, minimum=1),
+        seed=_spec_int(spec, "seed", 2018),
         operand_classes=(
-            tuple(classes) if classes is not None else OperandClass.TABLE_IV_MIX
+            _spec_names(spec, "classes", OperandClass.ALL)
+            if classes is not None else OperandClass.TABLE_IV_MIX
         ),
         verify_functionally=bool(spec.get("verify", True)),
         differential=bool(spec.get("differential", False)),
     )
-    if spec.get("kinds"):
-        grid["solutions"] = tuple(spec["kinds"])
+    if spec.get("kinds") is not None:
+        kinds = _spec_names(spec, "kinds", SolutionKind.ALL)
+        if kinds:
+            grid["solutions"] = kinds
     return grid_cells(**grid)
 
 
@@ -232,7 +259,9 @@ class CampaignService:
     async def submit(self, spec: dict) -> Job:
         """Validate ``spec``, register a job and start running it."""
         cells = cells_from_spec(spec)
-        shards_per_cell = int(spec.get("shards_per_cell", self.shards_per_cell))
+        shards_per_cell = _spec_int(
+            spec, "shards_per_cell", self.shards_per_cell, minimum=1
+        )
         job = Job(
             job_id=f"job-{next(self._ids)}",
             spec=dict(spec),

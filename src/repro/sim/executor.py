@@ -24,6 +24,9 @@ time it is executed:
   dispatch and no dead work.
 * Closures are stored in a **PC-indexed dispatch table** (``_ops``), so the
   hot loop never even re-fetches the instruction word from memory.
+* ALU ops, branches and loads take their semantics from the table in
+  :mod:`repro.isa.semantics`: their closures come from factories rendered
+  from it and exec-compiled once per (shape, mnemonic).
 * Every instruction gets *two* closures: a **fast op** used by
   :meth:`run` that returns only the next PC, and an **info op** used by
   :meth:`step` that additionally maintains an :class:`ExecInfo` record for
@@ -90,32 +93,29 @@ multi-hart) and the protocol the timing models rely on.
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter
 
 from repro.errors import DecodingError, SimulationError, TrapError
 from repro.isa import csr as csrdefs
 from repro.isa.decoder import decode_cached
+from repro.isa.semantics import (  # noqa: F401 - TC_* are re-exported
+    ALU,
+    BRANCHES,
+    HELPERS,
+    LOADS,
+    MASK64,
+    STORES,
+    TC_BRANCH,
+    TC_DIV,
+    TC_JUMP,
+    TC_MEM,
+    TC_MUL,
+    TC_OTHER,
+    TC_ROCC,
+    signed,
+)
 from repro.sim.memory import HOST_IS_LITTLE_ENDIAN, SparseMemory
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
-_SIGN64 = 1 << 63
-_INT64_MIN = -(1 << 63)
-_INT32_MIN = -(1 << 31)
-
-#: Static timing classes, assigned to :attr:`ExecInfo.timing_class` at compile
-#: time so the cycle-accurate models never need to classify mnemonics per step.
-TC_OTHER = 0
-TC_MEM = 1
-TC_MUL = 2
-TC_DIV = 3
-TC_ROCC = 4
-TC_JUMP = 5
-TC_BRANCH = 6
-
-
-def _signed32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return (value ^ 0x80000000) - 0x80000000
 
 
 class _SlowPath(Exception):
@@ -331,69 +331,117 @@ class ExecProfile:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- helpers
-def _div64(a: int, b: int) -> int:
-    """RV64 ``div``: C-style truncation, -1 on /0, INT_MIN on overflow."""
-    sa = (a ^ _SIGN64) - _SIGN64
-    sb = (b ^ _SIGN64) - _SIGN64
-    if sb == 0:
-        return MASK64
-    if sa == _INT64_MIN and sb == -1:
-        return a
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return quotient & MASK64
+# ---------------------------------------------------- tier-1 closure factories
+#: Source of the tier-1 closure factories, one per shape, rendered from the
+#: semantics table and exec-compiled once per (shape, mnemonic).  Operands
+#: arrive as factory arguments, so each is a closure cell exactly as in a
+#: hand-written closure, and the 64-bit mask is a constant.
+_T1_SOURCES = {
+    "alu": (
+        "def factory(regs, rd, rs1, rs2, imm, uimm, pcimm, info, hart, next_pc):\n"
+        "    def fast():\n"
+        "        regs[rd] = {value}\n"
+        "        return next_pc\n"
+        "    def info_op():\n"
+        "        regs[rd] = {value}\n"
+        "        hart.pc = next_pc\n"
+        "        return info\n"
+        "    return fast, info_op\n"
+    ),
+    "branch": (
+        "def factory(regs, rs1, rs2, taken_pc, info, hart, next_pc):\n"
+        "    def fast():\n"
+        "        return taken_pc if {value} else next_pc\n"
+        "    def info_op():\n"
+        "        if {value}:\n"
+        "            info.branch_taken = True\n"
+        "            info.next_pc = taken_pc\n"
+        "            hart.pc = taken_pc\n"
+        "        else:\n"
+        "            info.branch_taken = False\n"
+        "            info.next_pc = next_pc\n"
+        "            hart.pc = next_pc\n"
+        "        return info\n"
+        "    return fast, info_op\n"
+    ),
+    "load": (
+        "def factory(regs, rd, rs1, imm, read, info, hart, next_pc):\n"
+        "    def fast():\n"
+        "        {fast}\n"
+        "        return next_pc\n"
+        "    def info_op():\n"
+        "        address = (regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF\n"
+        "        {info}\n"
+        "        info.mem_addr = address\n"
+        "        hart.pc = next_pc\n"
+        "        return info\n"
+        "    return fast, info_op\n"
+    ),
+}
+
+_T1_OPERANDS = {
+    "a": "regs[rs1]",
+    "b": "regs[rs2]",
+    "sa": signed("regs[rs1]"),
+    "sb": signed("regs[rs2]"),
+    "imm": "imm",
+    "uimm": "uimm",
+    "pcimm": "pcimm",
+}
 
 
-def _rem64(a: int, b: int) -> int:
-    sa = (a ^ _SIGN64) - _SIGN64
-    sb = (b ^ _SIGN64) - _SIGN64
-    if sb == 0:
-        return sa & MASK64
-    if sa == _INT64_MIN and sb == -1:
-        return 0
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return (sa - sb * quotient) & MASK64
+@functools.cache
+def _t1_factory(shape: str, mnemonic: str):
+    """The tier-1 closure factory for ``mnemonic`` in ``shape``.
+
+    Shapes: ``alu`` (``rd != x0``), ``branch``, ``load`` and ``load_x0``.
+    """
+    if shape in ("alu", "branch"):
+        op = ALU[mnemonic] if shape == "alu" else BRANCHES[mnemonic]
+        source = _T1_SOURCES[shape].format(
+            value=op.template.format_map(_T1_OPERANDS)
+        )
+    else:
+        load = LOADS[mnemonic]
+        fast = f"read((regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF, {load.size})"
+        info = f"read(address, {load.size})"
+        if shape == "load":
+            fast = f"regs[rd] = {load.extend(fast)}"
+            info = f"regs[rd] = {load.extend(info)}"
+        # else: x0 loads still perform the access (MMIO side effects).
+        source = _T1_SOURCES["load"].format(fast=fast, info=info)
+    namespace = dict(HELPERS)
+    exec(compile(source, f"<tier1:{shape}:{mnemonic}>", "exec"), namespace)
+    return namespace["factory"]
 
 
-def _div32(a: int, b: int) -> int:
-    sa = _signed32(a)
-    sb = _signed32(b)
-    if sb == 0:
-        return MASK64
-    if sa == _INT32_MIN and sb == -1:
-        return _INT32_MIN & MASK64
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return _signed32(quotient) & MASK64
+#: Tier-2 source text for each template placeholder, as f-string fields over
+#: the emitter's ``reg``/``sreg`` resolvers.
+_T2_OPERANDS = {
+    "a": "{reg(rs1)}",
+    "b": "{reg(rs2)}",
+    "sa": "{sreg(rs1, spc)}",
+    "sb": "{sreg(rs2, spc)}",
+    "imm": "{imm}",
+    "uimm": "{imm & 0xFFFFFFFFFFFFFFFF}",
+    "pcimm": "{(pc + imm) & 0xFFFFFFFFFFFFFFFF}",
+}
 
 
-def _rem32(a: int, b: int) -> int:
-    sa = _signed32(a)
-    sb = _signed32(b)
-    if sb == 0:
-        return _signed32(sa) & MASK64
-    if sa == _INT32_MIN and sb == -1:
-        return 0
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return _signed32(sa - sb * quotient) & MASK64
+@functools.cache
+def _t2_renderer(op):
+    """A function rendering ``op``'s template as tier-2 source text.
 
+    The template becomes an f-string, so each placeholder is resolved where
+    it occurs, in template order, and nowhere else: ``reg``/``sreg`` record
+    register uses as a side effect, so resolving one the template lacks
+    would change the generated code.  ``spc`` is the instruction's pc where
+    a signed view may use a proven non-negative bound (comparisons and
+    branches), ``None`` to keep the full sign conversion.
+    """
+    text = op.template.format_map(_T2_OPERANDS)
+    return eval(f"lambda reg, sreg, rs1, rs2, imm, pc, spc: f{text!r}")
 
-def _s32expr(expr: str) -> str:
-    """Source text computing ``_signed32(expr)`` inline (a Python int)."""
-    return f"(({expr} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000"
-
-
-_LOAD_SIZES = {"ld": 8, "lw": 4, "lwu": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
-_STORE_SIZES = {"sd": 8, "sw": 4, "sh": 2, "sb": 1}
-_MUL_MNEMONICS = frozenset({"mul", "mulh", "mulhu", "mulhsu", "mulw"})
-_DIV_MNEMONICS = frozenset({"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"})
 
 #: Instructions that end a tier-2 trace *before* being included: they need
 #: synchronized architectural state (CSR reads, traps), flush the compiled
@@ -404,8 +452,6 @@ _T2_STOPPERS = frozenset({
     "csrrs", "csrrw", "csrrc", "csrrsi", "csrrwi", "csrrci",
     "ecall", "ebreak", "fence.i",
 })
-
-_T2_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 
 #: Instructions that may be folded under a skip-diamond guard (no control
 #: transfer, no table flush, no synchronized-state requirement).
@@ -811,275 +857,37 @@ class Executor:
         imm = decoded.imm
         next_pc = pc + 4
 
-        def alu_info(fast_op, result_info=info):
-            def op():
-                fast_op()
-                hart.pc = next_pc
-                return result_info
-            return op
+        # --- table-driven: ALU ops and loads (repro.isa.semantics) ----------
+        alu = ALU.get(mnemonic)
+        if alu is not None:
+            info.timing_class = alu.timing_class
+            if rd == 0:
+                # Writes to x0 are discarded; the whole instruction is a no-op.
+                def fast():
+                    return next_pc
 
-        fast = None
+                def info_op():
+                    hart.pc = next_pc
+                    return info
+            else:
+                fast, info_op = _t1_factory("alu", mnemonic)(
+                    regs, rd, rs1, rs2, imm, imm & MASK64,
+                    (pc + imm) & MASK64, info, hart, next_pc,
+                )
+            return fast, info_op, _KIND_SEQ
 
-        # --- integer register-register / register-immediate -----------------
-        if rd == 0 and mnemonic in _ALU_MNEMONICS:
-            # Writes to x0 are discarded; the whole instruction is a no-op.
-            def fast():
-                return next_pc
-        elif mnemonic == "add":
-            def fast():
-                regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "addi":
-            def fast():
-                regs[rd] = (regs[rs1] + imm) & MASK64
-                return next_pc
-        elif mnemonic == "sub":
-            def fast():
-                regs[rd] = (regs[rs1] - regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "and":
-            def fast():
-                regs[rd] = regs[rs1] & regs[rs2]
-                return next_pc
-        elif mnemonic == "andi":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] & masked
-                return next_pc
-        elif mnemonic == "or":
-            def fast():
-                regs[rd] = regs[rs1] | regs[rs2]
-                return next_pc
-        elif mnemonic == "ori":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] | masked
-                return next_pc
-        elif mnemonic == "xor":
-            def fast():
-                regs[rd] = regs[rs1] ^ regs[rs2]
-                return next_pc
-        elif mnemonic == "xori":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] ^ masked
-                return next_pc
-        elif mnemonic == "sll":
-            def fast():
-                regs[rd] = (regs[rs1] << (regs[rs2] & 0x3F)) & MASK64
-                return next_pc
-        elif mnemonic == "slli":
-            def fast():
-                regs[rd] = (regs[rs1] << imm) & MASK64
-                return next_pc
-        elif mnemonic == "srl":
-            def fast():
-                regs[rd] = regs[rs1] >> (regs[rs2] & 0x3F)
-                return next_pc
-        elif mnemonic == "srli":
-            def fast():
-                regs[rd] = regs[rs1] >> imm
-                return next_pc
-        elif mnemonic == "sra":
-            def fast():
-                regs[rd] = (((regs[rs1] ^ _SIGN64) - _SIGN64) >> (regs[rs2] & 0x3F)) & MASK64
-                return next_pc
-        elif mnemonic == "srai":
-            def fast():
-                regs[rd] = (((regs[rs1] ^ _SIGN64) - _SIGN64) >> imm) & MASK64
-                return next_pc
-        elif mnemonic == "slt":
-            def fast():
-                regs[rd] = 1 if ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64) else 0
-                return next_pc
-        elif mnemonic == "slti":
-            def fast():
-                regs[rd] = 1 if ((regs[rs1] ^ _SIGN64) - _SIGN64) < imm else 0
-                return next_pc
-        elif mnemonic == "sltu":
-            def fast():
-                regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
-                return next_pc
-        elif mnemonic == "sltiu":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = 1 if regs[rs1] < masked else 0
-                return next_pc
-        # --- RV64 word ops ---------------------------------------------------
-        elif mnemonic == "addw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] + regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "addiw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] + imm) & MASK64
-                return next_pc
-        elif mnemonic == "subw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] - regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "sllw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] << (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "slliw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] << imm) & MASK64
-                return next_pc
-        elif mnemonic == "srlw":
-            def fast():
-                regs[rd] = _signed32((regs[rs1] & 0xFFFFFFFF) >> (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "srliw":
-            def fast():
-                regs[rd] = _signed32((regs[rs1] & 0xFFFFFFFF) >> imm) & MASK64
-                return next_pc
-        elif mnemonic == "sraw":
-            def fast():
-                regs[rd] = (_signed32(regs[rs1]) >> (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "sraiw":
-            def fast():
-                regs[rd] = (_signed32(regs[rs1]) >> imm) & MASK64
-                return next_pc
-        # --- M extension ------------------------------------------------------
-        elif mnemonic == "mul":
-            def fast():
-                regs[rd] = (regs[rs1] * regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "mulh":
-            def fast():
-                regs[rd] = ((((regs[rs1] ^ _SIGN64) - _SIGN64) * ((regs[rs2] ^ _SIGN64) - _SIGN64)) >> 64) & MASK64
-                return next_pc
-        elif mnemonic == "mulhu":
-            def fast():
-                regs[rd] = (regs[rs1] * regs[rs2]) >> 64
-                return next_pc
-        elif mnemonic == "mulhsu":
-            def fast():
-                regs[rd] = ((((regs[rs1] ^ _SIGN64) - _SIGN64) * regs[rs2]) >> 64) & MASK64
-                return next_pc
-        elif mnemonic == "mulw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] * regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "div":
-            def fast():
-                regs[rd] = _div64(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "divu":
-            def fast():
-                b = regs[rs2]
-                regs[rd] = MASK64 if b == 0 else regs[rs1] // b
-                return next_pc
-        elif mnemonic == "rem":
-            def fast():
-                regs[rd] = _rem64(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "remu":
-            def fast():
-                b = regs[rs2]
-                regs[rd] = regs[rs1] if b == 0 else regs[rs1] % b
-                return next_pc
-        elif mnemonic == "divw":
-            def fast():
-                regs[rd] = _div32(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "divuw":
-            def fast():
-                b32 = regs[rs2] & 0xFFFFFFFF
-                regs[rd] = MASK64 if b32 == 0 else _signed32((regs[rs1] & 0xFFFFFFFF) // b32) & MASK64
-                return next_pc
-        elif mnemonic == "remw":
-            def fast():
-                regs[rd] = _rem32(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "remuw":
-            def fast():
-                a32 = regs[rs1] & 0xFFFFFFFF
-                b32 = regs[rs2] & 0xFFFFFFFF
-                regs[rd] = _signed32(a32) & MASK64 if b32 == 0 else _signed32(a32 % b32) & MASK64
-                return next_pc
-        # --- upper immediates -------------------------------------------------
-        elif mnemonic == "lui":
-            constant = imm & MASK64
-            def fast():
-                regs[rd] = constant
-                return next_pc
-        elif mnemonic == "auipc":
-            constant = (pc + imm) & MASK64
-            def fast():
-                regs[rd] = constant
-                return next_pc
-
-        if fast is not None and mnemonic in _ALU_MNEMONICS:
-            if mnemonic in _MUL_MNEMONICS:
-                info.timing_class = TC_MUL
-            elif mnemonic in _DIV_MNEMONICS:
-                info.timing_class = TC_DIV
-            return fast, alu_info(fast), _KIND_SEQ
-
-        # --- loads ------------------------------------------------------------
-        if mnemonic in _LOAD_SIZES:
-            size = _LOAD_SIZES[mnemonic]
-            read = memory.read
-            info.mem_size = size
+        load = LOADS.get(mnemonic)
+        if load is not None:
+            info.mem_size = load.size
             info.timing_class = TC_MEM
-            if mnemonic == "ld":
-                if rd:
-                    def fast():
-                        regs[rd] = read((regs[rs1] + imm) & MASK64, 8)
-                        return next_pc
-                else:
-                    def fast():
-                        read((regs[rs1] + imm) & MASK64, 8)
-                        return next_pc
-                fix = None
-            elif mnemonic == "lw":
-                def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 4)
-                    if rd:
-                        regs[rd] = ((value ^ 0x80000000) - 0x80000000) & MASK64
-                    return next_pc
-                fix = lambda value: ((value ^ 0x80000000) - 0x80000000) & MASK64  # noqa: E731
-            elif mnemonic == "lh":
-                def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 2)
-                    if rd:
-                        regs[rd] = ((value ^ 0x8000) - 0x8000) & MASK64
-                    return next_pc
-                fix = lambda value: ((value ^ 0x8000) - 0x8000) & MASK64  # noqa: E731
-            elif mnemonic == "lb":
-                def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 1)
-                    if rd:
-                        regs[rd] = ((value ^ 0x80) - 0x80) & MASK64
-                    return next_pc
-                fix = lambda value: ((value ^ 0x80) - 0x80) & MASK64  # noqa: E731
-            else:  # lwu / lhu / lbu
-                if rd:
-                    def fast():
-                        regs[rd] = read((regs[rs1] + imm) & MASK64, size)
-                        return next_pc
-                else:
-                    def fast():
-                        read((regs[rs1] + imm) & MASK64, size)
-                        return next_pc
-                fix = None
-
-            def info_op():
-                address = (regs[rs1] + imm) & MASK64
-                value = read(address, size)
-                info.mem_addr = address
-                if rd:
-                    regs[rd] = fix(value) if fix is not None else value
-                hart.pc = next_pc
-                return info
+            fast, info_op = _t1_factory("load" if rd else "load_x0", mnemonic)(
+                regs, rd, rs1, imm, memory.read, info, hart, next_pc,
+            )
             return fast, info_op, _KIND_SEQ
 
         # --- stores -----------------------------------------------------------
-        if mnemonic in _STORE_SIZES:
-            size = _STORE_SIZES[mnemonic]
+        size = STORES.get(mnemonic)
+        if size is not None:
             write = memory.write
             bounds = self._code_bounds
             executor = self
@@ -1153,50 +961,13 @@ class Executor:
                 return info
             return fast, info_op, _KIND_TERM
 
-        if mnemonic in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
+        branch = BRANCHES.get(mnemonic)
+        if branch is not None:
             taken_pc = (pc + imm) & MASK64
-            info.timing_class = TC_BRANCH
-            if mnemonic == "beq":
-                def fast():
-                    return taken_pc if regs[rs1] == regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] == regs[rs2]
-            elif mnemonic == "bne":
-                def fast():
-                    return taken_pc if regs[rs1] != regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] != regs[rs2]
-            elif mnemonic == "blt":
-                def fast():
-                    return taken_pc if ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64) else next_pc
-                def cond():
-                    return ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64)
-            elif mnemonic == "bge":
-                def fast():
-                    return taken_pc if ((regs[rs1] ^ _SIGN64) - _SIGN64) >= ((regs[rs2] ^ _SIGN64) - _SIGN64) else next_pc
-                def cond():
-                    return ((regs[rs1] ^ _SIGN64) - _SIGN64) >= ((regs[rs2] ^ _SIGN64) - _SIGN64)
-            elif mnemonic == "bltu":
-                def fast():
-                    return taken_pc if regs[rs1] < regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] < regs[rs2]
-            else:  # bgeu
-                def fast():
-                    return taken_pc if regs[rs1] >= regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] >= regs[rs2]
-
-            def info_op():
-                if cond():
-                    info.branch_taken = True
-                    info.next_pc = taken_pc
-                    hart.pc = taken_pc
-                else:
-                    info.branch_taken = False
-                    info.next_pc = next_pc
-                    hart.pc = next_pc
-                return info
+            info.timing_class = branch.timing_class
+            fast, info_op = _t1_factory("branch", mnemonic)(
+                regs, rs1, rs2, taken_pc, info, hart, next_pc
+            )
             return fast, info_op, _KIND_TERM
 
         # --- system -----------------------------------------------------------
@@ -1435,10 +1206,7 @@ class Executor:
             "mem": memory,
             "E": self,
             "cb": self._code_bounds,
-            "d64": _div64,
-            "r64": _rem64,
-            "d32": _div32,
-            "r32": _rem32,
+            **HELPERS,
             "_bx": _BlockExit,
             "_st": _Stopped,
             "_dg": _DEOPT,
@@ -1705,12 +1473,6 @@ class Executor:
                     return reg(r)
             return f"(({reg(r)} ^ 0x8000000000000000) - 0x8000000000000000)"
 
-        def w32(expr):
-            return (
-                f"(((({expr}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-                " & 0xFFFFFFFFFFFFFFFF"
-            )
-
         M = "0xFFFFFFFFFFFFFFFF"
 
         def setreg(r, expr, ind=0, known=None, record=True, ub=None):
@@ -1760,6 +1522,24 @@ class Executor:
             folds.append((posbox[0], rs, const_def[rs], pc))
             return consts[rs]
 
+        def move(rd, rs1, u1, pc, ind, record):
+            """``rd = rs1``: register values are canonically masked already."""
+            if u1 is not None and pc not in banned:
+                ubuse(pc, rs1)
+            else:
+                u1 = None
+            setreg(rd, reg(rs1), ind, record=record, ub=u1)
+
+        def setloaded(rd, load, bits, ind, record):
+            """``rd`` = loaded ``bits``: sign-extended, or (unsigned) with
+            its access width as a free bound."""
+            if load.sign:
+                setreg(rd, load.extend(bits), ind, record=record)
+            else:
+                width = (1 << (8 * load.size)) - 1
+                setreg(rd, bits, ind, record=record,
+                       ub=width if load.size < 8 else None)
+
         def emit_plain(decoded, pc, ind, pos, record):
             """Emit one guardable instruction (ALU/load/store/fence).
 
@@ -1772,364 +1552,170 @@ class Executor:
             rs1 = decoded.rs1
             rs2 = decoded.rs2
             imm = decoded.imm
-            if mnemonic in _ALU_MNEMONICS and rd == 0:
-                return True  # writes to x0 are discarded; pure no-op
-            if mnemonic == "add":
+            if mnemonic in ALU:
+                if rd == 0:
+                    return True  # writes to x0 are discarded; pure no-op
+                op = ALU[mnemonic]
+                # The table's expression is the default; the arms below fold
+                # constants or use proven bounds to emit something cheaper.
                 if (
-                    pc not in banned
+                    mnemonic in _T2_FOLDS
+                    and pc not in banned
                     and (rs1 == 0 or kreg(rs1))
                     and (rs2 == 0 or kreg(rs2))
                 ):
                     # Both operands statically known (possibly by pinning
-                    # entry values): the sum is a constant, which keeps
+                    # entry values): the result is a constant, which keeps
                     # address chains like ``base + scaled-index`` foldable
                     # through register-register arithmetic.
                     v1 = 0 if rs1 == 0 else fold(rs1, pc)
                     v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 + v2) & MASK64
+                    known = op.value(v1, v2, imm, pc)
                     setreg(rd, f"{known}", ind, known=known, record=record)
                     return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                if (
-                    u1 is not None and u2 is not None
-                    and u1 + u2 <= MASK64 and pc not in banned
-                ):
-                    # Range analysis proves the sum can't wrap: elide the
-                    # 64-bit mask (the dominant per-line cost in hot traces).
-                    ubuse(pc, rs1, rs2)
-                    setreg(rd, f"{reg(rs1)} + {reg(rs2)}", ind,
-                           record=record, ub=u1 + u2)
-                else:
-                    setreg(rd, f"({reg(rs1)} + {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "addi":
-                known = None
-                if rs1 == 0:
-                    known = imm & MASK64
-                elif pc not in banned and kreg(rs1):
-                    known = (fold(rs1, pc) + imm) & MASK64
-                u1 = ubget(rs1)
-                if known is not None:
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif imm == 0:
-                    # mv: register values are canonically masked already.
-                    if rd != rs1:
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                elif (
-                    imm > 0 and u1 is not None
-                    and u1 + imm <= MASK64 and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} + {imm}", ind,
-                           record=record, ub=u1 + imm)
-                else:
-                    setreg(rd, f"({reg(rs1)} + {imm}) & {M}", ind, record=record)
-            elif mnemonic == "sub":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 - v2) & MASK64
+                if op.constant:  # lui / auipc
+                    known = op.value(0, 0, imm, pc)
                     setreg(rd, f"{known}", ind, known=known, record=record)
                     return True
-                setreg(rd, f"({reg(rs1)} - {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "and":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 & v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                # x & y is bounded by either operand's bound; taking the
-                # smaller one (when known) costs no emitted code.
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if pc not in banned and (u1 is not None or u2 is not None):
-                    if u1 is not None and (u2 is None or u1 <= u2):
-                        ubuse(pc, rs1)
-                        ub = u1
-                    else:
-                        ubuse(pc, rs2)
-                        ub = u2
-                setreg(rd, f"{reg(rs1)} & {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "andi":
-                # Free bound: the mask itself (no consultation needed).
-                setreg(rd, f"{reg(rs1)} & {imm & MASK64}", ind,
-                       record=record, ub=imm & MASK64)
-            elif mnemonic == "or":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 | v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if u1 is not None and u2 is not None and pc not in banned:
-                    # x | y < 2**max(bits): no bit above either operand's
-                    # highest possible bit can be set.
-                    ubuse(pc, rs1, rs2)
-                    ub = (1 << max(u1.bit_length(), u2.bit_length())) - 1
-                setreg(rd, f"{reg(rs1)} | {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "ori":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
+                expr = None    # a cheaper form of the table's expression
+                ub = None      # proven upper bound of the result
+                spc = None     # pc: signed views may use proven bounds
+                if mnemonic in ("add", "mul"):
                     u1 = ubget(rs1)
-                    ub = None
-                    if imm > 0 and u1 is not None and pc not in banned:
-                        ubuse(pc, rs1)
-                        ub = (1 << max(u1.bit_length(), imm.bit_length())) - 1
-                    setreg(rd, f"{reg(rs1)} | {imm & MASK64}", ind,
-                           record=record, ub=ub)
-            elif mnemonic == "xor":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 ^ v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if u1 is not None and u2 is not None and pc not in banned:
-                    ubuse(pc, rs1, rs2)
-                    ub = (1 << max(u1.bit_length(), u2.bit_length())) - 1
-                setreg(rd, f"{reg(rs1)} ^ {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "xori":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
+                    u2 = ubget(rs2)
+                    if u1 is not None and u2 is not None and pc not in banned:
+                        bound = u1 + u2 if mnemonic == "add" else u1 * u2
+                        if bound <= MASK64:
+                            # Range analysis proves the result can't wrap:
+                            # elide the 64-bit mask (the dominant per-line
+                            # cost in hot traces).
+                            ubuse(pc, rs1, rs2)
+                            sym = "+" if mnemonic == "add" else "*"
+                            expr = f"{reg(rs1)} {sym} {reg(rs2)}"
+                            ub = bound
+                elif mnemonic == "addi":
+                    known = None
+                    if rs1 == 0:
+                        known = op.value(0, 0, imm, pc)
+                    elif pc not in banned and kreg(rs1):
+                        known = op.value(fold(rs1, pc), 0, imm, pc)
                     u1 = ubget(rs1)
-                    ub = None
-                    if imm > 0 and u1 is not None and pc not in banned:
-                        ubuse(pc, rs1)
-                        ub = (1 << max(u1.bit_length(), imm.bit_length())) - 1
-                    setreg(rd, f"{reg(rs1)} ^ {imm & MASK64}", ind,
-                           record=record, ub=ub)
-            elif mnemonic == "sll":
-                setreg(rd, f"({reg(rs1)} << ({reg(rs2)} & 0x3F)) & {M}", ind, record=record)
-            elif mnemonic == "slli":
-                known = None
-                u1 = ubget(rs1)
-                if rs1 != 0 and pc not in banned and kreg(rs1):
-                    known = (fold(rs1, pc) << imm) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif imm == 0:
-                    if rd != rs1:
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                elif (
-                    u1 is not None and (u1 << imm) <= MASK64
-                    and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} << {imm}", ind,
-                           record=record, ub=u1 << imm)
-                else:
-                    setreg(rd, f"({reg(rs1)} << {imm}) & {M}", ind, record=record)
-            elif mnemonic == "srl":
-                # Right shifts never grow the value: bound propagates free
-                # of emitted code (the result expression has no mask).
-                u1 = ubget(rs1)
-                ub = None
-                if u1 is not None and pc not in banned:
-                    ubuse(pc, rs1)
-                    ub = u1
-                setreg(rd, f"{reg(rs1)} >> ({reg(rs2)} & 0x3F)", ind,
-                       record=record, ub=ub)
-            elif mnemonic == "srli":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
-                    # Free bound: a canonical register value is <= MASK64.
-                    setreg(rd, f"{reg(rs1)} >> {imm}", ind,
-                           record=record, ub=MASK64 >> imm)
-            elif mnemonic == "sra":
-                u1 = ubget(rs1)
-                if (
-                    u1 is not None and u1 < 0x8000000000000000
-                    and pc not in banned
-                ):
-                    # Proven non-negative: arithmetic == logical shift, and
-                    # neither the sign trick nor the result mask is needed.
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} >> ({reg(rs2)} & 0x3F)", ind,
-                           record=record, ub=u1)
-                else:
-                    setreg(rd, f"({sreg(rs1)} >> ({reg(rs2)} & 0x3F)) & {M}", ind, record=record)
-            elif mnemonic == "srai":
-                u1 = ubget(rs1)
-                if (
-                    u1 is not None and u1 < 0x8000000000000000
-                    and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} >> {imm}", ind,
-                           record=record, ub=u1 >> imm)
-                else:
-                    setreg(rd, f"({sreg(rs1)} >> {imm}) & {M}", ind, record=record)
-            elif mnemonic == "slt":
-                setreg(rd, f"1 if {sreg(rs1, pc)} < {sreg(rs2, pc)} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "slti":
-                setreg(rd, f"1 if {sreg(rs1, pc)} < {imm} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "sltu":
-                setreg(rd, f"1 if {reg(rs1)} < {reg(rs2)} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "sltiu":
-                setreg(rd, f"1 if {reg(rs1)} < {imm & MASK64} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "addw":
-                setreg(rd, w32(f"{reg(rs1)} + {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "addiw":
-                known = None
-                if rs1 == 0:
-                    known = _signed32(imm) & MASK64
-                elif rs1 in consts and pc not in banned:
-                    known = _signed32(fold(rs1, pc) + imm) & MASK64
-                u1 = ubget(rs1)
-                if known is not None:
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif (
-                    imm >= 0 and u1 is not None
-                    and u1 + imm <= 0x7FFFFFFF and pc not in banned
-                ):
-                    # The 32-bit sum can't reach the sign bit: truncation
-                    # and sign-extension are both the identity.
-                    ubuse(pc, rs1)
+                    if known is not None:
+                        setreg(rd, f"{known}", ind, known=known, record=record)
+                        return True
                     if imm == 0:
                         if rd != rs1:
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                    else:
-                        setreg(rd, f"{reg(rs1)} + {imm}", ind,
-                               record=record, ub=u1 + imm)
-                else:
-                    setreg(rd, w32(f"{reg(rs1)} + {imm}"), ind, record=record)
-            elif mnemonic == "subw":
-                setreg(rd, w32(f"{reg(rs1)} - {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "sllw":
-                setreg(rd, w32(f"{reg(rs1)} << ({reg(rs2)} & 0x1F)"), ind, record=record)
-            elif mnemonic == "slliw":
-                setreg(rd, w32(f"{reg(rs1)} << {imm}"), ind, record=record)
-            elif mnemonic == "srlw":
-                setreg(rd, w32(f"({reg(rs1)} & 0xFFFFFFFF) >> ({reg(rs2)} & 0x1F)"), ind, record=record)
-            elif mnemonic == "srliw":
-                setreg(rd, w32(f"({reg(rs1)} & 0xFFFFFFFF) >> {imm}"), ind, record=record)
-            elif mnemonic == "sraw":
-                setreg(rd, f"(({_s32expr(reg(rs1))}) >> ({reg(rs2)} & 0x1F)) & {M}", ind, record=record)
-            elif mnemonic == "sraiw":
-                setreg(rd, f"(({_s32expr(reg(rs1))}) >> {imm}) & {M}", ind, record=record)
-            elif mnemonic == "mul":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 * v2) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
+                            move(rd, rs1, u1, pc, ind, record)
+                        return True
+                    if (
+                        imm > 0 and u1 is not None
+                        and u1 + imm <= MASK64 and pc not in banned
+                    ):
+                        ubuse(pc, rs1)
+                        expr = f"{reg(rs1)} + {imm}"
+                        ub = u1 + imm
+                elif mnemonic == "addiw":
+                    known = None
+                    if rs1 == 0:
+                        known = op.value(0, 0, imm, pc)
+                    elif rs1 in consts and pc not in banned:
+                        known = op.value(fold(rs1, pc), 0, imm, pc)
+                    u1 = ubget(rs1)
+                    if known is not None:
+                        setreg(rd, f"{known}", ind, known=known, record=record)
+                        return True
+                    if (
+                        imm >= 0 and u1 is not None
+                        and u1 + imm <= 0x7FFFFFFF and pc not in banned
+                    ):
+                        # The 32-bit sum can't reach the sign bit: truncation
+                        # and sign-extension are both the identity.
+                        ubuse(pc, rs1)
+                        if imm == 0:
+                            if rd != rs1:
+                                setreg(rd, reg(rs1), ind, record=record, ub=u1)
+                            return True
+                        expr = f"{reg(rs1)} + {imm}"
+                        ub = u1 + imm
+                elif mnemonic == "and":
+                    # x & y is bounded by either operand's bound; taking the
+                    # smaller one (when known) costs no emitted code.
+                    u1 = ubget(rs1)
+                    u2 = ubget(rs2)
+                    if pc not in banned and (u1 is not None or u2 is not None):
+                        if u1 is not None and (u2 is None or u1 <= u2):
+                            ubuse(pc, rs1)
+                            ub = u1
+                        else:
+                            ubuse(pc, rs2)
+                            ub = u2
+                elif mnemonic == "andi":
+                    ub = imm & MASK64  # free bound: the mask itself
+                elif mnemonic in ("or", "xor"):
+                    u1 = ubget(rs1)
+                    u2 = ubget(rs2)
+                    if u1 is not None and u2 is not None and pc not in banned:
+                        # No bit above either operand's highest possible bit
+                        # can be set.
+                        ubuse(pc, rs1, rs2)
+                        ub = (1 << max(u1.bit_length(), u2.bit_length())) - 1
+                elif mnemonic in ("ori", "xori", "srli") and imm == 0:
+                    if rd != rs1:
+                        move(rd, rs1, ubget(rs1), pc, ind, record)
                     return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                if (
-                    u1 is not None and u2 is not None
-                    and u1 * u2 <= MASK64 and pc not in banned
-                ):
-                    ubuse(pc, rs1, rs2)
-                    setreg(rd, f"{reg(rs1)} * {reg(rs2)}", ind,
-                           record=record, ub=u1 * u2)
-                else:
-                    setreg(rd, f"({reg(rs1)} * {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "mulh":
-                setreg(rd, f"(({sreg(rs1)} * {sreg(rs2)}) >> 64) & {M}", ind, record=record)
-            elif mnemonic == "mulhu":
-                setreg(rd, f"({reg(rs1)} * {reg(rs2)}) >> 64", ind, record=record)
-            elif mnemonic == "mulhsu":
-                setreg(rd, f"(({sreg(rs1)} * {reg(rs2)}) >> 64) & {M}", ind, record=record)
-            elif mnemonic == "mulw":
-                setreg(rd, w32(f"{reg(rs1)} * {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "div":
-                setreg(rd, f"d64({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "divu":
-                setreg(rd, f"{M} if {reg(rs2)} == 0 else {reg(rs1)} // {reg(rs2)}", ind, record=record)
-            elif mnemonic == "rem":
-                setreg(rd, f"r64({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "remu":
-                # x % y <= x (and the y == 0 arm returns x itself), so the
-                # dividend's bound carries over free of emitted code.
-                u1 = ubget(rs1)
-                ub = None
-                if u1 is not None and pc not in banned:
-                    ubuse(pc, rs1)
-                    ub = u1
-                setreg(rd, f"{reg(rs1)} if {reg(rs2)} == 0 else {reg(rs1)} % {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "divw":
-                setreg(rd, f"d32({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "divuw":
-                setreg(rd, (
-                    f"{M} if ({reg(rs2)} & 0xFFFFFFFF) == 0 else "
-                    + w32(f"({reg(rs1)} & 0xFFFFFFFF) // ({reg(rs2)} & 0xFFFFFFFF)")
-                ), ind, record=record)
-            elif mnemonic == "remw":
-                setreg(rd, f"r32({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "remuw":
-                setreg(rd, (
-                    w32(f"{reg(rs1)} & 0xFFFFFFFF")
-                    + f" if ({reg(rs2)} & 0xFFFFFFFF) == 0 else "
-                    + w32(f"({reg(rs1)} & 0xFFFFFFFF) % ({reg(rs2)} & 0xFFFFFFFF)")
-                ), ind, record=record)
-            elif mnemonic == "lui":
-                setreg(rd, f"{imm & MASK64}", ind, known=imm & MASK64, record=record)
-            elif mnemonic == "auipc":
-                value = (pc + imm) & MASK64
-                setreg(rd, f"{value}", ind, known=value, record=record)
-            elif mnemonic in _LOAD_SIZES:
-                size = _LOAD_SIZES[mnemonic]
+                elif mnemonic in ("ori", "xori"):
+                    u1 = ubget(rs1)
+                    if imm > 0 and u1 is not None and pc not in banned:
+                        ubuse(pc, rs1)
+                        ub = (1 << max(u1.bit_length(), imm.bit_length())) - 1
+                elif mnemonic == "slli":
+                    u1 = ubget(rs1)
+                    if rs1 != 0 and pc not in banned and kreg(rs1):
+                        known = op.value(fold(rs1, pc), 0, imm, pc)
+                        setreg(rd, f"{known}", ind, known=known, record=record)
+                        return True
+                    if imm == 0:
+                        if rd != rs1:
+                            move(rd, rs1, u1, pc, ind, record)
+                        return True
+                    if (
+                        u1 is not None and (u1 << imm) <= MASK64
+                        and pc not in banned
+                    ):
+                        ubuse(pc, rs1)
+                        expr = f"{reg(rs1)} << {imm}"
+                        ub = u1 << imm
+                elif mnemonic in ("srl", "remu"):
+                    # Right shifts never grow the value, and x % y <= x
+                    # (the y == 0 arm returns x itself): the dividend's
+                    # bound carries over free of emitted code.
+                    u1 = ubget(rs1)
+                    if u1 is not None and pc not in banned:
+                        ubuse(pc, rs1)
+                        ub = u1
+                elif mnemonic == "srli":
+                    ub = MASK64 >> imm  # free bound: a register is <= MASK64
+                elif mnemonic in ("sra", "srai"):
+                    u1 = ubget(rs1)
+                    if (
+                        u1 is not None and u1 < 0x8000000000000000
+                        and pc not in banned
+                    ):
+                        # Proven non-negative: the arithmetic shift is the
+                        # logical one, with no sign trick and no result mask.
+                        ubuse(pc, rs1)
+                        op = ALU["srl" if mnemonic == "sra" else "srli"]
+                        ub = u1 if mnemonic == "sra" else u1 >> imm
+                elif mnemonic in ("slt", "slti", "sltu", "sltiu"):
+                    ub = 1
+                    spc = pc
+                if expr is None:
+                    expr = _t2_renderer(op)(reg, sreg, rs1, rs2, imm, pc, spc)
+                setreg(rd, expr, ind, record=record, ub=ub)
+                return True
+            if mnemonic in LOADS:
+                load = LOADS[mnemonic]
+                size = load.size
                 # Constant-address fast lane: a base register pinned by
                 # exact-value speculation (or x0) makes the address a
                 # compile-time constant, so the page view is bound once in
@@ -2163,18 +1749,7 @@ class Executor:
                         name = kpages[key] = f"v{lane}{ka >> 12:x}"
                     shift = {8: 3, 4: 2, 2: 1, 1: 0}[size]
                     fetch = f"{name}[{(ka & 4095) >> shift}]"
-                    if mnemonic == "lw":
-                        setreg(rd, f"(({fetch} ^ 0x80000000) - 0x80000000)"
-                               f" & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"(({fetch} ^ 0x8000) - 0x8000) & {M}",
-                               ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"(({fetch} ^ 0x80) - 0x80) & {M}",
-                               ind, record=record)
-                    else:  # ld / lwu / lhu / lbu
-                        setreg(rd, fetch, ind, record=record,
-                               ub=(1 << (8 * size)) - 1 if size < 8 else None)
+                    setloaded(rd, load, fetch, ind, record)
                     return True
                 lane = None if rd == 0 or ka is not None else kbase(
                     rs1, imm, size, pc, store=False
@@ -2188,18 +1763,9 @@ class Executor:
                             f"{pv}[{iv} + {kk}] if {iv} < {limit}"
                             f" else rd_(({reg(rs1)} + {imm}) & {M}, {size})"
                         )
-                    if mnemonic == "lw":
-                        setreg(rd, f"((({fetch}) ^ 0x80000000) - 0x80000000)"
-                               f" & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"((({fetch}) ^ 0x8000) - 0x8000) & {M}",
-                               ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"((({fetch}) ^ 0x80) - 0x80) & {M}",
-                               ind, record=record)
-                    else:  # ld / lwu / lhu / lbu
-                        setreg(rd, fetch, ind, record=record,
-                               ub=(1 << (8 * size)) - 1 if size < 8 else None)
+                    if load.sign:
+                        fetch = f"({fetch})"
+                    setloaded(rd, load, fetch, ind, record)
                     return True
                 # Register values are canonically masked, so a zero-offset
                 # address needs no add-and-mask (and no ``a =`` temp).
@@ -2225,9 +1791,8 @@ class Executor:
                     # as zero without allocating (an aligned access never
                     # crosses a page).  Sign-extending loads land in a temp
                     # and fix up below.
-                    signed = mnemonic in ("lb", "lh", "lw")
-                    target = "t" if signed else f"x{rd}"
-                    if not signed:
+                    target = "t" if load.sign else f"x{rd}"
+                    if not load.sign:
                         touched.add(rd)
                         written.add(rd)
                         if rd not in first_event:
@@ -2270,28 +1835,17 @@ class Executor:
                     body.append((ind + 1, f"{target} = rd_({av}, {size})"))
                     body.append((ind, "else:"))
                     body.append((ind + 1, f"{target} = {fast}"))
-                    if mnemonic == "lw":
-                        setreg(rd, f"((t ^ 0x80000000) - 0x80000000) & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"((t ^ 0x8000) - 0x8000) & {M}", ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"((t ^ 0x80) - 0x80) & {M}", ind, record=record)
+                    if load.sign:
+                        setreg(rd, load.extend("t"), ind, record=record)
                     return True
-                load = f"rd_({addr}, {size})"
+                access = f"rd_({addr}, {size})"
                 if rd == 0:
                     # x0 loads still perform the access (MMIO side effects).
-                    body.append((ind, load))
-                elif mnemonic == "lw":
-                    setreg(rd, f"(({load} ^ 0x80000000) - 0x80000000) & {M}", ind, record=record)
-                elif mnemonic == "lh":
-                    setreg(rd, f"(({load} ^ 0x8000) - 0x8000) & {M}", ind, record=record)
-                elif mnemonic == "lb":
-                    setreg(rd, f"(({load} ^ 0x80) - 0x80) & {M}", ind, record=record)
-                else:  # ld / lwu / lhu / lbu
-                    setreg(rd, load, ind, record=record,
-                           ub=(1 << (8 * size)) - 1 if size < 8 else None)
-            elif mnemonic in _STORE_SIZES:
-                size = _STORE_SIZES[mnemonic]
+                    body.append((ind, access))
+                else:
+                    setloaded(rd, load, access, ind, record)
+            elif mnemonic in STORES:
+                size = STORES[mnemonic]
                 # Constant-address fast lane (mirror of the load lane): the
                 # alignment and write-hook checks fold away at compile time,
                 # leaving only the self-modifying-code overlap test — whose
@@ -2656,7 +2210,8 @@ class Executor:
                 pc = target
                 continue
 
-            if mnemonic in _T2_BRANCHES:
+            if mnemonic in BRANCHES:
+                branch = BRANCHES[mnemonic]
                 rs2 = decoded.rs2
                 taken = (pc + imm) & MASK64
                 v1 = 0 if rs1 == 0 else consts.get(rs1, None)
@@ -2668,22 +2223,8 @@ class Executor:
                         folds.append((count + 1, rs1, const_def[rs1], pc))
                     if rs2 != 0:
                         folds.append((count + 1, rs2, const_def[rs2], pc))
-                    if mnemonic in ("blt", "bge"):
-                        o1 = (v1 ^ (1 << 63)) - (1 << 63)
-                        o2 = (v2 ^ (1 << 63)) - (1 << 63)
-                    else:
-                        o1 = v1
-                        o2 = v2
-                    if mnemonic == "beq":
-                        t = v1 == v2
-                    elif mnemonic == "bne":
-                        t = v1 != v2
-                    elif mnemonic in ("blt", "bltu"):
-                        t = o1 < o2
-                    else:  # bge / bgeu
-                        t = o1 >= o2
                     count += 1
-                    if not t:
+                    if not branch.value(v1, v2, imm, pc):
                         pc += 4
                         continue
                     if taken in visited:
@@ -2715,18 +2256,7 @@ class Executor:
                         break
                     pc = taken
                     continue
-                if mnemonic == "beq":
-                    cond = f"{reg(rs1)} == {reg(rs2)}"
-                elif mnemonic == "bne":
-                    cond = f"{reg(rs1)} != {reg(rs2)}"
-                elif mnemonic == "blt":
-                    cond = f"{sreg(rs1, pc)} < {sreg(rs2, pc)}"
-                elif mnemonic == "bge":
-                    cond = f"{sreg(rs1, pc)} >= {sreg(rs2, pc)}"
-                elif mnemonic == "bltu":
-                    cond = f"{reg(rs1)} < {reg(rs2)}"
-                else:  # bgeu
-                    cond = f"{reg(rs1)} >= {reg(rs2)}"
+                cond = _t2_renderer(branch)(reg, sreg, rs1, rs2, imm, pc, pc)
                 if taken in visited and backedge(taken, count + 1, cond=cond):
                     count += 1
                     pc += 4
@@ -2908,34 +2438,15 @@ class Executor:
 _T2_LANES = {8: ("q", 3), 4: ("w", 2), 2: ("h", 1), 1: ("b", 0)}
 _T2_LANE_SHIFTS = {"q": 3, "w": 2, "h": 1, "b": 0}
 
-#: Register-writing instructions whose only effect is ``rd = f(operands)``;
-#: with ``rd == x0`` they compile to a pure no-op.
-_ALU_MNEMONICS = frozenset({
-    "add", "addi", "sub", "and", "andi", "or", "ori", "xor", "xori",
-    "sll", "slli", "srl", "srli", "sra", "srai",
-    "slt", "slti", "sltu", "sltiu",
-    "addw", "addiw", "subw", "sllw", "slliw", "srlw", "srliw", "sraw", "sraiw",
-    "mul", "mulh", "mulhu", "mulhsu", "mulw",
-    "div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw",
-    "lui", "auipc",
-})
-
 #: Everything the tier-2 emitter can fold into straight-line source.  Any
 #: other mnemonic ends the trace (defensive: the decoder and the emitter are
 #: kept in sync, but an unknown instruction must fall back, not miscompile).
-_T2_SUPPORTED = (
-    _ALU_MNEMONICS
-    | frozenset(_LOAD_SIZES)
-    | frozenset(_STORE_SIZES)
-    | _T2_BRANCHES
-    | frozenset({"jal", "fence"})
-)
+_T2_SUPPORTED = frozenset(ALU).union(LOADS, STORES, BRANCHES, {"jal", "fence"})
 
 #: Instructions that may execute conditionally inside a skip-diamond guard:
 #: anything without control transfer or synchronized-state needs.
-_T2_GUARDABLE = (
-    _ALU_MNEMONICS
-    | frozenset(_LOAD_SIZES)
-    | frozenset(_STORE_SIZES)
-    | frozenset({"fence"})
-)
+_T2_GUARDABLE = frozenset(ALU).union(LOADS, STORES, {"fence"})
+
+#: Register-register ops that fold to a constant when both operands are
+#: statically known.
+_T2_FOLDS = frozenset({"add", "sub", "and", "or", "xor", "mul"})

@@ -4,17 +4,22 @@ Three layers of guarantees:
 
 * unit/property tests of :mod:`repro.rocc.pipeline` (segment splitting,
   issue-slot occupancy, transaction event times, statistics);
-* lockstep equivalence — the ``pipeline_depth=1, issue_width=1`` staged
-  model must be *bit-identical* (results, per-run cycle counters and the
-  accelerator's busy-cycle totals) to the legacy blocking-FSM timing path
-  (``pipelined=False``), across every Table II funct code and both
-  interchange formats; deeper/wider configurations must keep values
-  identical while cycle counts shrink monotonically;
+* blocking-design pins — the ``pipeline_depth=1, issue_width=1`` staged
+  model must reproduce, bit for bit, every value (results, per-run cycle
+  counters, the accelerator's busy-cycle totals and architectural state)
+  that the blocking-FSM timing path recorded in
+  ``tests/golden/pipeline_blocking.json``, across every Table II funct code
+  and both interchange formats; deeper/wider configurations must keep
+  values identical while cycle counts shrink monotonically;
 * Pareto-frontier properties and the sweep plumbing behind
   ``python -m repro.campaign --pipeline-sweep``.
 """
 
+import functools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,11 +57,9 @@ def _command(funct7, rd=0, rs1=0, rs2=0, rs1_value=0, rs2_value=0,
                        xd=xd, xs1=xs1, xs2=xs2)
 
 
-def _accelerator(fmt="decimal64", pipelined=True, depth=1, width=1,
-                 **overrides):
+def _accelerator(fmt="decimal64", depth=1, width=1, **overrides):
     config = DecimalAcceleratorConfig.for_format(
-        fmt, pipelined=pipelined, pipeline_depth=depth, issue_width=width,
-        **overrides,
+        fmt, pipeline_depth=depth, issue_width=width, **overrides,
     )
     return DecimalAccelerator(config)
 
@@ -379,9 +382,19 @@ class TestWordLaneSelectors:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep: d1w1 staged pipeline == legacy blocking FSM, bit for bit
+# Pins: the d1w1 staged pipeline reproduces the blocking FSM, bit for bit
 # ---------------------------------------------------------------------------
+#: Every value the blocking-FSM timing path produced for the pinned runs
+#: below, recorded before that path was folded into the d1w1 pipeline.
+#: Re-record (only for an intended timing change) with
+#: ``PYTHONPATH=src python tests/test_pipeline_accel.py --write``.
+_PINS_PATH = Path(__file__).parent / "golden" / "pipeline_blocking.json"
 _PROGRAM_CACHE = {}
+
+
+@functools.cache
+def _pins():
+    return json.loads(_PINS_PATH.read_text())
 
 
 def _generated_program(fmt, op, num_samples, seed=2018):
@@ -399,34 +412,52 @@ def _generated_program(fmt, op, num_samples, seed=2018):
     return _PROGRAM_CACHE[key]
 
 
-def _run(image, fmt, pipelined=True, depth=1, width=1, **overrides):
-    accel = _accelerator(fmt, pipelined=pipelined, depth=depth, width=width,
-                         **overrides)
+def _run(image, fmt, depth=1, width=1, **overrides):
+    accel = _accelerator(fmt, depth=depth, width=width, **overrides)
     result = RocketEmulator(image, accelerator=accel).run()
     return accel, result
 
 
-def _assert_lockstep(image, fmt, **overrides):
-    """d1w1 pipelined run must be bit-identical to the legacy timing path."""
-    legacy_accel, legacy = _run(image, fmt, pipelined=False, **overrides)
-    piped_accel, piped = _run(image, fmt, pipelined=True, depth=1, width=1,
-                              **overrides)
-    assert legacy_accel.pipeline is None
-    assert piped_accel.pipeline.transactions == piped.rocc_commands
-    # Timing: every counter, not just the total.
-    assert piped.cycles == legacy.cycles
-    assert piped.sw_cycles == legacy.sw_cycles
-    assert piped.hw_cycles == legacy.hw_cycles
-    assert piped.rocc_commands == legacy.rocc_commands
-    assert piped.instructions_retired == legacy.instructions_retired
-    # Datapath work and architectural state.
-    assert piped_accel.busy_cycles_total == legacy_accel.busy_cycles_total
-    assert piped_accel.commands_executed == legacy_accel.commands_executed
-    assert piped_accel.responses_sent == legacy_accel.responses_sent
-    assert piped_accel.accumulator == legacy_accel.accumulator
-    assert piped_accel.status == legacy_accel.status
-    assert piped_accel.regfile.snapshot() == legacy_accel.regfile.snapshot()
-    return legacy, piped
+def _pinned_run(key):
+    """The d1w1 run behind pin ``key``: (accelerator, result, result words).
+
+    Keys are ``all_funct/<fmt>`` (the every-funct-code program) and
+    ``kernel/<fmt>/<op>/<samples>`` (a seeded Method-1 kernel sweep).
+    """
+    kind, fmt, *sweep = key.split("/")
+    if kind == "all_funct":
+        accel, result = _run(_all_funct_program(), fmt, include_multiplier=True)
+        return accel, result, result.read_dwords("out", _ALL_FUNCT_RESULT_DWORDS)
+    op, samples = sweep
+    program = _generated_program(fmt, op, int(samples))
+    accel, result = _run(program.image, fmt)
+    return accel, result, program.read_results(result)
+
+
+def _counters(accel, result, words):
+    """Every value a run supplies: timing, datapath work and final state."""
+    return {
+        "cycles": result.cycles,
+        "sw_cycles": result.sw_cycles,
+        "hw_cycles": result.hw_cycles,
+        "rocc_commands": result.rocc_commands,
+        "instructions": result.instructions_retired,
+        "busy_cycles_total": accel.busy_cycles_total,
+        "commands_executed": accel.commands_executed,
+        "responses_sent": accel.responses_sent,
+        "accumulator": accel.accumulator,
+        "status": accel.status,
+        "regfile": list(accel.regfile.snapshot()),
+        "results": list(words),
+    }
+
+
+def _assert_pinned(key):
+    """The d1w1 run behind ``key`` must reproduce its pin exactly."""
+    accel, result, words = _pinned_run(key)
+    assert accel.pipeline.transactions == result.rocc_commands
+    assert _counters(accel, result, words) == _pins()[key]
+    return accel, result, words
 
 
 _ALL_FUNCT_RESULT_DWORDS = 20
@@ -558,14 +589,11 @@ class TestLockstepAllFunctCodes:
         return _all_funct_program()
 
     @pytest.mark.parametrize("fmt", ["decimal64", "decimal128"])
-    def test_every_funct_code_is_bit_identical(self, image, fmt):
-        legacy, piped = _assert_lockstep(image, fmt, include_multiplier=True)
-        legacy_words = legacy.read_dwords("out", _ALL_FUNCT_RESULT_DWORDS)
-        piped_words = piped.read_dwords("out", _ALL_FUNCT_RESULT_DWORDS)
-        assert piped_words == legacy_words
+    def test_every_funct_code_is_bit_identical(self, fmt):
+        _, _, words = _assert_pinned(f"all_funct/{fmt}")
         # The buffer is really exercised: every stored slot is nonzero
         # except the carried-to-zero DEC_ADDC low word and the status read.
-        stored = legacy_words[:17]
+        stored = words[:17]
         assert all(word for i, word in enumerate(stored) if i not in (0, 12))
 
     def test_program_covers_every_funct_code(self, image):
@@ -576,9 +604,7 @@ class TestLockstepAllFunctCodes:
 
     @pytest.mark.parametrize("fmt", ["decimal64", "decimal128"])
     def test_deeper_configs_keep_values_and_never_slow_down(self, image, fmt):
-        _, reference = _run(image, fmt, pipelined=False,
-                            include_multiplier=True)
-        expected = reference.read_dwords("out", _ALL_FUNCT_RESULT_DWORDS)
+        expected = _pins()[f"all_funct/{fmt}"]["results"]
         previous_cycles = None
         for depth in (1, 2, 4, 8):
             accel, result = _run(image, fmt, depth=depth,
@@ -604,15 +630,11 @@ class TestLockstepGeneratedKernels:
 
     @pytest.mark.parametrize("fmt,op,num_samples", CASES)
     def test_kernel_sweep_is_bit_identical_at_d1w1(self, fmt, op, num_samples):
-        program = _generated_program(fmt, op, num_samples)
-        legacy, piped = _assert_lockstep(program.image, fmt)
-        assert program.read_results(piped) == program.read_results(legacy)
+        _assert_pinned(f"kernel/{fmt}/{op}/{num_samples}")
 
     def test_deeper_and_wider_configs_keep_kernel_values(self):
         program = _generated_program("decimal64", "multiply", 40)
-        _, reference = _run(program.image, "decimal64", pipelined=False)
-        expected = program.read_results(reference)
-        baseline_accel, baseline = _run(program.image, "decimal64")
+        baseline_accel, _, expected = _assert_pinned("kernel/decimal64/multiply/40")
         cycles_by_depth = []
         for depth in (1, 2, 4, 8):
             for width in (1, 2):
@@ -628,7 +650,6 @@ class TestLockstepGeneratedKernels:
                     assert result.cycles <= cycles_by_depth[-1]
         assert cycles_by_depth == sorted(cycles_by_depth, reverse=True)
         assert cycles_by_depth[-1] < cycles_by_depth[0]  # depth actually pays
-        assert baseline.cycles == reference.cycles
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +727,6 @@ class TestSweepPlumbing:
         suffixes = [v.name.split()[-1] for v in variants]
         assert suffixes == ["d1w1", "d1w2", "d2w1", "d2w2"]
         assert len({v.name for v in variants}) == len(variants)
-        for variant in variants:
-            config = variant.accelerator_config
-            assert config.pipelined
         assert variants[0].accelerator_config.pipeline_depth == 1
         assert variants[-1].accelerator_config.pipeline_depth == 2
         assert variants[-1].accelerator_config.issue_width == 2
@@ -824,3 +842,17 @@ class TestPipelineAreaModel:
             DecimalAcceleratorConfig(pipeline_depth=0)
         with pytest.raises(AcceleratorError):
             DecimalAcceleratorConfig(issue_width=0)
+
+
+def write_pins() -> None:
+    """Re-record every pin in the golden file from the current model."""
+    pins = {key: _counters(*_pinned_run(key)) for key in _pins()}
+    with open(_PINS_PATH, "w") as handle:
+        json.dump(pins, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_pipeline_accel.py --write")
+    write_pins()

@@ -180,7 +180,25 @@ class TestRunCampaignCache:
         assert warm.total_shards == cold.total_shards == 3 * len(KINDS)
 
 
+#: Malformed specs and the field their 400 must name.  The last one is
+#: only caught by ``submit``, which parses the shard plan.
+MALFORMED_SPECS = [
+    ({"kinds": ["nonsense"]}, "kinds"),
+    ({"kinds": "method1"}, "kinds"),
+    ({"samples": "abc"}, "samples"),
+    ({"repetitions": "x"}, "repetitions"),
+    ({"seed": [1]}, "seed"),
+    ({"classes": ["bogus"]}, "classes"),
+    ({"shards_per_cell": "x"}, "shards_per_cell"),
+]
+
+
 class TestCellsFromSpec:
+    @pytest.mark.parametrize("spec,field", MALFORMED_SPECS[:-1])
+    def test_malformed_field_rejected(self, spec, field):
+        with pytest.raises(ConfigurationError, match=field):
+            cells_from_spec(spec)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
             cells_from_spec({"samples": 10, "smaples": 20})
@@ -238,6 +256,10 @@ class TestCampaignService:
                     await service.submit(
                         {"samples": SAMPLES, "workload": "no-such-workload"}
                     )
+                for spec, field in MALFORMED_SPECS:
+                    with pytest.raises(ConfigurationError, match=field):
+                        await service.submit(spec)
+                assert not service._jobs
             finally:
                 service.shutdown()
 
@@ -351,6 +373,9 @@ class TestHttpService:
                 f"{server.base_url}/submit", {"smaples": 10}
             )
             assert status == 400 and "smaples" in payload["error"]
+            for spec, field in MALFORMED_SPECS:
+                status, payload = request_json(f"{server.base_url}/submit", spec)
+                assert status == 400 and field in payload["error"], spec
             with pytest.raises(ServiceError) as excinfo:
                 get_json(f"{server.base_url}/no-such-route")
             assert excinfo.value.status == 404
