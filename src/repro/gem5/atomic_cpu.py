@@ -52,12 +52,11 @@ class AtomicSimpleCPU:
         self.htif = Htif()
         self.htif.attach(self.memory)
         self.hart = Hart(pc=image.entry, stack_pointer=stack_top)
-        rocc_adapter = accelerator.rocc_adapter() if accelerator is not None else None
         self.executor = Executor(
             self.hart,
             self.memory,
             csr_provider=self._read_counter,
-            rocc=rocc_adapter,
+            rocc=accelerator,
         )
         # Stop a batched Executor.run on the instruction that writes tohost.
         self.htif.on_exit = self.executor.request_halt

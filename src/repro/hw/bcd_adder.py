@@ -43,7 +43,6 @@ class BcdCarryLookaheadAdder:
             raise AcceleratorError("adder width must be at least one digit")
         self.width_digits = width_digits
         self.latency_cycles = latency_cycles
-        self.operations = 0
 
     # ------------------------------------------------------------------ value
     def add(self, a: int, b: int, carry_in: int = 0) -> BcdAddResult:
@@ -69,7 +68,6 @@ class BcdCarryLookaheadAdder:
             else:
                 carry = 0
             result |= total << (4 * digit_index)
-        self.operations += 1
         return BcdAddResult(value=result, carry_out=carry, digits=self.width_digits)
 
     # ------------------------------------------------------------------- cost

@@ -32,7 +32,10 @@ class BcdMultiplier:
     def __init__(self, operand_digits: int = 16) -> None:
         self.operand_digits = operand_digits
         self.adder = BcdCarryLookaheadAdder(width_digits=2 * operand_digits)
-        self.operations = 0
+        #: Datapath cycles of one multiply: eight adder passes generate the
+        #: multiples MM[i] = MM[i-1] + X (2..9), then one pass per
+        #: multiplier digit accumulates them, MSD first.
+        self.cycles = (8 + operand_digits) * self.adder.latency_cycles
 
     def multiply(self, multiplicand: int, multiplier: int) -> BcdMultiplyResult:
         """Multiply two packed-BCD operands of at most ``operand_digits`` digits."""
@@ -40,12 +43,10 @@ class BcdMultiplier:
         if multiplicand & ~limit or multiplier & ~limit:
             raise AcceleratorError("operand wider than the multiplier datapath")
         x = bcd_to_int(multiplicand)
-        cycles = 0
         # Multiple generation: MM[i] = MM[i-1] + X, eight additions (2..9).
         multiples = [0, x]
         for i in range(2, 10):
             multiples.append(multiples[i - 1] + x)
-            cycles += self.adder.latency_cycles
         # Horner accumulation over the multiplier digits, MSD first.
         accumulator = 0
         for digit_index in reversed(range(self.operand_digits)):
@@ -53,10 +54,8 @@ class BcdMultiplier:
             if digit > 9:
                 raise AcceleratorError("invalid BCD nibble in multiplier")
             accumulator = accumulator * 10 + multiples[digit]
-            cycles += self.adder.latency_cycles
-        self.operations += 1
         return BcdMultiplyResult(
-            value=int_to_bcd(accumulator, 2 * self.operand_digits), cycles=cycles
+            value=int_to_bcd(accumulator, 2 * self.operand_digits), cycles=self.cycles
         )
 
     def cost(self) -> AreaReport:

@@ -28,7 +28,6 @@ class BinaryToBcdConverter:
     def __init__(self, input_bits: int = 64, output_digits: int = 20) -> None:
         self.input_bits = input_bits
         self.output_digits = output_digits
-        self.operations = 0
 
     def convert(self, value: int) -> ConversionResult:
         """Convert an unsigned binary integer to packed BCD."""
@@ -40,7 +39,6 @@ class BinaryToBcdConverter:
             raise AcceleratorError(
                 f"value needs more than {self.output_digits} BCD digits"
             )
-        self.operations += 1
         return ConversionResult(
             value=int_to_bcd(value, self.output_digits), cycles=self.input_bits
         )

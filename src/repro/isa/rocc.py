@@ -105,35 +105,6 @@ class DecimalFunct:
         return cls.BY_VALUE.get(funct7, f"FUNCT_{funct7}")
 
 
-#: Datapath stage plan per decimal function — the logical stages a command
-#: occupies when the accelerator is built as a staged pipeline (see
-#: docs/pipeline.md).  Multiply-family commands walk the digit-serial
-#: multiplier stages; add-family commands walk the adder stages; everything
-#: else (register moves, loads, clears, conversion) is pure interface work.
-#: The plan names the *logical* stages; the physical register stage count is
-#: a :class:`repro.rocc.decimal_accel.DecimalAcceleratorConfig` knob and the
-#: pipeline model maps busy cycles onto ``min(depth, busy)`` segments.
-_MUL_STAGES = ("multiplicand-gen", "pp-accumulate", "round")
-_ADD_STAGES = ("align", "effective-op", "round")
-INTERFACE_STAGES = ("interface",)
-
-PIPELINE_STAGES = {
-    "DEC_MUL": _MUL_STAGES,
-    "DEC_ACCUM": _MUL_STAGES,
-    "DEC_ADDSUB": _ADD_STAGES,
-    "DEC_FMA_ACC": _ADD_STAGES,
-    "DEC_ADD": _ADD_STAGES,
-    "DEC_ADDC": _ADD_STAGES,
-    "DEC_SUBB": _ADD_STAGES,
-}
-
-
-def stage_plan(function) -> tuple:
-    """Logical stage names for a function (mnemonic or ``funct7`` value)."""
-    name = DecimalFunct.name_for(function) if isinstance(function, int) else str(function)
-    return PIPELINE_STAGES.get(name, INTERFACE_STAGES)
-
-
 @dataclass(frozen=True)
 class RoccInstruction:
     """A fully specified RoCC instruction (pre-encoding form)."""

@@ -7,6 +7,15 @@ full 32-digit product can be accumulated inside the accelerator — this is how
 the Method-1 kernel keeps the paper's "accumulate partial products in
 hardware" step functionally exact for decimal64 operands (see DESIGN.md).
 
+The decode logic is one table keyed by ``funct7``
+(:attr:`DecimalAccelerator.commands`): each row names the function's
+handler, the flags its commands must carry, whether it answers on ``xd`` and
+its busy cycles.  The interface FSM of Fig. 5 walks Idle -> function state
+(held for the datapath's busy cycles) -> Read/Write Resp (only when the
+command answers) -> Idle at one cycle per edge, so a command occupies the
+accelerator ``max(busy, 1) + 1 + has_response`` cycles; the table stores
+that closed form.
+
 Operand selection follows the RoCC flag semantics exactly as in the paper:
 when ``xs1``/``xs2`` is set the operand value travels with the command from a
 Rocket core register, otherwise the corresponding 5-bit field addresses the
@@ -17,7 +26,6 @@ result stays inside the accelerator.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import AcceleratorError
@@ -26,8 +34,7 @@ from repro.hw.bcd_multiplier import BcdMultiplier
 from repro.hw.binary_to_bcd import BinaryToBcdConverter
 from repro.hw.cost import AreaReport, GateCost, register_cost
 from repro.isa.rocc import DecimalFunct
-from repro.rocc.fsm import FsmState, InterfaceFsm
-from repro.rocc.interface import Accelerator, RoccCommand, RoccResult
+from repro.rocc.interface import XD, XS1, XS2, Accelerator, CommandRow
 from repro.rocc.pipeline import AcceleratorPipeline
 from repro.rocc.regfile import AcceleratorRegisterFile
 
@@ -81,7 +88,6 @@ class DecimalAcceleratorConfig:
     register_width_digits: int = 20
     accumulator_digits: int = 32
     adder_width_digits: int = 20
-    adder_latency_cycles: int = 1
     include_multiplier: bool = False
     include_converter: bool = True
     digits: int = 16
@@ -163,11 +169,7 @@ class DecimalAcceleratorConfig:
                 4 * self.accumulator_digits,
             )
         )
-        hardware_adder = BcdCarryLookaheadAdder(
-            width_digits=self.adder_width_digits,
-            latency_cycles=self.adder_latency_cycles,
-        )
-        report.add(hardware_adder.cost())
+        report.add(BcdCarryLookaheadAdder(width_digits=self.adder_width_digits).cost())
         report.add(GateCost("decode + interface FSM", 350.0, 4, flip_flops=18))
         report.add(GateCost("operand multiplexers", 4.0 * 2 * self.accumulator_digits, 2))
         if self.include_multiplier:
@@ -230,10 +232,7 @@ class DecimalAccelerator(Accelerator):
         # One functional adder wide enough for the accumulator; the *hardware*
         # adder is adder_width_digits wide and wider additions take multiple
         # passes (reflected in busy cycles, not in values).
-        self.adder = BcdCarryLookaheadAdder(
-            width_digits=self.config.accumulator_digits,
-            latency_cycles=self.config.adder_latency_cycles,
-        )
+        self.adder = BcdCarryLookaheadAdder(width_digits=self.config.accumulator_digits)
         self.multiplier = (
             BcdMultiplier(operand_digits=self.config.digits)
             if self.config.include_multiplier
@@ -244,27 +243,78 @@ class DecimalAccelerator(Accelerator):
             if self.config.include_converter
             else None
         )
-        self.fsm = InterfaceFsm()
         self.pipeline = AcceleratorPipeline(
             depth=self.config.pipeline_depth,
             width=self.config.issue_width,
         )
         self.accumulator = 0
         self.status = 0
-        self.function_counts = Counter()
+        self._registers = self.config.num_registers
         self._acc_mask = (1 << (4 * self.config.accumulator_digits)) - 1
         self._reg_mask = (1 << (4 * self.config.register_width_digits)) - 1
+        self._reg_nines = int("9" * self.config.register_width_digits, 16)
+        self.commands = self._command_table()
 
-    # ------------------------------------------------------------------ helpers
+    # ------------------------------------------------------------ decode table
+    def _command_table(self) -> dict:
+        """funct7 -> :class:`~repro.rocc.interface.CommandRow`."""
+        config = self.config
+        reg = config.register_width_digits
+        acc = config.accumulator_digits
+        passes = self._adder_passes
+
+        def fixed(cycles):
+            return (cycles,) * 8
+
+        # DEC_ADD sizes its passes for a 16-digit core word when an operand
+        # travels with the command.
+        dec_add = tuple(
+            passes(max(reg, 16) if flags & (XS1 | XS2) else reg)
+            for flags in range(8)
+        )
+        # Without the unit its handler raises, so its cycles never count.
+        multiply = self.multiplier.cycles if self.multiplier else 0
+        convert = self.converter.input_bits if self.converter else 0
+        rows = (
+            # funct7, handler, needed flags, answers on xd, datapath cycles
+            (DecimalFunct.WR, self._write, XS1, False, fixed(1)),
+            (DecimalFunct.RD, self._read, XD, True, fixed(1)),
+            (DecimalFunct.LD, self._load, XS1, False, fixed(2)),
+            (DecimalFunct.ACCUM, self._accum, XS1, True, fixed(1)),
+            (DecimalFunct.DEC_ADD, self._dec_add, 0, True, dec_add),
+            (DecimalFunct.CLR_ALL, self._clear, 0, False, fixed(1)),
+            (DecimalFunct.DEC_CNV, self._convert, XS1, True, fixed(convert)),
+            (DecimalFunct.DEC_MUL, self._multiply, 0, True, fixed(multiply)),
+            (DecimalFunct.DEC_ACCUM, self._dec_accum, 0, True, fixed(passes(acc))),
+            (DecimalFunct.DEC_ADDSUB, self._dec_addsub, 0, True,
+             fixed(2 * passes(reg))),  # complement pass + add pass
+            (DecimalFunct.DEC_FMA_ACC, self._dec_fma_acc, 0, True,
+             fixed(passes(acc))),
+            (DecimalFunct.DEC_ADDC, self._dec_addc, XD | XS1 | XS2, True,
+             fixed(passes(16))),
+            (DecimalFunct.DEC_SUBB, self._dec_subb, XD | XS1 | XS2, True,
+             fixed(2 * passes(16))),  # complement pass + add pass
+        )
+        return {
+            funct7: CommandRow(
+                name=DecimalFunct.name_for(funct7),
+                handler=handler,
+                needs=needs,
+                responds=responds,
+                # The Fig. 5 walk: one cycle into the function state, the
+                # datapath's busy cycles there, the response hop, Idle.
+                busy=tuple(
+                    max(cycles[flags], 1) + 1 + (1 if responds and flags & XD else 0)
+                    for flags in range(8)
+                ),
+            )
+            for funct7, handler, needs, responds, cycles in rows
+        }
+
     def _adder_passes(self, digits_needed: int) -> int:
         """Datapath passes of the (narrower) hardware adder for a wide add."""
         width = self.config.adder_width_digits
         return max(1, -(-digits_needed // width))  # ceil division
-
-    def _operand(self, use_core_value: bool, value: int, field: int) -> int:
-        if use_core_value:
-            return value
-        return self.regfile.read(field)
 
     @staticmethod
     def _require_bcd(value: int, what: str) -> None:
@@ -274,172 +324,98 @@ class DecimalAccelerator(Accelerator):
                 raise AcceleratorError(f"{what} is not valid packed BCD")
             probe >>= 4
 
-    # ----------------------------------------------------------------- commands
-    def execute_command(self, command: RoccCommand, memory) -> RoccResult:
-        funct = command.funct7
-        self.function_counts[command.function_name] += 1
-        if funct == DecimalFunct.WR:
-            return self._cmd_write(command)
-        if funct == DecimalFunct.RD:
-            return self._cmd_read(command)
-        if funct == DecimalFunct.LD:
-            return self._cmd_load(command, memory)
-        if funct == DecimalFunct.ACCUM:
-            return self._cmd_accum_binary(command)
-        if funct == DecimalFunct.DEC_ADD:
-            return self._cmd_dec_add(command)
-        if funct == DecimalFunct.CLR_ALL:
-            return self._cmd_clear(command)
-        if funct == DecimalFunct.DEC_CNV:
-            return self._cmd_convert(command)
-        if funct == DecimalFunct.DEC_MUL:
-            return self._cmd_multiply(command)
-        if funct == DecimalFunct.DEC_ACCUM:
-            return self._cmd_dec_accum(command)
-        if funct == DecimalFunct.DEC_ADDSUB:
-            return self._cmd_dec_addsub(command)
-        if funct == DecimalFunct.DEC_FMA_ACC:
-            return self._cmd_dec_fma_acc(command)
-        if funct == DecimalFunct.DEC_ADDC:
-            return self._cmd_dec_addc(command)
-        if funct == DecimalFunct.DEC_SUBB:
-            return self._cmd_dec_subb(command)
-        raise AcceleratorError(f"unknown accelerator function funct7={funct:#04x}")
+    # ---------------------------------------------------------------- handlers
+    # Every handler takes the whole command and returns the response value;
+    # ``execute`` has already checked the row's required flags.
 
     # WR: move a core register value into the accelerator register set.
     # The rd field selects the destination *word lane* for registers wider
     # than one machine word: lane 0 (the decimal64 kernels' encoding)
     # replaces the whole register, lane k > 0 merges bits [64k, 64k+64).
-    def _cmd_write(self, command: RoccCommand) -> RoccResult:
-        self.require(command.xs1, "WR needs the operand value from the core (xs1)")
-        destination = int(command.rs2_value if command.xs2 else command.rs2)
-        index = destination % self.config.num_registers
-        if command.rd:
-            self.regfile.write_word(index, command.rd, command.rs1_value)
+    def _write(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        index = int(rs2_value if xs2 else rs2) % self._registers
+        if rd:
+            self.regfile.write_word(index, rd, rs1_value)
         else:
-            self.regfile.write(index, command.rs1_value)
-        busy = self.fsm.run_command(FsmState.WRITE, respond=False, busy_cycles=1)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+            self.regfile.write(index, rs1_value)
+        return 0
 
     # RD: respond to the core with a value from the accelerator.
-    def _cmd_read(self, command: RoccCommand) -> RoccResult:
-        self.require(command.xd, "RD must write a core register (xd)")
-        selector = command.rs2_value if command.xs2 else command.rs2
-        selector = int(selector)
+    def _read(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        selector = int(rs2_value if xs2 else rs2)
         if selector == STATUS_SELECTOR:
-            value = self.status
-        elif selector in ACC_WORD_SELECTORS:
+            return self.status
+        if selector in ACC_WORD_SELECTORS:
             word = ACC_WORD_SELECTORS.index(selector)
-            value = (self.accumulator >> (64 * word)) & _MASK64
-        elif selector >= REGFILE_WORD_SELECTOR_BASE:
+            return (self.accumulator >> (64 * word)) & _MASK64
+        if selector >= REGFILE_WORD_SELECTOR_BASE:
             offset = selector - REGFILE_WORD_SELECTOR_BASE
             index, word = divmod(offset, REGFILE_WORD_LANES)
-            value = self.regfile.read_word(
-                index % self.config.num_registers, word
-            )
-        else:
-            value = self.regfile.read(selector % self.config.num_registers) & _MASK64
-        busy = self.fsm.run_command(FsmState.READ, respond=True, busy_cycles=1)
-        return RoccResult(has_response=True, value=value, busy_cycles=busy)
+            return self.regfile.read_word(index % self._registers, word)
+        return self.regfile.read(selector % self._registers) & _MASK64
 
     # LD: fetch a 64-bit value from memory through the RoCC memory interface.
-    def _cmd_load(self, command: RoccCommand, memory) -> RoccResult:
-        self.require(command.xs1, "LD needs the address from the core (xs1)")
-        self.require(memory is not None, "LD needs a memory port")
-        destination = (command.rs2_value if command.xs2 else command.rs2)
-        value = memory.read(command.rs1_value, 8)
-        self.regfile.write(int(destination) % self.config.num_registers, value)
-        busy = self.fsm.run_command(FsmState.LOAD, respond=False, busy_cycles=2)
-        return RoccResult(
-            has_response=False, value=0, busy_cycles=busy, memory_accesses=1
-        )
+    def _load(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        if memory is None:
+            raise AcceleratorError("LD needs a memory port")
+        destination = rs2_value if xs2 else rs2
+        value = memory.read(rs1_value, 8)
+        self.regfile.write(int(destination) % self._registers, value)
+        return 0
 
     # ACCUM: binary accumulate into an accelerator register.
-    def _cmd_accum_binary(self, command: RoccCommand) -> RoccResult:
-        self.require(command.xs1, "ACCUM needs the operand value from the core (xs1)")
-        index = command.rd % self.config.num_registers
-        total = (self.regfile.read(index) + command.rs1_value) & self._reg_mask
+    def _accum(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        index = rd % self._registers
+        total = (self.regfile.read(index) + rs1_value) & self._reg_mask
         self.regfile.write(index, total)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.ACCUM, respond=has_response, busy_cycles=1
-        )
-        return RoccResult(
-            has_response=has_response, value=total & _MASK64, busy_cycles=busy
-        )
+        return total & _MASK64
 
-    # DEC_ADD: BCD addition of two operands through the BCD-CLA.
-    def _cmd_dec_add(self, command: RoccCommand) -> RoccResult:
-        op1 = self._operand(command.xs1, command.rs1_value, command.rs1)
-        op2 = self._operand(command.xs2, command.rs2_value, command.rs2)
-        self._require_bcd(op1, "DEC_ADD operand 1")
-        self._require_bcd(op2, "DEC_ADD operand 2")
+    # DEC_ADD: BCD addition of two operands through the BCD-CLA (which
+    # rejects non-BCD digits).
+    def _dec_add(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        op1 = rs1_value if xs1 else self.regfile.read(rs1)
+        op2 = rs2_value if xs2 else self.regfile.read(rs2)
         result = self.adder.add(op1, op2)
-        digits_needed = max(
-            self.config.register_width_digits,
-            16 if (command.xs1 or command.xs2) else self.config.register_width_digits,
-        )
-        passes = self._adder_passes(digits_needed)
         self.status = (self.status & ~1) | result.carry_out
-        if command.xd:
-            value = result.value & _MASK64
-            busy = self.fsm.run_command(FsmState.DEC_ADD, respond=True, busy_cycles=passes)
-            return RoccResult(has_response=True, value=value, busy_cycles=busy)
-        self.regfile.write(command.rd % self.config.num_registers, result.value)
-        busy = self.fsm.run_command(FsmState.DEC_ADD, respond=False, busy_cycles=passes)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        if xd:
+            return result.value & _MASK64
+        self.regfile.write(rd % self._registers, result.value)
+        return 0
 
     # CLR_ALL: clear the register set, accumulator and status.
-    def _cmd_clear(self, command: RoccCommand) -> RoccResult:
+    def _clear(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
         self.regfile.clear_all()
         self.accumulator = 0
         self.status = 0
-        busy = self.fsm.run_command(FsmState.CLR_ALL, respond=False, busy_cycles=1)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        return 0
 
     # DEC_CNV: binary-to-BCD conversion.
-    def _cmd_convert(self, command: RoccCommand) -> RoccResult:
-        self.require(self.converter is not None, "this configuration has no converter")
-        self.require(command.xs1, "DEC_CNV needs the binary value from the core (xs1)")
-        conversion = self.converter.convert(command.rs1_value)
-        if command.xd:
-            busy = self.fsm.run_command(
-                FsmState.DEC_CNV, respond=True, busy_cycles=conversion.cycles
-            )
-            return RoccResult(
-                has_response=True, value=conversion.value & _MASK64, busy_cycles=busy
-            )
-        self.regfile.write(command.rd % self.config.num_registers, conversion.value)
-        busy = self.fsm.run_command(
-            FsmState.DEC_CNV, respond=False, busy_cycles=conversion.cycles
-        )
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+    def _convert(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        if self.converter is None:
+            raise AcceleratorError("this configuration has no converter")
+        value = self.converter.convert(rs1_value).value
+        if xd:
+            return value & _MASK64
+        self.regfile.write(rd % self._registers, value)
+        return 0
 
     # DEC_MUL: full BCD multiplication into the accumulator.
-    def _cmd_multiply(self, command: RoccCommand) -> RoccResult:
-        self.require(
-            self.multiplier is not None,
-            "this configuration has no hardware multiplier (include_multiplier=False)",
-        )
-        op1 = self._operand(command.xs1, command.rs1_value, command.rs1) & _MASK64
-        op2 = self._operand(command.xs2, command.rs2_value, command.rs2) & _MASK64
-        result = self.multiplier.multiply(op1, op2)
-        self.accumulator = result.value & self._acc_mask
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_MUL, respond=has_response, busy_cycles=result.cycles
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+    def _multiply(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        if self.multiplier is None:
+            raise AcceleratorError(
+                "this configuration has no hardware multiplier "
+                "(include_multiplier=False)"
+            )
+        op1 = (rs1_value if xs1 else self.regfile.read(rs1)) & _MASK64
+        op2 = (rs2_value if xs2 else self.regfile.read(rs2)) & _MASK64
+        product = self.multiplier.multiply(op1, op2).value
+        self.accumulator = product & self._acc_mask
+        return self.accumulator & _MASK64
 
     # DEC_ACCUM: accumulator = (accumulator << shift digits) + regfile[k].
-    def _cmd_dec_accum(self, command: RoccCommand) -> RoccResult:
-        index = command.rs1_value if command.xs1 else command.rs1
-        index = int(index) % self.config.num_registers
-        shift_digits = int(command.rs2_value) if command.xs2 else 1
+    def _dec_accum(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        index = int(rs1_value if xs1 else rs1) % self._registers
+        shift_digits = int(rs2_value) if xs2 else 1
         if not 0 <= shift_digits <= self.config.accumulator_digits:
             raise AcceleratorError(f"DEC_ACCUM shift out of range: {shift_digits}")
         shifted = (self.accumulator << (4 * shift_digits)) & self._acc_mask
@@ -451,76 +427,49 @@ class DecimalAccelerator(Accelerator):
         result = self.adder.add(shifted, addend & self._acc_mask)
         self.accumulator = result.value
         self.status = (self.status & ~1) | result.carry_out
-        passes = self._adder_passes(self.config.accumulator_digits)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_ACCUM, respond=has_response, busy_cycles=passes
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+        return self.accumulator & _MASK64
 
     # DEC_ADDSUB: BCD subtraction through the adder (nines-complement pass
     # followed by an add with carry-in, the classic two-pass use of one
     # BCD-CLA).  result = op1 - op2 mod 10^register_width; status bit 0 is
     # the borrow (1 when op1 < op2 and the result wrapped).
-    def _cmd_dec_addsub(self, command: RoccCommand) -> RoccResult:
-        op1 = self._operand(command.xs1, command.rs1_value, command.rs1)
-        op2 = self._operand(command.xs2, command.rs2_value, command.rs2)
-        self._require_bcd(op1, "DEC_ADDSUB operand 1")
-        self._require_bcd(op2, "DEC_ADDSUB operand 2")
+    def _dec_addsub(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        op1 = rs1_value if xs1 else self.regfile.read(rs1)
+        op2 = rs2_value if xs2 else self.regfile.read(rs2)
         width = self.config.register_width_digits
+        # The adder checks every digit inside the register width (a bad op2
+        # digit leaves a bad complement digit); core-operand digits above
+        # it are masked off before the adder sees them, so check them here.
+        self._require_bcd(op1 >> (4 * width), "DEC_ADDSUB operand 1")
+        self._require_bcd(op2 >> (4 * width), "DEC_ADDSUB operand 2")
         # Digit-wise 9 - d never borrows, so the complement is plain binary.
-        nines = int("9" * width, 16)
-        complement = nines - (op2 & self._reg_mask)
+        complement = self._reg_nines - (op2 & self._reg_mask)
         result = self.adder.add(op1 & self._reg_mask, complement, carry_in=1)
         carry = 1 if (result.value >> (4 * width)) or result.carry_out else 0
         value = result.value & self._reg_mask
         self.status = (self.status & ~1) | (1 - carry)
-        passes = 2 * self._adder_passes(width)  # complement pass + add pass
-        if command.xd:
-            busy = self.fsm.run_command(
-                FsmState.DEC_ADDSUB, respond=True, busy_cycles=passes
-            )
-            return RoccResult(
-                has_response=True, value=value & _MASK64, busy_cycles=busy
-            )
-        self.regfile.write(command.rd % self.config.num_registers, value)
-        busy = self.fsm.run_command(
-            FsmState.DEC_ADDSUB, respond=False, busy_cycles=passes
-        )
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        if xd:
+            return value & _MASK64
+        self.regfile.write(rd % self._registers, value)
+        return 0
 
     # DEC_FMA_ACC: accumulator += regfile[k] << shift digits.  The FMA
     # kernels use it to merge an aligned addend into the accumulated product
     # without reading the accumulator back first; unlike DEC_ACCUM the
     # accumulator itself stays in place and the *addend* is shifted.
     # Status bit 0 latches the carry out of the accumulator width.
-    def _cmd_dec_fma_acc(self, command: RoccCommand) -> RoccResult:
-        index = command.rs1_value if command.xs1 else command.rs1
-        index = int(index) % self.config.num_registers
-        shift_digits = int(command.rs2_value) if command.xs2 else 0
+    def _dec_fma_acc(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        index = int(rs1_value if xs1 else rs1) % self._registers
+        shift_digits = int(rs2_value) if xs2 else 0
         if not 0 <= shift_digits <= self.config.accumulator_digits:
             raise AcceleratorError(f"DEC_FMA_ACC shift out of range: {shift_digits}")
-        addend = self.regfile.read(index)
-        shifted = addend << (4 * shift_digits)
+        shifted = self.regfile.read(index) << (4 * shift_digits)
         if shifted & ~self._acc_mask:
             self.status |= 0b10  # addend digits shifted past the accumulator
         result = self.adder.add(self.accumulator, shifted & self._acc_mask)
         self.accumulator = result.value & self._acc_mask
         self.status = (self.status & ~1) | result.carry_out
-        passes = self._adder_passes(self.config.accumulator_digits)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_FMA_ACC, respond=has_response, busy_cycles=passes
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+        return self.accumulator & _MASK64
 
     # DEC_ADDC / DEC_SUBB: the chunked multi-word interface.  The core
     # streams a long BCD number through the adder one 16-digit machine word
@@ -529,62 +478,32 @@ class DecimalAccelerator(Accelerator):
     # back on the response channel.  One command per word replaces the
     # DEC_ADD / carry add / RD / RD sequence the chunked kernels needed with
     # carry chaining done on the core side.
-    def _cmd_dec_addc(self, command: RoccCommand) -> RoccResult:
-        self.require(
-            command.xs1 and command.xs2,
-            "DEC_ADDC needs both operand words from the core (xs1, xs2)",
+    def _dec_addc(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
+        result = self.adder.add(
+            rs1_value & _MASK64, rs2_value & _MASK64, carry_in=self.status & 1
         )
-        self.require(
-            command.xd, "DEC_ADDC returns the result word on the response channel (xd)"
-        )
-        op1 = command.rs1_value & _MASK64
-        op2 = command.rs2_value & _MASK64
-        self._require_bcd(op1, "DEC_ADDC operand 1")
-        self._require_bcd(op2, "DEC_ADDC operand 2")
-        result = self.adder.add(op1, op2, carry_in=self.status & 1)
         carry = 1 if result.value >> 64 else 0
         self.status = (self.status & ~1) | carry
-        passes = self._adder_passes(16)
-        busy = self.fsm.run_command(FsmState.DEC_ADDC, respond=True, busy_cycles=passes)
-        return RoccResult(
-            has_response=True, value=result.value & _MASK64, busy_cycles=busy
-        )
+        return result.value & _MASK64
 
-    def _cmd_dec_subb(self, command: RoccCommand) -> RoccResult:
-        self.require(
-            command.xs1 and command.xs2,
-            "DEC_SUBB needs both operand words from the core (xs1, xs2)",
-        )
-        self.require(
-            command.xd, "DEC_SUBB returns the result word on the response channel (xd)"
-        )
-        op1 = command.rs1_value & _MASK64
-        op2 = command.rs2_value & _MASK64
-        self._require_bcd(op1, "DEC_SUBB operand 1")
-        self._require_bcd(op2, "DEC_SUBB operand 2")
+    def _dec_subb(self, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2, memory):
         borrow_in = self.status & 1
-        # Digit-wise 9 - d never borrows, so the complement is plain binary;
+        # Digit-wise 9 - d never borrows, so the complement is plain binary
+        # (and a bad op2 digit leaves a bad complement digit for the adder);
         # a carry out of digit 16 means the word did *not* borrow.
-        nines = 0x9999999999999999
-        complement = nines - op2
-        result = self.adder.add(op1, complement, carry_in=1 - borrow_in)
+        complement = 0x9999999999999999 - (rs2_value & _MASK64)
+        result = self.adder.add(rs1_value & _MASK64, complement, carry_in=1 - borrow_in)
         carry = 1 if result.value >> 64 else 0
         self.status = (self.status & ~1) | (1 - carry)
-        passes = 2 * self._adder_passes(16)  # complement pass + add pass
-        busy = self.fsm.run_command(FsmState.DEC_SUBB, respond=True, busy_cycles=passes)
-        return RoccResult(
-            has_response=True, value=result.value & _MASK64, busy_cycles=busy
-        )
+        return result.value & _MASK64
 
     # ------------------------------------------------------------------- state
     def reset(self) -> None:
-        super().reset()  # statistics + pipeline occupancy
+        super().reset()  # counters + pipeline occupancy
         self.regfile.clear_all()
         self.regfile.reset_statistics()
         self.accumulator = 0
         self.status = 0
-        self.fsm.reset()
-        self.function_counts.clear()
 
     # -------------------------------------------------------------------- cost
     def area_report(self) -> AreaReport:

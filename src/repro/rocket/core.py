@@ -101,12 +101,11 @@ class RocketEmulator:
         self.icache = Cache(self.config.icache, rng=random.Random(rng.random()))
         self.dcache = Cache(self.config.dcache, rng=random.Random(rng.random()))
 
-        rocc_adapter = accelerator.rocc_adapter() if accelerator is not None else None
         self.executor = Executor(
             self.hart,
             self.memory,
             csr_provider=self._read_counter,
-            rocc=rocc_adapter,
+            rocc=accelerator,
         )
 
         self.cycle = 0
@@ -421,22 +420,20 @@ class RocketEmulator:
                     elif timing_class == TC_ROCC:
                         # The command reaches the accelerator's issue queue
                         # after the issue stall + command latency, waits for
-                        # a stage-0 slot, and the core resumes at the
-                        # transaction's release point (completion + response
-                        # latency when it blocks for data, the initiation
-                        # interval otherwise).  Every cycle from issue to
-                        # resume counts against the hardware part.
-                        txn = rocc_issue(
+                        # a stage-0 slot, and the core resumes at completion
+                        # + response latency when it blocks for data, when
+                        # the slot frees (the initiation interval) otherwise.
+                        # Every cycle from issue to resume counts against the
+                        # hardware part.
+                        complete, next_issue = rocc_issue(
                             cycle + cost + rocc_cmd_latency,
                             info.rocc_busy_cycles,
-                            info.rocc_has_response,
-                            info.rocc_funct7,
                         )
                         if info.rocc_has_response:
-                            resume = txn.complete + rocc_resp_latency
+                            resume = complete + rocc_resp_latency
                             ready[decoded.rd] = resume
                         else:
-                            resume = txn.next_issue
+                            resume = next_issue
                         hw_cost = resume - cycle
                         cost = 0
                         rocc_commands += 1

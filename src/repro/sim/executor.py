@@ -204,10 +204,8 @@ class ExecInfo:
         "mem_addr",
         "mem_size",
         "mem_is_store",
-        "is_rocc",
         "rocc_busy_cycles",
         "rocc_has_response",
-        "rocc_funct7",
         "timing_class",
     )
 
@@ -219,10 +217,8 @@ class ExecInfo:
         self.mem_addr = None
         self.mem_size = 0
         self.mem_is_store = False
-        self.is_rocc = False
         self.rocc_busy_cycles = 0
         self.rocc_has_response = False
-        self.rocc_funct7 = 0
         self.timing_class = TC_OTHER
 
 
@@ -1040,30 +1036,26 @@ class Executor:
             xd = bool(decoded.xd)
             xs1 = bool(decoded.xs1)
             xs2 = bool(decoded.xs2)
-            info.is_rocc = True
-            info.rocc_funct7 = funct7
             info.timing_class = TC_ROCC
 
             def fast():
-                response = execute(
-                    funct7=funct7, rd=rd, rs1=rs1, rs2=rs2,
-                    rs1_value=regs[rs1], rs2_value=regs[rs2],
-                    xd=xd, xs1=xs1, xs2=xs2, memory=memory,
+                has_response, value, _ = execute(
+                    funct7, rd, rs1, rs2, regs[rs1], regs[rs2],
+                    xd, xs1, xs2, memory,
                 )
-                if response.has_response and rd:
-                    regs[rd] = response.value & MASK64
+                if has_response and rd:
+                    regs[rd] = value & MASK64
                 return next_pc
 
             def info_op():
-                response = execute(
-                    funct7=funct7, rd=rd, rs1=rs1, rs2=rs2,
-                    rs1_value=regs[rs1], rs2_value=regs[rs2],
-                    xd=xd, xs1=xs1, xs2=xs2, memory=memory,
+                has_response, value, busy_cycles = execute(
+                    funct7, rd, rs1, rs2, regs[rs1], regs[rs2],
+                    xd, xs1, xs2, memory,
                 )
-                info.rocc_busy_cycles = response.busy_cycles
-                info.rocc_has_response = response.has_response
-                if response.has_response and rd:
-                    regs[rd] = response.value & MASK64
+                info.rocc_busy_cycles = busy_cycles
+                info.rocc_has_response = has_response
+                if has_response and rd:
+                    regs[rd] = value & MASK64
                 hart.pc = next_pc
                 return info
             return fast, info_op, _KIND_SEQ

@@ -73,12 +73,11 @@ class SpikeSimulator:
         self.max_instructions = max_instructions
         self.instructions_retired = 0
         self.accelerator = accelerator
-        rocc_adapter = accelerator.rocc_adapter() if accelerator is not None else None
         self.executor = Executor(
             self.hart,
             self.memory,
             csr_provider=self._read_counter,
-            rocc=rocc_adapter,
+            rocc=accelerator,
             # _read_counter returns the retire count for every one of these,
             # so tier-2 may inline rdcycle/rdinstret brackets (see Executor).
             counter_csrs=(

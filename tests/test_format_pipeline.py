@@ -159,48 +159,41 @@ class TestWideAccelerator:
         accel = DecimalAccelerator(DecimalAcceleratorConfig.for_format("decimal128"))
         lanes = (0x1111, 0x2222, 0x3333)
         from repro.isa.rocc import DecimalFunct
-        from repro.rocc.interface import RoccCommand
 
-        def command(**kwargs):
-            base = dict(funct7=DecimalFunct.WR, rd=0, rs1=0, rs2=0,
-                        rs1_value=0, rs2_value=0, xd=False, xs1=False,
-                        xs2=False)
-            base.update(kwargs)
-            return RoccCommand(**base)
+        def execute(funct7=DecimalFunct.WR, rd=0, rs2=0, rs1_value=0,
+                    rs2_value=0, xd=False, xs1=False, xs2=False):
+            return accel.execute(funct7, rd, 0, rs2, rs1_value, rs2_value,
+                                 xd, xs1, xs2, None)
 
         for lane, value in enumerate(lanes):
-            accel.execute_command(
-                command(rd=lane, rs1_value=value, rs2=4, xs1=True), None
-            )
+            execute(rd=lane, rs1_value=value, rs2=4, xs1=True)
         expected = lanes[0] | (lanes[1] << 64) | (lanes[2] << 128)
         assert accel.regfile.read(4) == expected
         # Lane-0 write replaces the whole register (decimal64 semantics).
-        accel.execute_command(command(rd=0, rs1_value=0x9, rs2=4, xs1=True), None)
+        execute(rd=0, rs1_value=0x9, rs2=4, xs1=True)
         assert accel.regfile.read(4) == 0x9
         # Register-file word lanes read back through value selectors.
         accel.regfile.write(4, expected)
         for lane, value in enumerate(lanes):
-            result = accel.execute_command(
-                command(funct7=DecimalFunct.RD, rd=1, xd=True, xs2=True,
-                        rs2_value=regfile_word_selector(4, lane)), None
+            _, read_back, _ = execute(
+                funct7=DecimalFunct.RD, rd=1, xd=True, xs2=True,
+                rs2_value=regfile_word_selector(4, lane),
             )
-            assert result.value == value
+            assert read_back == value
 
     def test_accumulator_word_selectors(self):
         accel = DecimalAccelerator(DecimalAcceleratorConfig.for_format("decimal128"))
         accel.accumulator = int("9" * 68, 16)  # 272 bits of nibbles
         from repro.isa.rocc import DecimalFunct
-        from repro.rocc.interface import RoccCommand
 
         for word in range(5):
             selector = acc_word_selector(word)
-            result = accel.execute_command(
-                RoccCommand(funct7=DecimalFunct.RD, rd=1, rs1=0, rs2=selector,
-                            rs1_value=0, rs2_value=0, xd=True, xs1=False,
-                            xs2=False),
-                None,
+            _, value, _ = accel.execute(
+                funct7=DecimalFunct.RD, rd=1, rs1=0, rs2=selector,
+                rs1_value=0, rs2_value=0, xd=True, xs1=False, xs2=False,
+                memory=None,
             )
-            assert result.value == (accel.accumulator >> (64 * word)) & (
+            assert value == (accel.accumulator >> (64 * word)) & (
                 (1 << 64) - 1
             )
         assert ACC_WORD_SELECTORS[0] == 16 and ACC_WORD_SELECTORS[1] == 17

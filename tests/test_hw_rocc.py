@@ -17,8 +17,6 @@ from repro.rocc.decimal_accel import (
     DecimalAccelerator,
     DecimalAcceleratorConfig,
 )
-from repro.rocc.fsm import FsmState, InterfaceFsm
-from repro.rocc.interface import RoccCommand
 from repro.rocc.regfile import AcceleratorRegisterFile
 
 
@@ -107,36 +105,32 @@ class TestCostModel:
 
 
 # ---------------------------------------------------------------------------
-# Interface FSM and register file
+# Interface FSM timing and register file
 # ---------------------------------------------------------------------------
 class TestInterfaceFsm:
-    def test_command_with_response_visits_resp_state(self):
-        fsm = InterfaceFsm()
-        cycles = fsm.run_command(FsmState.READ, respond=True, busy_cycles=1)
-        assert cycles >= 3
-        assert FsmState.READ_RESP in fsm.visited_states
-        assert fsm.state == FsmState.IDLE
+    """Fig. 5 in closed form: Idle -> function state (held for the datapath's
+    busy cycles) -> Read/Write Resp when answering -> Idle, one cycle an edge."""
 
-    def test_command_without_response(self):
-        fsm = InterfaceFsm()
-        fsm.run_command(FsmState.DEC_ADD, respond=False, busy_cycles=2)
-        assert FsmState.DEC_ADD in fsm.visited_states
-        assert FsmState.WRITE_RESP not in fsm.visited_states
+    def test_command_with_response_visits_resp_state(self, accelerator):
+        has_response, _, busy = _execute(accelerator, DecimalFunct.RD, rs2=3, xd=True)
+        assert has_response
+        assert busy == 3  # Idle -> RD -> Read Resp -> Idle
 
-    def test_illegal_transition_rejected(self):
-        fsm = InterfaceFsm()
-        fsm.state = FsmState.READ_RESP
-        with pytest.raises(AcceleratorError):
-            fsm._go(FsmState.DEC_ADD)
+    def test_command_without_response(self, accelerator):
+        has_response, _, busy = _execute(
+            accelerator, DecimalFunct.DEC_ADD, rd=2, rs1=0, rs2=1
+        )
+        assert not has_response
+        assert busy == 2  # one adder pass, no Write Resp hop
+        _, _, answered = _execute(
+            accelerator, DecimalFunct.DEC_ADD, rs1=0, rs2=1, xd=True
+        )
+        assert answered == busy + 1
 
-    def test_figure5_states_all_reachable(self):
-        fsm = InterfaceFsm()
-        for state in (FsmState.READ, FsmState.WRITE, FsmState.CLR_ALL,
-                      FsmState.DEC_ADD, FsmState.ACCUM):
-            fsm.run_command(state, respond=(state == FsmState.READ))
-        assert {FsmState.IDLE, FsmState.READ, FsmState.WRITE, FsmState.CLR_ALL,
-                FsmState.DEC_ADD, FsmState.ACCUM,
-                FsmState.READ_RESP} <= fsm.visited_states
+    def test_figure5_states_all_reachable(self, accelerator):
+        """Every Fig. 5 function state is one row of the decode table."""
+        names = {row.name for row in accelerator.commands.values()}
+        assert names == set(DecimalFunct.BY_NAME)
 
 
 class TestRegisterFile:
@@ -158,59 +152,64 @@ class TestRegisterFile:
 # ---------------------------------------------------------------------------
 # Decimal accelerator
 # ---------------------------------------------------------------------------
-def _command(funct7, rd=0, rs1=0, rs2=0, rs1_value=0, rs2_value=0,
-             xd=False, xs1=False, xs2=False):
-    return RoccCommand(funct7=funct7, rd=rd, rs1=rs1, rs2=rs2,
-                       rs1_value=rs1_value, rs2_value=rs2_value,
-                       xd=xd, xs1=xs1, xs2=xs2)
+def _execute(accelerator, funct7, rd=0, rs1=0, rs2=0, rs1_value=0,
+             rs2_value=0, xd=False, xs1=False, xs2=False, memory=None):
+    """One command; ``(has_response, value, busy_cycles)``."""
+    return accelerator.execute(funct7, rd, rs1, rs2, rs1_value, rs2_value,
+                               xd, xs1, xs2, memory)
 
 
 class TestDecimalAccelerator:
     def test_write_then_read(self, accelerator):
-        accelerator.execute_command(
-            _command(DecimalFunct.WR, rs1_value=0x1234, rs2=3, xs1=True), None
-        )
-        result = accelerator.execute_command(
-            _command(DecimalFunct.RD, rs2=3, xd=True), None
-        )
-        assert result.has_response and result.value == 0x1234
+        _execute(accelerator, DecimalFunct.WR, rs1_value=0x1234, rs2=3, xs1=True)
+        has_response, value, _ = _execute(accelerator, DecimalFunct.RD, rs2=3, xd=True)
+        assert has_response and value == 0x1234
 
     def test_dec_add_core_operands(self, accelerator):
-        result = accelerator.execute_command(
-            _command(DecimalFunct.DEC_ADD, rs1_value=int_to_bcd(999),
-                     rs2_value=int_to_bcd(1), xd=True, xs1=True, xs2=True), None
+        _, value, _ = _execute(
+            accelerator, DecimalFunct.DEC_ADD, rs1_value=int_to_bcd(999),
+            rs2_value=int_to_bcd(1), xd=True, xs1=True, xs2=True,
         )
-        assert bcd_to_int(result.value) == 1000
+        assert bcd_to_int(value) == 1000
 
     def test_dec_add_rejects_non_bcd(self, accelerator):
         with pytest.raises(AcceleratorError):
-            accelerator.execute_command(
-                _command(DecimalFunct.DEC_ADD, rs1_value=0xAB, rs2_value=0,
-                         xd=True, xs1=True, xs2=True), None
-            )
+            _execute(accelerator, DecimalFunct.DEC_ADD, rs1_value=0xAB,
+                     rs2_value=0, xd=True, xs1=True, xs2=True)
+
+    def test_dec_addsub_rejects_non_bcd_above_a_narrow_register(self):
+        """Digits masked off above the register width never reach the adder,
+        so DEC_ADDSUB must still reject a bad one in a core operand."""
+        narrow = DecimalAccelerator(DecimalAcceleratorConfig(
+            digits=4, register_width_digits=5, accumulator_digits=8,
+            adder_width_digits=5,
+        ))
+        _, value, _ = _execute(narrow, DecimalFunct.DEC_ADDSUB,
+                               rs1_value=0x900000 | int_to_bcd(7),
+                               rs2_value=int_to_bcd(5), xd=True, xs1=True, xs2=True)
+        assert value == int_to_bcd(2)  # the valid sixth digit is masked off
+        for operands in ((0xA00007, 0x5), (0x7, 0xB00005)):
+            with pytest.raises(AcceleratorError, match="not valid packed BCD"):
+                _execute(narrow, DecimalFunct.DEC_ADDSUB, rs1_value=operands[0],
+                         rs2_value=operands[1], xd=True, xs1=True, xs2=True)
 
     def test_method1_sequence_computes_product(self, accelerator):
         """CLR_ALL + WR + 8x DEC_ADD + 16x DEC_ACCUM + 2x RD == X * Y."""
         x, y = 9876543210987654, 8765432109876543
-        accelerator.execute_command(_command(DecimalFunct.CLR_ALL), None)
-        accelerator.execute_command(
-            _command(DecimalFunct.WR, rs1_value=int_to_bcd(x), rs2=1, xs1=True), None
-        )
+        _execute(accelerator, DecimalFunct.CLR_ALL)
+        _execute(accelerator, DecimalFunct.WR, rs1_value=int_to_bcd(x), rs2=1,
+                 xs1=True)
         for index in range(1, 9):
-            accelerator.execute_command(
-                _command(DecimalFunct.DEC_ADD, rd=index + 1, rs1=index, rs2=1), None
-            )
+            _execute(accelerator, DecimalFunct.DEC_ADD, rd=index + 1,
+                     rs1=index, rs2=1)
         for position in reversed(range(16)):
             digit = (y // 10 ** position) % 10
-            accelerator.execute_command(
-                _command(DecimalFunct.DEC_ACCUM, rs1_value=digit, xs1=True), None
-            )
-        low = accelerator.execute_command(
-            _command(DecimalFunct.RD, rs2=ACC_LO_SELECTOR, xd=True), None
-        ).value
-        high = accelerator.execute_command(
-            _command(DecimalFunct.RD, rs2=ACC_HI_SELECTOR, xd=True), None
-        ).value
+            _execute(accelerator, DecimalFunct.DEC_ACCUM, rs1_value=digit,
+                     xs1=True)
+        _, low, _ = _execute(accelerator, DecimalFunct.RD, rs2=ACC_LO_SELECTOR,
+                             xd=True)
+        _, high, _ = _execute(accelerator, DecimalFunct.RD, rs2=ACC_HI_SELECTOR,
+                              xd=True)
         product = bcd_to_int((high << 64) | low)
         assert product == x * y
 
@@ -220,68 +219,56 @@ class TestDecimalAccelerator:
                 assert (address, size) == (0x100, 8)
                 return 0x55
 
-        accelerator.execute_command(
-            _command(DecimalFunct.LD, rs1_value=0x100, rs2=2, xs1=True), FakeMemory()
-        )
+        _execute(accelerator, DecimalFunct.LD, rs1_value=0x100, rs2=2,
+                 xs1=True, memory=FakeMemory())
         assert accelerator.regfile.read(2) == 0x55
 
     def test_binary_accumulate(self, accelerator):
-        accelerator.execute_command(
-            _command(DecimalFunct.ACCUM, rd=5, rs1_value=40, xs1=True), None
-        )
-        result = accelerator.execute_command(
-            _command(DecimalFunct.ACCUM, rd=5, rs1_value=2, xs1=True, xd=True), None
-        )
-        assert result.value == 42
+        _execute(accelerator, DecimalFunct.ACCUM, rd=5, rs1_value=40, xs1=True)
+        _, value, _ = _execute(accelerator, DecimalFunct.ACCUM, rd=5,
+                               rs1_value=2, xs1=True, xd=True)
+        assert value == 42
 
     def test_dec_cnv(self, accelerator):
-        result = accelerator.execute_command(
-            _command(DecimalFunct.DEC_CNV, rs1_value=987654, xd=True, xs1=True), None
+        _, value, busy_cycles = _execute(
+            accelerator, DecimalFunct.DEC_CNV, rs1_value=987654, xd=True, xs1=True
         )
-        assert bcd_to_int(result.value) == 987654
-        assert result.busy_cycles >= 64
+        assert bcd_to_int(value) == 987654
+        assert busy_cycles >= 64
 
     def test_dec_mul_requires_multiplier_option(self):
         plain = DecimalAccelerator()
         with pytest.raises(AcceleratorError):
-            plain.execute_command(
-                _command(DecimalFunct.DEC_MUL, rs1_value=0x2, rs2_value=0x3,
-                         xs1=True, xs2=True), None
-            )
+            _execute(plain, DecimalFunct.DEC_MUL, rs1_value=0x2, rs2_value=0x3,
+                     xs1=True, xs2=True)
         wide = DecimalAccelerator(DecimalAcceleratorConfig(include_multiplier=True))
-        wide.execute_command(
-            _command(DecimalFunct.DEC_MUL, rs1_value=int_to_bcd(25),
-                     rs2_value=int_to_bcd(4), xs1=True, xs2=True), None
-        )
+        _execute(wide, DecimalFunct.DEC_MUL, rs1_value=int_to_bcd(25),
+                 rs2_value=int_to_bcd(4), xs1=True, xs2=True)
         assert bcd_to_int(wide.accumulator) == 100
 
     def test_status_register_carry(self, accelerator):
-        accelerator.execute_command(
-            _command(DecimalFunct.DEC_ADD,
-                     rs1_value=int_to_bcd(10 ** 16 - 1) | (0x9999 << 64),
-                     rs2_value=1, xd=True, xs1=True, xs2=True), None
-        )
-        status = accelerator.execute_command(
-            _command(DecimalFunct.RD, rs2=STATUS_SELECTOR, xd=True), None
-        )
-        assert status.value & 1 == 0  # 20-digit operand did not overflow 32 digits
+        _execute(accelerator, DecimalFunct.DEC_ADD,
+                 rs1_value=int_to_bcd(10 ** 16 - 1) | (0x9999 << 64),
+                 rs2_value=1, xd=True, xs1=True, xs2=True)
+        _, status, _ = _execute(accelerator, DecimalFunct.RD,
+                                rs2=STATUS_SELECTOR, xd=True)
+        assert status & 1 == 0  # 20-digit operand did not overflow 32 digits
 
     def test_clear_resets_everything(self, accelerator):
-        accelerator.execute_command(
-            _command(DecimalFunct.WR, rs1_value=5, rs2=1, xs1=True), None
-        )
+        _execute(accelerator, DecimalFunct.WR, rs1_value=5, rs2=1, xs1=True)
         accelerator.accumulator = 123
-        accelerator.execute_command(_command(DecimalFunct.CLR_ALL), None)
+        _execute(accelerator, DecimalFunct.CLR_ALL)
         assert accelerator.accumulator == 0
         assert accelerator.regfile.read(1) == 0
 
     def test_unknown_function_rejected(self, accelerator):
         with pytest.raises(AcceleratorError):
-            accelerator.execute_command(_command(0x7F), None)
+            _execute(accelerator, 0x7F)
 
     def test_statistics_and_area(self, accelerator):
-        accelerator.execute_command(_command(DecimalFunct.CLR_ALL), None)
-        assert accelerator.commands_executed >= 0  # adapter not used here
+        _execute(accelerator, DecimalFunct.CLR_ALL)
+        assert accelerator.commands_executed == 1
+        assert accelerator.function_counts == {"CLR_ALL": 1}
         report = accelerator.area_report()
         assert report.total_gate_equivalents > 1000
         names = [c.name for c in report.components]
@@ -301,4 +288,4 @@ class TestDecimalAccelerator:
         assert accelerator.commands_executed == 1
         accelerator.reset()
         assert accelerator.commands_executed == 0
-        assert accelerator.fsm.state == FsmState.IDLE
+        assert not accelerator.function_counts

@@ -3,7 +3,7 @@
 Three layers of guarantees:
 
 * unit/property tests of :mod:`repro.rocc.pipeline` (segment splitting,
-  issue-slot occupancy, transaction event times, statistics);
+  issue-slot occupancy, completion and next-issue cycles);
 * blocking-design pins — the ``pipeline_depth=1, issue_width=1`` staged
   model must reproduce, bit for bit, every value (results, per-run cycle
   counters, the accelerator's busy-cycle totals and architectural state)
@@ -15,6 +15,7 @@ Three layers of guarantees:
   ``python -m repro.campaign --pipeline-sweep``.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -31,7 +32,7 @@ from repro.core.pareto import ParetoPoint, frontier_of, points_from_campaign
 from repro.core.solution import microarchitecture_variants
 from repro.decnumber.bcd import int_to_bcd
 from repro.errors import AcceleratorError, ConfigurationError
-from repro.isa.rocc import DecimalFunct, PIPELINE_STAGES, stage_plan
+from repro.isa.rocc import DecimalFunct
 from repro.rocc.decimal_accel import (
     ACC_WORD_SELECTORS,
     STATUS_SELECTOR,
@@ -40,8 +41,6 @@ from repro.rocc.decimal_accel import (
     acc_word_selector,
     regfile_word_selector,
 )
-from repro.rocc.fsm import FsmState, InterfaceFsm
-from repro.rocc.interface import RoccCommand, RoccStatistics
 from repro.rocc.pipeline import AcceleratorPipeline, split_busy_cycles
 from repro.rocket.core import RocketEmulator
 from repro.testgen.config import SolutionKind, TestProgramConfig
@@ -50,11 +49,11 @@ from repro.testgen.generator import build_test_program, draw_vectors
 _PRECISION = {"decimal64": "double", "decimal128": "quad"}
 
 
-def _command(funct7, rd=0, rs1=0, rs2=0, rs1_value=0, rs2_value=0,
+def _execute(accel, funct7, rd=0, rs1=0, rs2=0, rs1_value=0, rs2_value=0,
              xd=False, xs1=False, xs2=False):
-    return RoccCommand(funct7=funct7, rd=rd, rs1=rs1, rs2=rs2,
-                       rs1_value=rs1_value, rs2_value=rs2_value,
-                       xd=xd, xs1=xs1, xs2=xs2)
+    """One command; ``(has_response, value, busy_cycles)``."""
+    return accel.execute(funct7, rd, rs1, rs2, rs1_value, rs2_value,
+                         xd, xs1, xs2, None)
 
 
 def _accelerator(fmt="decimal64", depth=1, width=1, **overrides):
@@ -109,87 +108,67 @@ class TestAcceleratorPipeline:
 
     def test_depth_one_blocks_back_to_back_commands(self):
         pipe = AcceleratorPipeline(depth=1, width=1)
-        first = pipe.issue(10, 5, False, DecimalFunct.DEC_ADD)
-        assert (first.accept, first.complete, first.next_issue) == (10, 15, 15)
-        assert first.release == first.next_issue == first.complete
-        assert first.stall_cycles == 0
+        # (complete, next_issue): accepted on arrival, slot held to completion.
+        assert pipe.issue(10, 5) == (15, 15)
         # Arrives while the slot is busy: stalls until the first frees it.
-        second = pipe.issue(12, 3, False, DecimalFunct.DEC_ADD)
-        assert second.accept == 15 and second.stall_cycles == 3
-        assert pipe.stall_cycles == 3 and pipe.transactions == 2
+        assert pipe.issue(12, 3) == (18, 18)
 
     def test_deeper_pipeline_overlaps_after_the_initiation_interval(self):
         pipe = AcceleratorPipeline(depth=4, width=1)
-        first = pipe.issue(0, 8, False, DecimalFunct.DEC_ACCUM)
-        assert first.segments == (2, 2, 2, 2)
-        assert first.next_issue == 2 and first.complete == 8
-        second = pipe.issue(1, 8, False, DecimalFunct.DEC_ACCUM)
-        assert second.accept == 2 and second.stall_cycles == 1
-        # Both were still in the stages when the second was accepted.
-        assert pipe.peak_in_flight == 2
-        # Non-responding commands release the core at the initiation interval.
-        assert pipe.overlap_cycles == (first.complete - first.next_issue) + (
-            second.complete - second.next_issue
-        )
+        # Segments (2, 2, 2, 2): the slot frees after the first.
+        first_complete, first_next = pipe.issue(0, 8)
+        assert (first_complete, first_next) == (8, 2)
+        # Accepted at 2 (one stall cycle), while the first is still in flight.
+        second_complete, second_next = pipe.issue(1, 8)
+        assert (second_complete, second_next) == (10, 4)
+        assert second_complete - 8 < first_complete
 
     def test_wider_issue_accepts_simultaneous_arrivals(self):
         pipe = AcceleratorPipeline(depth=1, width=2)
-        a = pipe.issue(5, 4, False, DecimalFunct.WR)
-        b = pipe.issue(5, 4, False, DecimalFunct.WR)
-        assert a.accept == b.accept == 5
-        assert pipe.stall_cycles == 0
-        c = pipe.issue(6, 4, False, DecimalFunct.WR)
-        assert c.accept == 9  # both slots busy until cycle 9
+        assert pipe.issue(5, 4) == (9, 9)
+        assert pipe.issue(5, 4) == (9, 9)  # second slot, no stall
+        assert pipe.issue(6, 4) == (13, 13)  # both slots busy until cycle 9
 
     def test_responding_commands_hold_the_core_to_completion(self):
-        pipe = AcceleratorPipeline(depth=4, width=1)
-        txn = pipe.issue(0, 8, True, DecimalFunct.RD)
-        assert txn.release == txn.complete == 8
-        assert pipe.overlap_cycles == 0
+        """Commands that carry xd gain nothing from depth (the core waits
+        for their completion); without xd the core leaves at next-issue."""
+        def program(xd):
+            builder = AsmBuilder()
+            builder.text()
+            builder.label("_start")
+            for _ in range(8):
+                if xd:
+                    builder.rocc("DEC_ACCUM", rd="a0", rs1=1, xd=True)
+                else:
+                    builder.rocc("DEC_ACCUM", rs1=1)
+            builder.li("t5", TOHOST_ADDRESS)
+            builder.li("t6", 1)
+            builder.emit("sd", "t6", "t5", 0)
+            builder.label("spin")
+            builder.j("spin")
+            return builder.link()
 
-    def test_stage_names_follow_the_function_plan(self):
-        pipe = AcceleratorPipeline(depth=3, width=1)
-        mul = pipe.issue(0, 9, False, DecimalFunct.DEC_MUL)
-        assert mul.stage_names == ("multiplicand-gen", "pp-accumulate", "round")
-        add = pipe.issue(0, 6, True, DecimalFunct.DEC_ADDSUB)
-        assert add.stage_names == ("align", "effective-op", "round")
-        # Interface-only commands have a single logical stage.
-        wr = AcceleratorPipeline(depth=1).issue(0, 1, False, DecimalFunct.WR)
-        assert wr.stage_names == ("interface",)
-        # More physical segments than logical stages: extras are numbered.
-        deep = AcceleratorPipeline(depth=5).issue(0, 10, False, DecimalFunct.DEC_MUL)
-        assert deep.stage_names == (
-            "multiplicand-gen", "pp-accumulate", "round", "round+1", "round+2",
-        )
+        def hw_cycles(image, depth):
+            return _run(image, "decimal64", depth=depth)[1].hw_cycles
 
-    def test_stage_plan_covers_the_datapath_functions(self):
-        for name in ("DEC_MUL", "DEC_ACCUM"):
-            assert PIPELINE_STAGES[name][0] == "multiplicand-gen"
-        for name in ("DEC_ADDSUB", "DEC_FMA_ACC", "DEC_ADDC", "DEC_SUBB"):
-            assert PIPELINE_STAGES[name][0] == "align"
-        assert stage_plan(DecimalFunct.RD) == ("interface",)
-        assert stage_plan("DEC_MUL") == PIPELINE_STAGES["DEC_MUL"]
+        answering, silent = program(True), program(False)
+        assert hw_cycles(answering, 4) == hw_cycles(answering, 1)
+        assert hw_cycles(silent, 4) < hw_cycles(silent, 1)
 
-    def test_statistics_and_reset(self):
+    def test_reset_frees_the_issue_slots(self):
         pipe = AcceleratorPipeline(depth=2, width=2)
-        pipe.issue(0, 6, False, DecimalFunct.DEC_MUL)
-        pipe.issue(1, 6, True, DecimalFunct.DEC_ACCUM)
-        assert pipe.transactions == 2
-        assert pipe.function_counts["DEC_MUL"] == 1
-        assert pipe.in_flight == 2 and pipe.peak_in_flight == 2
+        pipe.issue(0, 6)
+        pipe.issue(1, 6)
+        assert pipe.issue(1, 4)[0] > 5  # both slots still busy
         pipe.reset()
-        assert pipe.transactions == pipe.retired == 0
-        assert pipe.stall_cycles == pipe.overlap_cycles == 0
-        assert pipe.in_flight == 0 and pipe.peak_in_flight == 0
-        assert not pipe.function_counts
         # A fresh command is accepted at its arrival again.
-        assert pipe.issue(0, 4, False, DecimalFunct.WR).accept == 0
+        assert pipe.issue(0, 4) == (4, 2)
 
     @given(
         depth=st.integers(1, 6),
         width=st.integers(1, 3),
         commands=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(1, 20), st.booleans()),
+            st.tuples(st.integers(0, 4), st.integers(1, 20)),
             min_size=1, max_size=20,
         ),
     )
@@ -197,48 +176,19 @@ class TestAcceleratorPipeline:
     def test_event_time_invariants(self, depth, width, commands):
         pipe = AcceleratorPipeline(depth=depth, width=width)
         arrival = 0
-        for gap, busy, responds in commands:
+        for gap, busy in commands:
             arrival += gap
-            txn = pipe.issue(arrival, busy, responds, DecimalFunct.DEC_ADD)
-            assert txn.accept >= txn.arrival == arrival
-            assert txn.complete == txn.accept + busy
-            assert txn.next_issue == txn.accept + txn.segments[0]
-            assert txn.next_issue <= txn.complete
-            assert txn.release in (txn.complete, txn.next_issue)
-            arrival = txn.arrival
-        assert pipe.retired + pipe.in_flight == pipe.transactions
+            complete, next_issue = pipe.issue(arrival, busy)
+            accept = complete - busy
+            assert accept >= arrival
+            assert next_issue == accept + split_busy_cycles(busy, depth)[0]
+            assert next_issue <= complete
 
 
 # ---------------------------------------------------------------------------
-# Interface FSM error path (regression: previously untested)
-# ---------------------------------------------------------------------------
-class TestFsmBusyCollision:
-    def test_command_while_busy_raises_and_preserves_state(self):
-        fsm = InterfaceFsm()
-        fsm._go(FsmState.DEC_MUL)  # freeze the FSM mid-command
-        cycles_before = fsm.cycles
-        with pytest.raises(AcceleratorError, match="while the FSM was busy"):
-            fsm.run_command(FsmState.DEC_ADD, respond=False)
-        # The rejected command must not have advanced the machine.
-        assert fsm.state == FsmState.DEC_MUL
-        assert fsm.cycles == cycles_before
-
-    def test_illegal_transition_is_rejected(self):
-        fsm = InterfaceFsm()
-        with pytest.raises(AcceleratorError, match="illegal FSM transition"):
-            fsm._go(FsmState.READ_RESP)  # no Idle -> Read Resp edge in Fig. 5
-
-
-# ---------------------------------------------------------------------------
-# Statistics reset (regression: counters survived accelerator.reset())
+# Counter reset (regression: counters survived accelerator.reset())
 # ---------------------------------------------------------------------------
 class TestStatisticsReset:
-    def test_rocc_statistics_value_object(self):
-        stats = RoccStatistics(commands_executed=3, busy_cycles_total=9,
-                               responses_sent=1)
-        stats.reset()
-        assert stats == RoccStatistics()
-
     def test_reset_clears_every_counter(self, accelerator):
         accelerator.execute(
             funct7=DecimalFunct.WR, rd=0, rs1=0, rs2=1,
@@ -249,45 +199,42 @@ class TestStatisticsReset:
             funct7=DecimalFunct.RD, rd=0, rs1=0, rs2=1, rs1_value=0,
             rs2_value=0, xd=True, xs1=False, xs2=False, memory=None,
         )
-        accelerator.pipeline.issue(0, 3, True, DecimalFunct.RD)
+        accelerator.pipeline.issue(0, 3)
         assert accelerator.commands_executed == 2
         assert accelerator.responses_sent == 1
         assert accelerator.busy_cycles_total > 0
+        assert accelerator.function_counts == {"WR": 1, "RD": 1}
         assert accelerator.regfile.reads > 0 and accelerator.regfile.writes > 0
-        assert accelerator.pipeline.transactions == 1
 
         accelerator.reset()
 
-        assert accelerator.stats == RoccStatistics()
         assert accelerator.commands_executed == 0
         assert accelerator.busy_cycles_total == 0
         assert accelerator.responses_sent == 0
+        assert not accelerator.function_counts
         # clear_all() models the CLR_ALL instruction and counts its writes;
         # a simulator reset must forget the access history too.
         assert accelerator.regfile.reads == 0
         assert accelerator.regfile.writes == 0
-        assert accelerator.pipeline.transactions == 0
-        assert accelerator.pipeline.in_flight == 0
-        assert accelerator.fsm.state == FsmState.IDLE
-
-    def test_counters_are_read_only_views_of_stats(self, accelerator):
-        with pytest.raises(AttributeError):
-            accelerator.commands_executed = 5
+        # The issue slot is free again: a command is accepted on arrival.
+        assert accelerator.pipeline.issue(0, 3) == (3, 3)
 
     def test_warm_reuse_reproduces_counters(self):
         """A reset accelerator replays a program with identical statistics
         (the warm BatchRunner reuse path)."""
         program = _generated_program("decimal64", "multiply", 8)
         accel = _accelerator("decimal64")
+
+        def snapshot():
+            return (accel.commands_executed, accel.busy_cycles_total,
+                    accel.responses_sent, dict(accel.function_counts),
+                    accel.regfile.writes)
+
         first = RocketEmulator(program.image, accelerator=accel).run()
-        snapshot = (accel.stats.commands_executed, accel.stats.busy_cycles_total,
-                    accel.stats.responses_sent, accel.regfile.writes,
-                    accel.pipeline.transactions)
+        counters = snapshot()
         accel.reset()
         second = RocketEmulator(program.image, accelerator=accel).run()
-        assert (accel.stats.commands_executed, accel.stats.busy_cycles_total,
-                accel.stats.responses_sent, accel.regfile.writes,
-                accel.pipeline.transactions) == snapshot
+        assert snapshot() == counters
         assert second.cycles == first.cycles
         assert program.read_results(second) == program.read_results(first)
 
@@ -297,16 +244,12 @@ class TestStatisticsReset:
 # ---------------------------------------------------------------------------
 class TestWordLaneSelectors:
     def _write_lane(self, accel, register, lane, value):
-        accel.execute_command(
-            _command(DecimalFunct.WR, rd=lane, rs1_value=value, rs2=register,
-                     xs1=True), None,
-        )
+        _execute(accel, DecimalFunct.WR, rd=lane, rs1_value=value,
+                 rs2=register, xs1=True)
 
     def _read_selector(self, accel, selector):
-        return accel.execute_command(
-            _command(DecimalFunct.RD, rs2_value=selector, xd=True, xs2=True),
-            None,
-        ).value
+        return _execute(accel, DecimalFunct.RD, rs2_value=selector, xd=True,
+                        xs2=True)[1]
 
     def test_decimal128_operand_reads_back_through_every_lane(self):
         """A 3-word decimal128 operand written lane by lane reads back
@@ -356,10 +299,8 @@ class TestWordLaneSelectors:
         self._write_lane(accel, 1, 0, value)
         # accumulator = value + (value << 48 digits): populates high words.
         for shift in (0, 48):
-            accel.execute_command(
-                _command(DecimalFunct.DEC_FMA_ACC, rs1=1, rs2_value=shift,
-                         xs2=True), None,
-            )
+            _execute(accel, DecimalFunct.DEC_FMA_ACC, rs1=1, rs2_value=shift,
+                     xs2=True)
         expected = (value + (value << (4 * 48))) & (
             (1 << (4 * accel.config.accumulator_digits)) - 1
         )
@@ -455,7 +396,7 @@ def _counters(accel, result, words):
 def _assert_pinned(key):
     """The d1w1 run behind ``key`` must reproduce its pin exactly."""
     accel, result, words = _pinned_run(key)
-    assert accel.pipeline.transactions == result.rocc_commands
+    assert accel.commands_executed == result.rocc_commands
     assert _counters(accel, result, words) == _pins()[key]
     return accel, result, words
 
@@ -842,6 +783,55 @@ class TestPipelineAreaModel:
             DecimalAcceleratorConfig(pipeline_depth=0)
         with pytest.raises(AcceleratorError):
             DecimalAcceleratorConfig(issue_width=0)
+
+
+# ---------------------------------------------------------------------------
+# Every configuration field is a live knob
+# ---------------------------------------------------------------------------
+#: A valid change of each DecimalAcceleratorConfig field.
+_KNOB_CHANGES = {
+    "num_registers": 8,
+    "register_width_digits": 24,
+    "accumulator_digits": 36,
+    "adder_width_digits": 8,
+    "include_multiplier": False,
+    "include_converter": False,
+    "digits": 15,
+    "pipeline_depth": 2,
+    "issue_width": 2,
+}
+
+
+class TestConfigKnobs:
+    """Every field is hashed into each cell key, so a field that changes
+    neither the area nor a d1w1 run's counters is a dead knob."""
+
+    @staticmethod
+    def _area(config):
+        return [(c.name, c.gate_equivalents, c.logic_levels, c.flip_flops)
+                for c in config.area_report().components]
+
+    @staticmethod
+    def _d1w1_counters(config):
+        program = _generated_program("decimal64", "multiply", 20, seed=7)
+        accel = DecimalAccelerator(config)
+        result = RocketEmulator(program.image, accelerator=accel).run()
+        return (result.cycles, result.hw_cycles, accel.busy_cycles_total,
+                accel.commands_executed, accel.responses_sent,
+                program.read_results(result))
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(DecimalAcceleratorConfig)]
+    )
+    def test_field_changes_area_or_a_d1w1_run(self, field):
+        assert field in _KNOB_CHANGES, f"no test change for config field {field!r}"
+        base = DecimalAcceleratorConfig.for_format(
+            "decimal64", include_multiplier=True
+        )
+        changed = dataclasses.replace(base, **{field: _KNOB_CHANGES[field]})
+        assert changed != base
+        if self._area(changed) == self._area(base):
+            assert self._d1w1_counters(changed) != self._d1w1_counters(base)
 
 
 def write_pins() -> None:
