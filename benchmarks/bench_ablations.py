@@ -30,7 +30,7 @@ def _avg_cycles(kind, rocket_config=None, num_samples=_SAMPLES, seed=2018):
         rocket_config=rocket_config or RocketConfig(),
         verify_functionally=False,
     )
-    return framework.run_cycle_accurate(kind).cycle_report
+    return framework.run_cycle_accurate(kind)
 
 
 @pytest.mark.parametrize("latency", [1, 2, 4, 8, 16])

@@ -39,10 +39,9 @@ def test_table_iv_full(benchmark, framework):
 ])
 def test_table_iv_single_solution(benchmark, framework, kind):
     """Per-solution measurement (one row of Table IV at a time)."""
-    run = benchmark.pedantic(
+    report = benchmark.pedantic(
         framework.run_cycle_accurate, args=(kind,), rounds=1, iterations=1
     )
-    report = run.cycle_report
     benchmark.extra_info["avg_total_cycles"] = round(report.avg_total_cycles)
     benchmark.extra_info["avg_hw_cycles"] = round(report.avg_hw_cycles)
     benchmark.extra_info["cycles_stdev"] = round(report.stdev_cycles, 1)

@@ -61,7 +61,7 @@ def main() -> None:
     frequency_hz = framework.rocket_config.frequency_hz
     print(f"\nRocket-class core at {frequency_hz / 1e9:.1f} GHz:")
     for kind in (SolutionKind.SOFTWARE, SolutionKind.METHOD1):
-        report = framework.run_cycle_accurate(kind).cycle_report
+        report = framework.run_cycle_accurate(kind)
         rate = frequency_hz / report.avg_total_cycles
         print(
             f"  {report.solution_name:<36s} {report.avg_total_cycles:7.0f} "

@@ -352,12 +352,13 @@ def operation_cells(
     )
 
 
-#: Per-process warm-simulator cache (see :mod:`repro.sim.batch`).  Pool
-#: workers live across many shard tasks, so shards sharing a program shape
-#: (same solution x format x shard size) reuse one warm executor — tier-2
-#: compiled superblocks, promotion heat and speculation state carry over
-#: instead of being rebuilt per shard.  Batch mode is bit-identical to the
-#: cold path, so the engine's determinism guarantees are unchanged.
+#: Per-process warm runner (see :mod:`repro.sim.batch`).  Pool workers live
+#: across many shard tasks, so shards sharing a program shape (same solution
+#: x format x operation x shard size) reuse one linked program and its warm
+#: models — tier-2 compiled superblocks, promotion heat and compiled timing
+#: spans carry over instead of being rebuilt per shard.  Warm reuse is
+#: bit-identical to a fresh runner, so the engine's determinism guarantees
+#: are unchanged.
 _SHARD_RUNNER = None
 
 
@@ -375,19 +376,7 @@ def _run_shard_task(task):
     cell, shard_index, start, vectors = task
     started = time.perf_counter()
     outcome = run_solution_shard(
-        cell.solution,
-        vectors,
-        operand_classes=cell.operand_classes,
-        repetitions=cell.repetitions,
-        seed=cell.seed,
-        rocket_config=cell.rocket_config,
-        verify_functionally=cell.verify_functionally,
-        shard_index=shard_index,
-        start=start,
-        workload=cell.workload,
-        differential=cell.differential,
-        fmt=cell.fmt,
-        operation=cell.op,
+        cell, vectors, shard_index=shard_index, start=start,
         runner=_shard_runner(),
     )
     return outcome.shard_report, time.perf_counter() - started

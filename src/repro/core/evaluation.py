@@ -12,10 +12,14 @@ verifiable solutions are checked against the golden library on the functional
 simulator first, and the cycle measurements come from the Rocket-like emulator
 with the decimal accelerator attached.
 
-The measurement primitive is :func:`run_solution_shard`: one build/link +
-spike + Rocket pass over a contiguous slice of vectors.  A serial evaluation
-is the single-shard case; the campaign engine (:mod:`repro.core.campaign`)
-fans many shards out over worker processes and merges them through the same
+The measurement primitive is :func:`run_solution_shard`: one campaign cell's
+spike + Rocket (+ gem5 when differential) pass over a contiguous slice of
+vectors, acquired through a :class:`~repro.sim.batch.BatchRunner` that links
+the cell's program once for every model.  Every evaluation is made of such
+shards: the framework measures each solution as one shard over its own
+vectors on a fresh runner (the cold reference), and the campaign engine
+(:mod:`repro.core.campaign`) fans shards out over worker processes, each
+with a warm per-process runner, and merges them through the same
 accounting code, so both paths agree bit for bit.
 """
 
@@ -37,12 +41,11 @@ from repro.core.solution import CoDesignSolution, standard_solutions
 from repro.errors import ConfigurationError, VerificationError
 from repro.gem5.se_mode import Gem5Config, SyscallEmulationRunner
 from repro.rocket.config import RocketConfig
-from repro.rocket.core import RocketEmulator
-from repro.sim.spike import SpikeSimulator
+from repro.sim.batch import BatchRunner
 from repro.testgen.config import SolutionKind, TestProgramConfig
 from repro.testgen.generator import build_test_program
 from repro.verification.checker import ResultChecker
-from repro.verification.database import OperandClass, VerificationDatabase
+from repro.verification.database import OperandClass
 from repro.verification.reference import GoldenReference
 
 
@@ -75,111 +78,90 @@ def checker_for_workload(workload: str = None, fmt: str = "decimal64",
 class ShardRunOutcome:
     """Everything produced by one shard run (live objects + picklable report)."""
 
-    program: object
     shard_report: ShardCycleReport
+    program: object = None
     functional_result: object = None
     timed_result: object = None
     check_report: object = None
 
 
 def run_solution_shard(
-    solution: CoDesignSolution,
+    cell,
     vectors,
     *,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    repetitions: int = 1,
-    seed: int = 2018,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    checker: ResultChecker = None,
     shard_index: int = 0,
     start: int = 0,
-    workload: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    operation: str = "multiply",
-    runner=None,
+    checker: ResultChecker = None,
+    runner: BatchRunner = None,
 ) -> ShardRunOutcome:
-    """Build, verify and measure one solution over one slice of vectors.
+    """Verify and measure one campaign cell over one slice of its vectors.
 
-    This is the single unit of work of every evaluation: the shard's test
-    program is built and linked once, run on the SPIKE-style functional
-    simulator (golden-checked when the solution is verifiable), then measured
-    on the Rocket-like emulator.  ``start``/``shard_index`` only label the
-    shard inside a larger campaign; a serial run passes the full vector set
-    with ``start=0``.
+    This is the single unit of work of every evaluation: the shard's
+    program is acquired through ``runner`` (a fresh :class:`~repro.sim.
+    batch.BatchRunner` when omitted — the cold reference), run on the
+    SPIKE-style functional simulator when the ``cell`` checks its solution
+    or is differential (golden-checked when the solution is verifiable),
+    then measured on the Rocket-like emulator under the cell's
+    :class:`~repro.rocket.config.RocketConfig`.  ``start``/``shard_index``
+    only label the shard inside a larger campaign; a serial run passes the
+    full vector set with ``start=0``.  ``checker`` overrides the cell's
+    default functional checker.
 
-    With ``differential=True`` the shard becomes a cross-model cell: the
-    functional check uses the **dual-oracle** checker (decnumber + stdlib
-    ``decimal``), the program additionally runs on the gem5 atomic model,
-    and the spike/rocket/gem5 result buffers are diffed vector-by-vector.
+    A warm runner links each program shape once and keeps its models warm
+    between shards (tier-2 code and promotion state for the functional run,
+    the timing compiler for the Rocket run); that reuse is bit-identical to
+    a fresh runner (same image bytes, results, retire and cycle counts).
+
+    A differential cell becomes a cross-model shard: the functional check
+    uses the **dual-oracle** checker (decnumber + stdlib ``decimal``), the
+    program additionally runs on the gem5 atomic model, and the
+    spike/rocket/gem5 result buffers are diffed vector-by-vector.
     Divergences, oracle disagreements and check failures are *recorded* in
     the shard report (instead of raising), so a sharded campaign can merge
     and render them; host-side golden condition coverage of the shard's
     vectors is recorded alongside.
-
-    ``runner`` may pass a :class:`repro.sim.batch.BatchRunner`: the shard's
-    program is then rebound onto a cached template (no re-assemble/re-link)
-    and the functional run reuses that runner's warm executor — tier-2
-    compiled superblocks and promotion state carry over between shards of
-    the same shape.  Batch mode is bit-identical to the cold path (same
-    image bytes, same results, same retire counts); the campaign engine
-    turns it on per worker process.
     """
     vectors = list(vectors)
+    if runner is None:
+        runner = BatchRunner()
+    solution = cell.solution
+    fmt, operation, differential = cell.fmt, cell.op, cell.differential
     config = TestProgramConfig(
         solution=solution.kind,
         precision=TestProgramConfig.precision_for_format(fmt),
         num_samples=len(vectors),
-        repetitions=repetitions,
-        operand_classes=operand_classes,
-        seed=seed,
-        workload=workload,
+        repetitions=cell.repetitions,
+        operand_classes=cell.operand_classes,
+        seed=cell.seed,
+        workload=cell.workload,
         operation=operation,
     )
-    fmt = config.fmt  # canonical name
-    operation = config.operation  # canonical name
-    if runner is not None:
-        program, warm_simulator = runner.acquire(solution, config, vectors)
-    else:
-        program = build_test_program(config, vectors=vectors)
-        warm_simulator = None
-    outcome = ShardRunOutcome(
-        program=program,
-        shard_report=ShardCycleReport(
-            shard_index=shard_index, start=start, stop=start + len(vectors)
-        ),
+    report = ShardCycleReport(
+        shard_index=shard_index, start=start, stop=start + len(vectors),
+        differential=differential, fmt=fmt, operation=operation,
     )
-    report = outcome.shard_report
-    report.differential = differential
-    report.fmt = fmt
-    report.operation = operation
+    outcome = ShardRunOutcome(shard_report=report)
+    verify = cell.verify_functionally and solution.verifiable
 
     spike_words = None
-    run_spike = (verify_functionally and solution.verifiable) or differential
-    if run_spike:
-        if warm_simulator is not None:
-            simulator = warm_simulator
-        else:
-            simulator = SpikeSimulator(
-                program.image, accelerator=solution.make_accelerator(fmt)
-            )
+    if verify or differential:
+        program, simulator = runner.acquire(solution, config, vectors)
         started = time.perf_counter()
         functional = simulator.run()
         report.sim_wall_seconds += time.perf_counter() - started
         outcome.functional_result = functional
         spike_words = program.read_results(functional)
 
-    if verify_functionally and solution.verifiable:
+    if verify:
         if checker is None:
             if differential:
                 from repro.verification.differential import (
                     dual_checker_for_workload,
                 )
 
-                checker = dual_checker_for_workload(workload, fmt, operation)
+                checker = dual_checker_for_workload(cell.workload, fmt, operation)
             else:
-                checker = checker_for_workload(workload, fmt, operation)
+                checker = checker_for_workload(cell.workload, fmt, operation)
         outcome.check_report = checker.check_run(vectors, spike_words)
         report.verified = True
         report.check_total = outcome.check_report.total
@@ -196,19 +178,10 @@ def run_solution_shard(
                 f"on samples [{start}:{start + len(vectors)})"
             )
 
-    if runner is not None:
-        # Warm cycle-accurate path: cold caches are restored by reset(),
-        # only the timing compiler (decoded code + compiled spans) is
-        # reused — cycle counts are bit-identical to the cold branch.
-        _, emulator = runner.acquire_timed(
-            solution, config, vectors, rocket_config=rocket_config
-        )
-    else:
-        emulator = RocketEmulator(
-            program.image,
-            accelerator=solution.make_accelerator(fmt),
-            config=rocket_config if rocket_config is not None else RocketConfig(),
-        )
+    program, emulator = runner.acquire_timed(
+        solution, config, vectors, rocket_config=cell.rocket_config
+    )
+    outcome.program = program
     started = time.perf_counter()
     timed = emulator.run()
     report.sim_wall_seconds += time.perf_counter() - started
@@ -231,9 +204,8 @@ def run_solution_shard(
         from repro.verification.coverage import CoverageTracker
         from repro.verification.differential import diff_result_words
 
-        runner = SyscallEmulationRunner(Gem5Config())
         started = time.perf_counter()
-        gem5_result = runner.run_binary(
+        gem5_result = SyscallEmulationRunner(Gem5Config()).run_binary(
             program.image, accelerator=solution.make_accelerator(fmt)
         )
         report.sim_wall_seconds += time.perf_counter() - started
@@ -259,34 +231,6 @@ def run_solution_shard(
         tracker.record_all(vectors)
         report.condition_coverage = dict(tracker.condition_counts)
     return outcome
-
-
-@dataclass
-class EvaluationRun:
-    """Everything produced by evaluating one solution once."""
-
-    solution: CoDesignSolution
-    program: object
-    functional_result: object = None
-    timed_result: object = None
-    check_report: object = None
-    cycle_report: SolutionCycleReport = None
-    #: Host wall-clock seconds spent inside simulator runs for this
-    #: evaluation, and the resulting simulation rate — tracked so the
-    #: framework's own overhead stays visible at paper scale
-    #: (REPRO_BENCH_SAMPLES=8000).
-    sim_wall_seconds: float = 0.0
-
-    @property
-    def sim_instructions_per_second(self) -> float:
-        retired = 0
-        if self.functional_result is not None:
-            retired += self.functional_result.instructions_retired
-        if self.timed_result is not None:
-            retired += self.timed_result.instructions_retired
-        if not self.sim_wall_seconds:
-            return 0.0
-        return retired / self.sim_wall_seconds
 
 
 @dataclass
@@ -320,134 +264,83 @@ class EvaluationFramework:
             self.operation = resolve_operation_name(self.operation)
         except DecimalError as error:
             raise ConfigurationError(str(error)) from None
-        self.database = VerificationDatabase(self.seed, fmt=self.fmt)
         self.vectors = draw_vectors(
             self.num_samples,
             self.seed,
             operand_classes=self.operand_classes,
             workload=self.workload,
-            database=self.database,
             fmt=self.fmt,
             operation=self.operation,
-        )
-        self.reference = GoldenReference(
-            operation=self.operation, precision=self.fmt
         )
         self.checker = checker_for_workload(
             self.workload, self.fmt, self.operation
         )
 
-    # ----------------------------------------------------------------- building
-    def _config_for(self, kind: str) -> TestProgramConfig:
-        return TestProgramConfig(
-            solution=kind,
-            precision=TestProgramConfig.precision_for_format(self.fmt),
-            num_samples=self.num_samples,
-            repetitions=self.repetitions,
-            operand_classes=self.operand_classes,
-            seed=self.seed,
-            workload=self.workload,
-            operation=self.operation,
-        )
-
     def build_program(self, kind: str):
         """Generate the test program for one solution over the shared vectors."""
-        return build_test_program(self._config_for(kind), vectors=self.vectors)
-
-    # ------------------------------------------------------------- single runs
-    def run_functional(self, kind: str) -> EvaluationRun:
-        """SPIKE-style functional run + golden check (when verifiable)."""
-        solution = self.solutions[kind]
-        program = self.build_program(kind)
-        simulator = SpikeSimulator(
-            program.image, accelerator=solution.make_accelerator(self.fmt)
+        return build_test_program(
+            TestProgramConfig(
+                solution=kind,
+                precision=TestProgramConfig.precision_for_format(self.fmt),
+                num_samples=self.num_samples,
+                repetitions=self.repetitions,
+                operand_classes=self.operand_classes,
+                seed=self.seed,
+                workload=self.workload,
+                operation=self.operation,
+            ),
+            vectors=self.vectors,
         )
-        started = time.perf_counter()
-        result = simulator.run()
-        elapsed = time.perf_counter() - started
-        run = EvaluationRun(
-            solution=solution, program=program, functional_result=result,
-            sim_wall_seconds=elapsed,
-        )
-        if solution.verifiable:
-            run.check_report = self.checker.check_run(
-                self.vectors, program.read_results(result)
-            )
-        return run
 
-    def run_cycle_accurate(self, kind: str) -> EvaluationRun:
-        """Full pipeline for one solution: verify functionally, then measure."""
-        solution = self.solutions[kind]
-        outcome = run_solution_shard(
-            solution,
-            self.vectors,
+    def measure(self, solution: CoDesignSolution) -> SolutionCycleReport:
+        """Verify and measure ``solution`` over the shared vectors.
+
+        One :func:`run_solution_shard` over the framework's own vectors on a
+        fresh runner; ``solution`` need not be registered in
+        :attr:`solutions`.
+        """
+        from repro.core.campaign import CampaignCell
+
+        cell = CampaignCell(
+            solution=solution,
+            num_samples=len(self.vectors),
             operand_classes=self.operand_classes,
             repetitions=self.repetitions,
             seed=self.seed,
             rocket_config=self.rocket_config,
             verify_functionally=self.verify_functionally,
-            checker=self.checker,
             workload=self.workload,
             fmt=self.fmt,
-            operation=self.operation,
+            op=self.operation,
         )
-        run = EvaluationRun(
-            solution=solution,
-            program=outcome.program,
-            functional_result=outcome.functional_result,
-            timed_result=outcome.timed_result,
-            check_report=outcome.check_report,
-            sim_wall_seconds=outcome.shard_report.sim_wall_seconds,
-        )
-        run.cycle_report = merge_shard_reports(
+        outcome = run_solution_shard(cell, self.vectors, checker=self.checker)
+        return merge_shard_reports(
             solution_name=solution.name,
-            solution_kind=kind,
+            solution_kind=solution.kind,
             shards=[outcome.shard_report],
             repetitions=self.repetitions,
         )
-        return run
+
+    def run_cycle_accurate(self, kind: str) -> SolutionCycleReport:
+        """Full pipeline for one solution kind: verify functionally, then measure."""
+        return self.measure(self.solutions[kind])
 
     # -------------------------------------------------------------- experiments
-    def evaluate_table_iv(
-        self, kinds=None, workers: int = None, shards_per_cell: int = 1
-    ) -> TableIVReport:
+    def evaluate_table_iv(self, kinds=None) -> TableIVReport:
         """Reproduce Table IV: average cycles and speedups of the solutions.
 
-        With ``workers`` set, the evaluation is fanned out over that many
-        worker processes by the campaign engine; ``shards_per_cell=1`` (the
-        default) keeps each solution's measurement a single simulator run, so
-        the resulting report is bit-identical to the serial path.
+        Serial and in-process; the same rows in parallel are
+        ``run_campaign(table_iv_cells(...), workers=N).table_iv()``.
         """
-        kinds = kinds or (
-            SolutionKind.METHOD1,
-            SolutionKind.SOFTWARE,
-            SolutionKind.METHOD1_DUMMY,
-        )
-        if workers is not None and workers > 1:
-            from repro.core.campaign import run_campaign, table_iv_cells
-
-            cells = table_iv_cells(
-                kinds=kinds,
-                num_samples=self.num_samples,
-                repetitions=self.repetitions,
-                seed=self.seed,
-                operand_classes=self.operand_classes,
-                rocket_config=self.rocket_config,
-                verify_functionally=self.verify_functionally,
-                solutions=self.solutions,
-                workload=self.workload,
-                fmt=self.fmt,
-                op=self.operation,
-            )
-            return run_campaign(
-                cells, workers=workers, shards_per_cell=shards_per_cell
-            ).table_iv()
         report = TableIVReport(
             num_samples=self.num_samples, baseline_kind=SolutionKind.SOFTWARE
         )
-        for kind in kinds:
-            run = self.run_cycle_accurate(kind)
-            report.reports[kind] = run.cycle_report
+        for kind in kinds or (
+            SolutionKind.METHOD1,
+            SolutionKind.SOFTWARE,
+            SolutionKind.METHOD1_DUMMY,
+        ):
+            report.reports[kind] = self.run_cycle_accurate(kind)
         return report
 
     def evaluate_table_v(self, num_samples: int = None, repetitions: int = 1):

@@ -110,19 +110,12 @@ class ParetoAnalyzer:
     points: list = field(default_factory=list)
 
     def evaluate_solution(self, solution: CoDesignSolution) -> ParetoPoint:
-        """Measure one solution and record its design point."""
-        original = self.framework.solutions.get(solution.kind)
-        self.framework.solutions[solution.kind] = solution
-        try:
-            run = self.framework.run_cycle_accurate(solution.kind)
-        finally:
-            if original is not None:
-                self.framework.solutions[solution.kind] = original
-            else:
-                # The kind had no registered solution before: drop the
-                # temporary entry instead of leaking it into later runs.
-                self.framework.solutions.pop(solution.kind, None)
-        return self._record_point(solution, run.cycle_report)
+        """Measure one solution over the framework's vectors; record its point.
+
+        ``solution`` is measured directly (:meth:`EvaluationFramework.
+        measure`), never registered in ``framework.solutions``.
+        """
+        return self._record_point(solution, self.framework.measure(solution))
 
     def _record_point(self, solution: CoDesignSolution, cycle_report) -> ParetoPoint:
         overhead = solution.hardware_overhead(self.framework.fmt)
@@ -147,9 +140,7 @@ class ParetoAnalyzer:
         Builds the campaign grid of (solution × RocketConfig) cells — all
         over the framework's operation, format, workload or operand mix and
         vector parameters — runs them (in parallel when ``workers > 1``)
-        and records the resulting points.  Unlike :meth:`evaluate_solution`
-        this never touches ``framework.solutions``, so there is no state to
-        restore.
+        and records the resulting points.
         """
         from repro.core.campaign import grid_cells, run_campaign
 

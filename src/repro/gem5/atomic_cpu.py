@@ -10,11 +10,11 @@ accelerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.isa import csr as csrdefs
-from repro.sim.executor import Executor, TC_MEM
+from repro.sim.executor import Executor
 from repro.sim.hart import DEFAULT_STACK_TOP, Hart
 from repro.sim.htif import Htif
 from repro.sim.memory import SparseMemory
@@ -37,14 +37,12 @@ class AtomicSimpleCPU:
         self,
         image,
         frequency_hz: int = 2_000_000_000,
-        memory_access_extra_cycles: int = 0,
         accelerator=None,
         stack_top: int = DEFAULT_STACK_TOP,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     ) -> None:
         self.image = image
         self.frequency_hz = frequency_hz
-        self.memory_access_extra_cycles = memory_access_extra_cycles
         self.max_instructions = max_instructions
 
         self.memory = SparseMemory()
@@ -64,13 +62,10 @@ class AtomicSimpleCPU:
         self.instructions_retired = 0
 
     def _read_counter(self, address: int) -> int:
-        if address in (csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME):
-            # Without a memory penalty the model is exactly 1 CPI, so the
-            # live executor count is the cycle count even mid-batch.
-            if self.memory_access_extra_cycles:
-                return self.cycles
-            return self.executor.retired
-        if address in (csrdefs.INSTRET, csrdefs.MINSTRET):
+        # The model is exactly 1 CPI, so the live retire count is the cycle
+        # count even mid-batch.
+        if address in (csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME,
+                       csrdefs.INSTRET, csrdefs.MINSTRET):
             return self.executor.retired
         return 0
 
@@ -79,63 +74,16 @@ class AtomicSimpleCPU:
         executor = self.executor
         htif = self.htif
         limit = self.max_instructions
-        extra = self.memory_access_extra_cycles
-        if extra:
-            # Memory accesses cost extra cycles.  The timing input per
-            # instruction is just its *static* timing class, so instead of
-            # the per-step ExecInfo protocol this loop drives the decode-once
-            # ``_timed`` tables directly (the same batching the Rocket
-            # emulator's interpreted loop uses): direct ops run their fast
-            # closure, only CSR/trap/RoCC ops pay for the info path.
-            hart = self.hart
-            timed_get = executor._timed.get
-            compile_ = executor._compile
-            retired_base = executor.retired
-            instructions = self.instructions_retired
-            cycles = self.cycles
-            done = 0
-            try:
-                while not htif.exited and not executor.exit_requested:
-                    if instructions >= limit:
-                        raise SimulationError(
-                            f"instruction limit exceeded ({limit}); "
-                            f"pc={hart.pc:#x}"
-                        )
-                    entry = timed_get(hart.pc)
-                    if entry is None:
-                        compile_(hart.pc)
-                        entry = timed_get(hart.pc)
-                    op, info, direct = entry
-                    if direct:
-                        # Direct ops are never TC_MEM (loads/stores keep
-                        # the info path), so the cycle charge is flat.
-                        hart.pc = op()
-                        cycles += 1
-                    else:
-                        # Counter CSRs observe the live counts mid-batch.
-                        executor.retired = retired_base + done
-                        self.cycles = cycles
-                        op()
-                        cycles += 1
-                        if info.timing_class == TC_MEM:
-                            cycles += extra
-                    instructions += 1
-                    done += 1
-            finally:
-                self.cycles = cycles
-                self.instructions_retired = instructions
-                executor.retired = retired_base + done
-        else:
-            # Pure 1-CPI: no per-step info needed, run the threaded-code loop.
-            while not htif.exited and not executor.exit_requested:
-                remaining = limit - executor.retired
-                if remaining <= 0:
-                    raise SimulationError(
-                        f"instruction limit exceeded ({limit}); pc={self.hart.pc:#x}"
-                    )
-                executor.run(remaining)
-            self.instructions_retired = executor.retired
-            self.cycles = executor.retired
+        # Pure 1-CPI: no per-step timing input, run the threaded-code loop.
+        while not htif.exited and not executor.exit_requested:
+            remaining = limit - executor.retired
+            if remaining <= 0:
+                raise SimulationError(
+                    f"instruction limit exceeded ({limit}); pc={self.hart.pc:#x}"
+                )
+            executor.run(remaining)
+        self.instructions_retired = executor.retired
+        self.cycles = executor.retired
         exit_code = htif.exit_code if htif.exited else executor.exit_code
         return AtomicResult(
             exit_code=exit_code,

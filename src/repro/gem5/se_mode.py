@@ -21,7 +21,6 @@ class Gem5Config:
 
     cpu_type: str = "AtomicSimpleCPU"
     frequency_hz: int = 2_000_000_000
-    memory_access_extra_cycles: int = 0
 
 
 class SyscallEmulationRunner:
@@ -40,7 +39,6 @@ class SyscallEmulationRunner:
         cpu = AtomicSimpleCPU(
             image,
             frequency_hz=self.config.frequency_hz,
-            memory_access_extra_cycles=self.config.memory_access_extra_cycles,
             accelerator=accelerator,
         )
         return cpu.run()

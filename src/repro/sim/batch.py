@@ -1,36 +1,43 @@
-"""Batch-vector execution: one warm simulator amortized over many vector sets.
+"""Batch-vector execution: one linked program and warm models per shape.
 
-Building a test program (assemble + link), constructing a ``SpikeSimulator``
-and re-decoding/re-promoting its hot loops costs far more than actually
-running a small vector shard — at campaign scale most host time used to go
-to this per-shard cold start.  ``BatchRunner`` keeps one live simulator per
-*program shape* (solution x format x sample count x repetitions: everything
-that determines the generated text) and runs each new vector set through it:
+Building a test program (assemble + link), constructing a simulator and
+re-decoding/re-promoting its hot loops costs far more than actually running
+a small vector shard — at campaign scale this per-shard cold start would
+dominate host time.  ``BatchRunner`` keeps one LRU entry per *program
+shape* (solution x format x operation x sample count x repetitions:
+everything that determines the generated text).  An entry holds the shape's
+linked program, its SPIKE-style simulator and one Rocket emulator per
+:class:`~repro.rocket.config.RocketConfig`, each model created on first
+use, so a shard that never runs the functional model never builds one.
 
-* the operand words are re-encoded and patched into the cached program's
-  image (:meth:`~repro.testgen.generator.GeneratedProgram.rebind`) **and**
-  written into the warm simulator's memory — page-view aliasing keeps the
-  tier-2 compiled memory lanes coherent, since pages are mutated in place,
-  never replaced;
-* the result / cycle-sample / total-cycles buffers are zeroed, restoring
-  exactly the freshly-loaded data segment;
-* :meth:`~repro.sim.spike.SpikeSimulator.reset` rewinds registers (in
-  place — compiled code binds the register list), pc, HTIF and accelerator
-  state while keeping everything the executor learned: decoded
-  instructions, tier-1 superblocks, tier-2 compiled code, promotion heat
-  and speculation bans.
+:meth:`~BatchRunner.acquire` (functional) and
+:meth:`~BatchRunner.acquire_timed` (cycle-accurate) share one bind step:
 
-Bit-identity with the cold path is a hard invariant, not a best effort: the
-patched image is byte-identical to a fresh build over the same vectors, the
-warm memory matches a fresh load of that image, and the tier-2 engine's
-correctness protocol (entry guards + deopt) makes compiled-state reuse
-architecturally invisible.  ``tests/test_tier2.py`` locks this down against
-the cold path sample by sample.
+* the first use of a shape builds and links its program — once, for both
+  models;
+* a vector set that differs (by value) from the entry's current one is
+  re-encoded once and patched into the program's image
+  (:meth:`~repro.testgen.generator.GeneratedProgram.rebind`); the same
+  vectors acquired again (the functional then the timed run of one shard)
+  reuse the bound program as it is.
 
-The runner is deliberately executor-level machinery: the cycle-accurate
-Rocket measurement must start cold (cold caches are part of the paper's
-measurement), so callers hand Rocket the *rebound image* — amortizing only
-the build/link — and keep the warm executor for the functional runs.
+A model that has already run is restored before it is handed out again: the
+bound image's operand and result window is written into its memory (page-view
+aliasing keeps tier-2 compiled memory lanes coherent, since pages are
+mutated in place, never replaced) and ``reset()`` rewinds it.  The
+simulator's reset keeps everything its executor learned (decoded
+instructions, superblocks, tier-2 code, promotion heat, speculation bans);
+the emulator's reset also restores cold caches and reseeded replacement
+PRNGs — cold caches are part of the paper's measurement — so only its timing
+compiler (decoded code, compiled spans) stays warm.
+
+Bit-identity with a cold run is a hard invariant, not a best effort: the
+bound image is byte-identical to a fresh build over the same vectors, a
+restored model's memory matches a fresh load of that image, and the tier-2
+engine's correctness protocol (entry guards + deopt) makes compiled-state
+reuse architecturally invisible.  A fresh ``BatchRunner`` *is* the cold
+path, and ``tests/test_tier2.py`` and ``tests/test_timing_tier.py`` lock
+warm reuse down against it sample by sample.
 """
 
 from __future__ import annotations
@@ -38,15 +45,46 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.sim.spike import SpikeSimulator
 
-#: Default cap on live cached simulators; beyond it the least recently used
-#: entry (and its memory image) is dropped.  A Table IV campaign needs three
-#: (one per solution kind); format/workload sweeps need one per (kind x
-#: format x shard shape).
+#: Default cap on cached program shapes; beyond it the least recently used
+#: shape (its program and models) is dropped.  A Table IV campaign needs
+#: three (one per solution kind); format/workload sweeps need one per (kind
+#: x format x operation x shard size).
 DEFAULT_MAX_ENTRIES = 8
 
 
+class _Shape:
+    """One program shape's cached state: the bound program and its models."""
+
+    __slots__ = ("program", "simulator", "emulators", "heads")
+
+    def __init__(self, program, heads) -> None:
+        self.program = program          # bound to the latest vector set
+        self.simulator = None           # SpikeSimulator, made on first use
+        self.emulators = {}             # RocketConfig -> RocketEmulator
+        self.heads = heads              # promoted heads of an evicted copy
+
+
+def _restore(model, program) -> None:
+    """Reload ``program``'s operand/result window into a used model; rewind it.
+
+    The window runs from the operands to the end of the result buffers, so
+    one write both rebinds the vectors and zeroes the outputs — exactly the
+    freshly-loaded data segment.
+    """
+    image = program.image
+    start = image.symbol("operands")
+    scratch, size = program.scratch_span()
+    stop = scratch + size
+    for base, data in image.segments.values():
+        if base <= start and stop <= base + len(data):
+            model.memory.write_bytes(start, data[start - base:stop - base])
+            model.reset()
+            return
+    raise ConfigurationError("operand region not found in any image segment")
+
+
 class BatchRunner:
-    """Warm-simulator cache keyed by program shape (see module docs)."""
+    """Program-and-model cache keyed by program shape (see module docs)."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         # A cap below one would evict every entry right after inserting it:
@@ -57,18 +95,13 @@ class BatchRunner:
                 f"BatchRunner max_entries must be at least 1, got {max_entries}"
             )
         self._entries = {}
-        # Warm cycle-accurate emulators, cached separately: the Rocket
-        # measurement must start from cold caches, which
-        # RocketEmulator.reset() restores exactly, so only the *timing
-        # compiler* (decoded instructions, compiled timing spans, span
-        # heat) stays warm between runs of one program shape.
-        self._timed_entries = {}
-        # Promoted tier-2 heads of evicted entries, by key: a later rebuild
-        # of the same shape seeds promotion from them (Executor.preheat)
+        # Promoted tier-2 heads of up to ``max_entries`` evicted shapes: a
+        # rebuild of the shape seeds promotion from them (Executor.preheat)
         # instead of re-earning every head's heat organically.
         self._promoted = {}
         self.max_entries = max_entries
-        #: Cache statistics (exposed for benchmarks and tests).
+        #: Model statistics (exposed for benchmarks and tests): functional
+        #: simulators reused/created, and the same for Rocket emulators.
         self.hits = 0
         self.misses = 0
         self.timed_hits = 0
@@ -95,102 +128,83 @@ class BatchRunner:
             config.repetitions,
         )
 
-    def acquire(self, solution, config, vectors) -> tuple:
-        """``(program, simulator)`` ready to run ``vectors``.
-
-        On a cache miss the program is built and linked and a fresh
-        simulator constructed (exactly the cold path).  On a hit, the cached
-        template is rebound to the new vectors and the warm simulator's
-        memory and architectural state are restored; the returned program's
-        image is byte-identical to a cold build over ``vectors``.
-        """
+    def _bind(self, solution, config, vectors):
+        """The shape's entry, its program bound to ``vectors``."""
         from repro.testgen.generator import build_test_program
 
+        vectors = list(vectors)
         key = self._key(solution, config)
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        shape = self._entries.pop(key, None)
+        if shape is None:
+            shape = _Shape(build_test_program(config, vectors=vectors),
+                           self._promoted.pop(key, None))
+        elif shape.program.vectors != vectors:
+            shape.program = shape.program.rebind(vectors)
+        # Reinsert (LRU: dicts iterate in insertion order) and evict,
+        # remembering each victim's promoted heads for a future rebuild.
+        self._entries[key] = shape
+        while len(self._entries) > self.max_entries:
+            victim_key = next(iter(self._entries))
+            victim = self._entries.pop(victim_key).simulator
+            if victim is not None:
+                self._promoted[victim_key] = frozenset(victim.executor._tier2)
+                if len(self._promoted) > self.max_entries:
+                    del self._promoted[next(iter(self._promoted))]
+        return shape
+
+    def acquire(self, solution, config, vectors) -> tuple:
+        """``(program, simulator)`` ready to run ``vectors`` functionally.
+
+        The program's image is byte-identical to a cold build over
+        ``vectors``; the simulator is the shape's warm one, restored and
+        rewound, or a fresh one on the shape's first functional use.
+        """
+        shape = self._bind(solution, config, vectors)
+        program, simulator = shape.program, shape.simulator
+        if simulator is None:
             self.misses += 1
-            program = build_test_program(config, vectors=vectors)
-            simulator = SpikeSimulator(
+            simulator = shape.simulator = SpikeSimulator(
                 program.image, accelerator=solution.make_accelerator(config.fmt)
             )
             # Rebuild of a previously evicted shape: arm the known-hot
             # heads so the first execution of each promotes immediately
             # (with live-register speculation) instead of re-earning
             # thousands of instructions of heat.
-            heads = self._promoted.get(key)
-            if heads:
-                simulator.executor.preheat(heads)
-            entry = (program, simulator)
+            if shape.heads:
+                simulator.executor.preheat(shape.heads)
+            shape.heads = None
         else:
             self.hits += 1
-            template, simulator = entry
-            encoded = template.encode_operands(vectors)
-            program = template.rebind(vectors, encoded=encoded)
-            memory = simulator.memory
-            memory.write_bytes(
-                program.image.symbol("operands"), encoded[1]
-            )
-            start, size = template.scratch_span()
-            memory.write_bytes(start, b"\x00" * size)
-            simulator.reset()
-            entry = (template, simulator)
-        # Reinsert (LRU: dicts iterate in insertion order) and evict,
-        # remembering each victim's promoted heads for a future rebuild.
-        self._entries[key] = entry
-        while len(self._entries) > self.max_entries:
-            victim_key = next(iter(self._entries))
-            _, victim_sim = self._entries.pop(victim_key)
-            self._promoted[victim_key] = frozenset(victim_sim.executor._tier2)
+            _restore(simulator, program)
         return program, simulator
 
     def acquire_timed(self, solution, config, vectors, rocket_config=None) -> tuple:
         """``(program, RocketEmulator)`` ready for a timed run of ``vectors``.
 
-        The cycle-accurate counterpart of :meth:`acquire`.  A hit rebinds
-        the cached template, patches the warm emulator's memory (operands
-        rewritten, scratch/result buffers zeroed — restoring exactly the
-        freshly-loaded data segment) and calls
-        :meth:`~repro.rocket.core.RocketEmulator.reset`, which rewinds
-        *microarchitectural* state too: cold caches, reseeded replacement
-        PRNGs, zeroed cycle/ready state.  What stays warm is the timing
-        compiler — decoded instructions and compiled timing spans — so the
-        returned emulator's cycle counts are bit-identical to a cold
-        construction over the same image while skipping the decode and
-        span-compile work.  Keyed by program shape plus the Rocket
-        configuration (different cache geometries compile different spans).
+        The cycle-accurate counterpart of :meth:`acquire`, with one emulator
+        per shape and ``rocket_config`` (different cache geometries compile
+        different spans).  A reused emulator's reset restores cold caches,
+        so its cycle counts are bit-identical to a cold construction over
+        the same image while skipping the decode and span-compile work.
         """
         from repro.rocket.config import RocketConfig
         from repro.rocket.core import RocketEmulator
-        from repro.testgen.generator import build_test_program
 
         if rocket_config is None:
             rocket_config = RocketConfig()
-        key = self._key(solution, config) + (repr(rocket_config),)
-        entry = self._timed_entries.pop(key, None)
-        if entry is None:
+        shape = self._bind(solution, config, vectors)
+        program = shape.program
+        emulator = shape.emulators.get(rocket_config)
+        if emulator is None:
             self.timed_misses += 1
-            program = build_test_program(config, vectors=vectors)
-            emulator = RocketEmulator(
+            emulator = shape.emulators[rocket_config] = RocketEmulator(
                 program.image,
                 accelerator=solution.make_accelerator(config.fmt),
                 config=rocket_config,
             )
-            entry = (program, emulator)
         else:
             self.timed_hits += 1
-            template, emulator = entry
-            encoded = template.encode_operands(vectors)
-            program = template.rebind(vectors, encoded=encoded)
-            memory = emulator.memory
-            memory.write_bytes(program.image.symbol("operands"), encoded[1])
-            start, size = template.scratch_span()
-            memory.write_bytes(start, b"\x00" * size)
-            emulator.reset()
-            entry = (template, emulator)
-        self._timed_entries[key] = entry
-        while len(self._timed_entries) > self.max_entries:
-            self._timed_entries.pop(next(iter(self._timed_entries)))
+            _restore(emulator, program)
         return program, emulator
 
     def run_functional(self, solution, config, vectors) -> tuple:
@@ -203,20 +217,19 @@ class BatchRunner:
         return program, simulator.run()
 
     def clear(self) -> None:
-        """Drop every cached simulator and reset the hit/miss statistics.
+        """Drop every cached shape and reset the hit/miss statistics.
 
         Benchmarks reuse one runner across phases; stale counters from a
         previous phase would otherwise leak into the next phase's hit-rate
         arithmetic.  Use :meth:`reset_stats` to zero the counters without
-        dropping the warm simulators.
+        dropping the warm models.
         """
         self._entries.clear()
-        self._timed_entries.clear()
         self._promoted.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:
-        """Zero ``hits``/``misses`` while keeping the cached simulators."""
+        """Zero the hit/miss counters while keeping the cached shapes."""
         self.hits = 0
         self.misses = 0
         self.timed_hits = 0

@@ -166,10 +166,6 @@ class TestCampaignEqualsSerial:
             assert serial.instructions_retired == merged.instructions_retired
             assert merged.sim_wall_seconds > 0
 
-    def test_framework_workers_parameter(self, framework, serial_table_iv):
-        parallel = framework.evaluate_table_iv(workers=2)
-        assert parallel.rows() == serial_table_iv.rows()
-
 
 class TestCampaignDeterminism:
     def test_worker_count_independence_with_sharding(self):
@@ -270,10 +266,12 @@ class TestAccountingRegressions:
         framework = EvaluationFramework(
             num_samples=8, seed=5, repetitions=3
         )
-        run = framework.run_cycle_accurate(SolutionKind.METHOD1)
-        report = run.cycle_report
+        report = framework.run_cycle_accurate(SolutionKind.METHOD1)
+        cell = CampaignCell(solution=framework.solutions[SolutionKind.METHOD1],
+                            num_samples=8, seed=5, repetitions=3)
+        timed = run_solution_shard(cell, framework.vectors).timed_result
         # hw total uses the same true division as the per-sample cycles …
-        assert report.hw_cycles_total == run.timed_result.hw_cycles / 3
+        assert report.hw_cycles_total == timed.hw_cycles / 3
         # … so avg_sw + avg_hw recompose the measured average exactly.
         assert report.avg_sw_cycles + report.avg_hw_cycles == pytest.approx(
             report.avg_total_cycles
@@ -309,8 +307,8 @@ class TestCampaignCoverage:
     def test_shard_runner_reports_verification(self):
         solution = standard_solutions()[SolutionKind.SOFTWARE]
         vectors = VerificationDatabase(9).generate_mix(5)
-        outcome = run_solution_shard(solution, vectors, seed=9, start=20,
-                                     shard_index=4)
+        cell = CampaignCell(solution=solution, num_samples=5, seed=9)
+        outcome = run_solution_shard(cell, vectors, start=20, shard_index=4)
         report = outcome.shard_report
         assert report.verified and report.check_total == 5
         assert report.check_failed == 0

@@ -89,8 +89,17 @@ class TestSolutions:
 
 class TestEvaluationFramework:
     def test_functional_runs_verify(self, small_framework):
-        run = small_framework.run_functional(SolutionKind.METHOD1)
-        assert run.check_report.all_passed
+        from repro.core.campaign import CampaignCell
+        from repro.core.evaluation import run_solution_shard
+
+        cell = CampaignCell(
+            solution=small_framework.solutions[SolutionKind.METHOD1],
+            num_samples=small_framework.num_samples,
+            seed=small_framework.seed,
+        )
+        outcome = run_solution_shard(cell, small_framework.vectors)
+        assert outcome.check_report.total == small_framework.num_samples
+        assert outcome.check_report.all_passed
 
     def test_table_iv_shape(self, table_iv):
         """The paper's qualitative result: the co-design solution is fastest,

@@ -14,7 +14,12 @@ from __future__ import annotations
 import pytest
 
 import repro.gem5.atomic_cpu as atomic_cpu
-from repro.core.campaign import grid_cells, run_campaign, table_iv_cells
+from repro.core.campaign import (
+    CampaignCell,
+    grid_cells,
+    run_campaign,
+    table_iv_cells,
+)
 from repro.core.evaluation import run_solution_shard
 from repro.core.solution import standard_solutions
 from repro.core import reporting
@@ -29,6 +34,11 @@ from repro.verification.differential import (
     DualCheckReport,
 )
 from repro.workloads import registered_workloads
+
+
+def _differential_cell(kind, vectors):
+    return CampaignCell(solution=standard_solutions()[kind],
+                        num_samples=len(vectors), differential=True)
 
 
 def _vectors(count=24, seed=13, classes=OperandClass.ALL):
@@ -173,9 +183,10 @@ def test_dual_checker_respects_custom_workload_oracles():
 
 # --------------------------------------------------------- differential shards
 def test_run_solution_shard_differential_records_instead_of_raising(broken_gem5):
-    solution = standard_solutions()[SolutionKind.METHOD1]
     vectors = _vectors(count=30, seed=21)
-    outcome = run_solution_shard(solution, vectors, differential=True)
+    outcome = run_solution_shard(
+        _differential_cell(SolutionKind.METHOD1, vectors), vectors
+    )
     report = outcome.shard_report
     assert report.differential
     assert report.models == MODELS
@@ -194,13 +205,13 @@ def test_run_solution_shard_differential_records_check_failures():
     import repro.sim.spike as spike_module
     import repro.rocket.core as rocket_module
 
-    solution = standard_solutions()[SolutionKind.METHOD1]
     vectors = _vectors(count=12, seed=21)
+    cell = _differential_cell(SolutionKind.METHOD1, vectors)
     with pytest.MonkeyPatch.context() as patcher:
         patcher.setattr(atomic_cpu, "SparseMemory", _BitFlipMemory)
         patcher.setattr(spike_module, "SparseMemory", _BitFlipMemory)
         patcher.setattr(rocket_module, "SparseMemory", _BitFlipMemory)
-        outcome = run_solution_shard(solution, vectors, differential=True)
+        outcome = run_solution_shard(cell, vectors)
     report = outcome.shard_report
     assert report.divergences == 0          # all models equally wrong
     assert report.check_failed > 0          # ...but the oracle knows
@@ -208,9 +219,10 @@ def test_run_solution_shard_differential_records_check_failures():
 
 
 def test_differential_shard_condition_coverage_matches_tracker():
-    solution = standard_solutions()[SolutionKind.METHOD1]
     vectors = _vectors(count=20, seed=5)
-    outcome = run_solution_shard(solution, vectors, differential=True)
+    outcome = run_solution_shard(
+        _differential_cell(SolutionKind.METHOD1, vectors), vectors
+    )
     tracker = CoverageTracker()
     tracker.record_all(vectors)
     assert outcome.shard_report.condition_coverage == dict(

@@ -74,8 +74,8 @@ class TestFullPipeline:
         framework_b = EvaluationFramework(
             num_samples=10, seed=55, rocket_config=RocketConfig(seed=2)
         )
-        cycles_a = framework_a.run_cycle_accurate(SolutionKind.METHOD1).cycle_report
-        cycles_b = framework_b.run_cycle_accurate(SolutionKind.METHOD1).cycle_report
+        cycles_a = framework_a.run_cycle_accurate(SolutionKind.METHOD1)
+        cycles_b = framework_b.run_cycle_accurate(SolutionKind.METHOD1)
         ratio = cycles_a.avg_total_cycles / cycles_b.avg_total_cycles
         assert 0.9 < ratio < 1.1
 
@@ -87,10 +87,10 @@ class TestFullPipeline:
         base = EvaluationFramework(num_samples=10, seed=60)
         slow = EvaluationFramework(num_samples=10, seed=60,
                                    rocket_config=slow_interface)
-        base_m1 = base.run_cycle_accurate(SolutionKind.METHOD1).cycle_report
-        slow_m1 = slow.run_cycle_accurate(SolutionKind.METHOD1).cycle_report
-        base_sw = base.run_cycle_accurate(SolutionKind.SOFTWARE).cycle_report
-        slow_sw = slow.run_cycle_accurate(SolutionKind.SOFTWARE).cycle_report
+        base_m1 = base.run_cycle_accurate(SolutionKind.METHOD1)
+        slow_m1 = slow.run_cycle_accurate(SolutionKind.METHOD1)
+        base_sw = base.run_cycle_accurate(SolutionKind.SOFTWARE)
+        slow_sw = slow.run_cycle_accurate(SolutionKind.SOFTWARE)
         assert slow_m1.avg_hw_cycles > base_m1.avg_hw_cycles
         assert abs(slow_sw.avg_total_cycles - base_sw.avg_total_cycles) < 1.0
 

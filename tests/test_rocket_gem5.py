@@ -178,16 +178,6 @@ class TestGem5Atomic:
         assert result.ticks == result.instructions_retired
         assert result.simulated_seconds == pytest.approx(result.ticks / 1e6)
 
-    def test_memory_extra_cycles(self):
-        def load(b):
-            b.emit("ld", "t2", "a5", 0)
-
-        image = _loop_program(load)
-        plain = AtomicSimpleCPU(image).run()
-        padded = AtomicSimpleCPU(image, memory_access_extra_cycles=2).run()
-        assert padded.ticks > plain.ticks
-        assert plain.instructions_retired == padded.instructions_retired
-
     def test_se_runner(self):
         runner = SyscallEmulationRunner(Gem5Config(frequency_hz=10 ** 9))
         result = runner.run_binary(_loop_program())

@@ -576,6 +576,89 @@ class TestBatchRunner:
                 != BatchRunner._key(solution, other))
 
 
+    def test_shape_links_once_and_encodes_once(self, monkeypatch):
+        # acquire and acquire_timed share one bind step: a shape is built
+        # and linked once for both models, and a new same-shape vector set
+        # is encoded once however many models it is acquired for.
+        import repro.testgen.generator as generator
+        from repro.core.solution import standard_solutions
+        from repro.testgen.config import SolutionKind
+        from repro.testgen.generator import draw_vectors
+
+        calls = {"build": 0, "encode": 0}
+        build = generator.build_test_program
+        encode = generator.GeneratedProgram.encode_operands
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_encode(self, vectors):
+            calls["encode"] += 1
+            return encode(self, vectors)
+
+        monkeypatch.setattr(generator, "build_test_program", counted_build)
+        monkeypatch.setattr(generator.GeneratedProgram, "encode_operands",
+                            counted_encode)
+        solution = standard_solutions()[SolutionKind.METHOD1]
+        runner = BatchRunner()
+        for seed, builds, encodes in ((1, 1, 0), (2, 0, 1)):
+            vectors = draw_vectors(9, seed)
+            config, _ = _build(SolutionKind.METHOD1, 9, seed, vectors=vectors)
+            calls.update(build=0, encode=0)
+            functional, _ = runner.acquire(solution, config, vectors)
+            timed, _ = runner.acquire_timed(solution, config, list(vectors))
+            assert (calls["build"], calls["encode"]) == (builds, encodes)
+            fresh = build(config, vectors=vectors)
+            for program in (functional, timed):
+                for name, (base, data) in fresh.image.segments.items():
+                    assert program.image.segments[name][0] == base
+                    assert bytes(program.image.segments[name][1]) == \
+                        bytes(data), f"{name} segment differs"
+        assert (runner.misses, runner.hits) == (1, 1)
+        assert (runner.timed_misses, runner.timed_hits) == (1, 1)
+
+    def test_unchecked_shard_builds_no_functional_simulator(self):
+        # A non-differential dummy cell is never run on the functional
+        # model, so its shard must not construct one.
+        from repro.core.campaign import table_iv_cells
+        from repro.core.evaluation import run_solution_shard
+
+        cell, = table_iv_cells(num_samples=6, kinds=("method1_dummy",))
+        runner = BatchRunner()
+        outcome = run_solution_shard(cell, cell.generate_vectors(),
+                                     runner=runner)
+        assert outcome.functional_result is None
+        assert runner.hits == runner.misses == 0
+        assert runner.timed_misses == 1
+
+    def test_promoted_heads_are_bounded(self):
+        # Evicted shapes leave their promoted tier-2 heads behind for a
+        # rebuild; the runner keeps those of at most ``max_entries`` shapes.
+        from repro.core.solution import standard_solutions
+        from repro.testgen.config import SolutionKind
+        from repro.testgen.generator import draw_vectors
+
+        solution = standard_solutions()[SolutionKind.SOFTWARE]
+
+        def cycle(runner, sample_counts):
+            for samples in sample_counts:
+                vectors = draw_vectors(samples, 2018)
+                config, _ = _build(SolutionKind.SOFTWARE, samples, 2018,
+                                   vectors=vectors)
+                runner.run_functional(solution, config, vectors)
+            return config
+
+        runner = BatchRunner(max_entries=1)
+        cycle(runner, (3, 4, 5, 6))
+        assert len(runner._promoted) <= 1
+        # A rebuild consumes its shape's heads.
+        runner = BatchRunner(max_entries=2)
+        config = cycle(runner, (3, 4, 5, 3))
+        assert BatchRunner._key(solution, config) not in runner._promoted
+        assert len(runner._promoted) == 1
+
+
 class TestCampaignWarmWorkers:
     def test_workers_with_warm_runners_match_cold_serial(self):
         # The campaign engine hands every worker a per-process BatchRunner;
@@ -588,13 +671,7 @@ class TestCampaignWarmWorkers:
         cold = []
         for cell in cells:
             outcome = run_solution_shard(
-                cell.solution,
-                cell.generate_vectors(),
-                operand_classes=cell.operand_classes,
-                seed=cell.seed,
-                rocket_config=cell.rocket_config,
-                workload=cell.workload,
-                fmt=cell.fmt,
+                cell, cell.generate_vectors(), runner=BatchRunner()
             )
             cold.append(merge_shard_reports(
                 solution_name=cell.solution.name,

@@ -98,9 +98,10 @@ class TestRegistry:
         with the name kept as provenance."""
         solution = standard_solutions()[SolutionKind.SOFTWARE]
         vectors = get_workload("telco-billing").vectors(4, seed=3)
-        outcome = run_solution_shard(
-            solution, vectors, seed=3, workload="only-registered-in-parent"
-        )
+        cell = CampaignCell(solution=solution, num_samples=4, seed=3)
+        # The worker unpickles the cell without re-validating the name.
+        object.__setattr__(cell, "workload", "only-registered-in-parent")
+        outcome = run_solution_shard(cell, vectors)
         assert outcome.shard_report.check_failed == 0
         assert outcome.program.config.workload == "only-registered-in-parent"
 
@@ -190,9 +191,10 @@ class TestDeterminismAndEncodability:
         try:
             register(WrongOracle())
             vectors = get_workload("wrong-oracle-workload").vectors(3, seed=1)
+            cell = CampaignCell(solution=solution, num_samples=3, seed=1,
+                                workload="wrong-oracle-workload")
             with pytest.raises(VerificationError):
-                run_solution_shard(solution, vectors, seed=1,
-                                   workload="wrong-oracle-workload")
+                run_solution_shard(cell, vectors)
         finally:
             unregister("wrong-oracle-workload")
 
@@ -253,9 +255,9 @@ class TestEndToEndSmoke:
         workload = get_workload(name)
         operation = workload.operations[0]
         vectors = workload_vectors(workload, 6, seed=7, operation=operation)
-        outcome = run_solution_shard(
-            solution, vectors, seed=7, workload=name, operation=operation
-        )
+        cell = CampaignCell(solution=solution, num_samples=6, seed=7,
+                            workload=name, op=operation)
+        outcome = run_solution_shard(cell, vectors)
         report = outcome.shard_report
         assert report.verified and report.check_failed == 0
         assert len(report.raw_cycle_samples) == 6
