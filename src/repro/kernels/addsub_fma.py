@@ -34,37 +34,39 @@ unboundedly.  Results are bit-identical to ``arith.add``/``subtract``/``fma``
 
 from __future__ import annotations
 
-from repro.kernels.common import (
+from repro.kernels.stages import (
+    MULTIPLE_COUNT,
+    MULTIPLICAND_REG,
+    OP_DUMMY_BODIES,
+    SAVED,
+    HardwarePart,
+    Layout,
+    emit_canonical_inf,
+    emit_canonical_qnan,
     emit_clamp_exponent,
+    emit_dummy_functions,
     emit_encode_result,
+    emit_extract_declet,
+    emit_moves,
+    emit_nonzero_coefficient_branch,
+    emit_place_declet,
+    emit_quiet_nan,
+    emit_special_screen,
     emit_unpack_fields,
 )
 from repro.kernels.tables import TABLE_SYMBOLS
-from repro.kernels.wide import (
-    WideLayout,
-    emit_place_declet,
-    emit_wide_clamp_exponent,
-    emit_wide_encode_result,
-    emit_wide_unpack_fields,
-)
 from repro.rocc.decimal_accel import ACC_WORD_SELECTORS
 
-_SAVED = ("ra", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
-_SAVE_BYTES = 8 * len(_SAVED)  # buffers start above the saved registers
-
-_MULTIPLICAND_REG = 1
-_MULTIPLE_COUNT = 9  # MM[1] .. MM[9]
+_SAVE_BYTES = 8 * len(SAVED)  # buffers start above the saved registers
 
 #: Word-parallel BCD-add constants (one bit / digit 6 per nibble).
 _ONES_NIBBLES = 0x1111111111111111
 _SIXES_NIBBLES = 0x6666666666666666
 _NINES_NIBBLES = 0x9999999999999999
 
-_VARIANTS = ("software", "method1", "method1_dummy")
-
 
 class _OpKernelEmitter:
-    """Emits one add/sub/fma kernel for one format and one variant.
+    """Emits one add/sub/fma kernel for one format and one solution.
 
     Register contract of the shared core (everything callee-saved):
 
@@ -82,17 +84,14 @@ class _OpKernelEmitter:
     and every ``s`` register; they clobber ``t0-t6`` and ``a0-a3``/``a6-a7``.
     """
 
-    def __init__(self, b, spec, label: str, operation: str, variant: str, fused: bool):
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown kernel variant: {variant!r}")
+    def __init__(self, b, spec, label: str, solution: str, operation: str):
         self.b = b
-        self.spec = spec
         self.p = label
         self.operation = operation
-        self.variant = variant
-        self.fused = fused
-        self.soft = variant == "software"
-        self.dummy = variant == "method1_dummy"
+        self.fused = fused = operation == "fma"
+        self.soft = solution == "software"
+        self.hw = HardwarePart(b, label, solution)
+        self.layout = Layout(spec)
 
         self.W = spec.words_per_value
         self.prec = spec.precision
@@ -105,20 +104,6 @@ class _OpKernelEmitter:
         #: words of the accelerator accumulator (the 2p-digit product).
         self.ACCW = (2 * self.prec + 15) // 16
 
-        self.layout = WideLayout(spec) if self.W == 2 else None
-        self.bias = spec.bias
-        self.etiny = spec.etiny
-        self.etop = spec.etop
-        self.emax = spec.emax
-        if self.W == 2:
-            self.comb_shift = self.layout.comb_shift
-            self.signal_shift = self.layout.signal_shift
-            self.cont_clear = self.layout.cont_hi_clear
-        else:
-            self.comb_shift = 58
-            self.signal_shift = 57
-            self.cont_clear = 14
-
         nwb = 8 * self.NW
         self.OFF_A = _SAVE_BYTES
         self.OFF_B = self.OFF_A + nwb
@@ -128,22 +113,17 @@ class _OpKernelEmitter:
                 #: MM[d] lives at OFF_MM + (d-1)*nwb, d = 1..9; x unpacks
                 #: straight into MM[1].
                 self.OFF_MM = self.OFF_Y + nwb
-                self.extra = (3 + _MULTIPLE_COUNT) * nwb
+                self.extra = (3 + MULTIPLE_COUNT) * nwb
                 self.OFF_X = self.OFF_MM
             else:
                 self.extra = 3 * nwb
                 self.OFF_X = self.OFF_A
         else:
             self.extra = 2 * nwb
-        self.used_stubs = set()
 
     # ------------------------------------------------------------- utilities
     def L(self, suffix: str) -> str:
         return f"{self.p}_{suffix}"
-
-    def _stub(self, name: str) -> str:
-        self.used_stubs.add(name)
-        return self.L(f"dummy_{name}")
 
     def _swap(self, pairs) -> None:
         b = self.b
@@ -156,121 +136,6 @@ class _OpKernelEmitter:
         for w in range(first_word, self.NW):
             self.b.emit("sd", "zero", base_reg, 8 * w)
 
-    def _canonical_inf(self, sign_reg) -> None:
-        """a0[/a1] = canonical infinity with the sign (0/1) in ``sign_reg``."""
-        b = self.b
-        b.emit("slli", "t5", sign_reg, 63)
-        b.li("t6", 0b11110)
-        b.emit("slli", "t6", "t6", self.comb_shift)
-        if self.W == 1:
-            b.emit("or", "a0", "t5", "t6")
-        else:
-            b.emit("or", "a1", "t5", "t6")
-            b.li("a0", 0)
-
-    def _canonical_qnan(self) -> None:
-        b = self.b
-        b.li("t6", 0b11111)
-        b.emit("slli", "t6", "t6", self.comb_shift)
-        if self.W == 1:
-            b.mv("a0", "t6")
-        else:
-            b.mv("a1", "t6")
-            b.li("a0", 0)
-
-    def _quiet_nan_from(self, lo_reg: str, hi_reg: str) -> None:
-        """a0[/a1] = the NaN in (lo, hi) with the signalling bit cleared."""
-        b = self.b
-        b.li("t6", 1)
-        b.emit("slli", "t6", "t6", self.signal_shift)
-        b.not_("t6", "t6")
-        if self.W == 1:
-            b.emit("and", "a0", hi_reg, "t6")
-        else:
-            if lo_reg != "a0":
-                b.mv("a0", lo_reg)
-            b.emit("and", "a1", hi_reg, "t6")
-        b.ret()
-
-    def _nonzero_coefficient_branch(self, comb_reg, lo_reg, hi_reg, target, tmp) -> None:
-        """Branch to ``target`` when the finite operand's coefficient != 0."""
-        b = self.b
-        b.li(tmp, 24)
-        b.branch("bgeu", comb_reg, tmp, target)  # MSD 8/9 -> nonzero
-        b.emit("andi", tmp, comb_reg, 7)
-        b.bnez(tmp, target)
-        b.emit("slli", tmp, hi_reg, self.cont_clear)
-        b.bnez(tmp, target)
-        if self.W == 2:
-            b.bnez(lo_reg, target)
-
-    # ---------------------------------------------------- RoCC / dummy hooks
-    def _hw_read(self, selector, dest: str) -> None:
-        """dest = accelerator read through ``selector``.
-
-        ``selector`` is an int (< 32: encoded in the rs2 field) or a register
-        name holding a wide selector passed by value.
-        """
-        b = self.b
-        if self.dummy:
-            b.call(self._stub("rd"))
-            b.mv(dest, "a0")
-        elif isinstance(selector, int):
-            b.rocc("RD", rd=dest, rs1=0, rs2=selector, xd=True)
-        else:
-            b.rocc("RD", rd=dest, rs1=0, rs2=selector, xd=True, xs2=True)
-
-    def _hw_dec_addc(self, src1: str, src2: str, dest: str) -> None:
-        """dest = one 16-digit word of src1 + src2; carry chains via status."""
-        b = self.b
-        if self.dummy:
-            b.mv("a0", src1)
-            b.call(self._stub("dec_add"))
-            b.mv(dest, "a0")
-        else:
-            b.rocc("DEC_ADDC", rd=dest, rs1=src1, rs2=src2,
-                   xd=True, xs1=True, xs2=True)
-
-    def _hw_dec_subb(self, src1: str, src2: str, dest: str) -> None:
-        """dest = one 16-digit word of src1 - src2; borrow chains via status."""
-        b = self.b
-        if self.dummy:
-            b.mv("a0", src1)
-            b.call(self._stub("dec_addsub"))
-            b.mv(dest, "a0")
-        else:
-            b.rocc("DEC_SUBB", rd=dest, rs1=src1, rs2=src2,
-                   xd=True, xs1=True, xs2=True)
-
-    def _hw_clear(self) -> None:
-        if self.dummy:
-            self.b.call(self._stub("clr"))
-        else:
-            self.b.rocc("CLR_ALL")
-
-    def _hw_write_lane(self, lane: int, src: str, register: int) -> None:
-        b = self.b
-        if self.dummy:
-            b.mv("a0", src)
-            b.call(self._stub("wr"))
-        else:
-            b.rocc("WR", rd=lane, rs1=src, rs2=register, xs1=True)
-
-    def _hw_generate_multiple(self, index: int) -> None:
-        b = self.b
-        if self.dummy:
-            b.call(self._stub("dec_add"))
-        else:
-            b.rocc("DEC_ADD", rd=index + 1, rs1=index, rs2=_MULTIPLICAND_REG)
-
-    def _hw_accumulate_digit(self, digit_reg: str) -> None:
-        b = self.b
-        if self.dummy:
-            b.mv("a0", digit_reg)
-            b.call(self._stub("dec_accum"))
-        else:
-            b.rocc("DEC_ACCUM", rd=0, rs1=digit_reg, xs1=True)
-
     # ------------------------------------------------------ local subroutines
     def _emit_unpack(self) -> None:
         """{p}_unpack: decode one finite operand into a packed-BCD buffer.
@@ -280,19 +145,19 @@ class _OpKernelEmitter:
         coefficient (LSW first), K..NW-1 are zeroed.  Clobbers t0-t6, a0-a1,
         a6-a7; preserves a5.
         """
-        b, p = self.b, self.p
+        b, p, layout = self.b, self.p, self.layout
         b.label(f"{p}_unpack")
+        emit_unpack_fields(
+            b, layout, f"{p}_upk", layout.words_at("a2")[-1], out_sign="a6",
+            out_bexp="a7", out_cont="t3", out_msd="t4", tmp1="t0", tmp2="t1",
+        )
         if self.W == 1:
-            emit_unpack_fields(
-                b, f"{p}_upk", src="a2", out_sign="a6", out_bexp="a7",
-                out_cont="t3", out_msd="t4", tmp1="t0", tmp2="t1",
-            )
             b.la("t5", TABLE_SYMBOLS["dpd2bcd"])
             b.emit("andi", "t1", "t3", 0x3FF)
             b.emit("slli", "t1", "t1", 1)
             b.emit("add", "t1", "t1", "t5")
             b.emit("lhu", "t6", "t1", 0)
-            for declet in range(1, self.spec.declets):
+            for declet in range(1, self.layout.declets):
                 b.emit("srli", "t2", "t3", 10 * declet)
                 b.emit("andi", "t2", "t2", 0x3FF)
                 b.emit("slli", "t2", "t2", 1)
@@ -300,17 +165,11 @@ class _OpKernelEmitter:
                 b.emit("lhu", "t0", "t2", 0)
                 b.emit("slli", "t0", "t0", 12 * declet)
                 b.emit("or", "t6", "t6", "t0")
-            b.emit("slli", "t0", "t4", 12 * self.spec.declets)
+            b.emit("slli", "t0", "t4", 12 * self.layout.declets)
             b.emit("or", "t6", "t6", "t0")
             b.emit("sd", "t6", "a5", 0)
             self._zero_buffer("a5", first_word=1)
         else:
-            layout = self.layout
-            emit_wide_unpack_fields(
-                b, layout, f"{p}_upk", lo="a2", hi="a3",
-                out_sign="a6", out_bexp="a7", out_cont_hi="t3", out_msd="t4",
-                tmp1="t0", tmp2="t1",
-            )
             # Packed-BCD words accumulate in t6 / a0 / a1 (34 digits -> 3).
             b.li("t6", 0)
             b.li("a0", 0)
@@ -318,19 +177,7 @@ class _OpKernelEmitter:
             b.la("t5", TABLE_SYMBOLS["dpd2bcd"])
             words = ("t6", "a0", "a1")
             for declet in range(layout.declets):
-                # Extract declet from (a2 = cont lo, t3 = cont hi).
-                offset, lo_bits, hi_bits = layout.declet_bounds(declet)
-                if hi_bits == 0:
-                    b.emit("srli", "t0", "a2", offset)
-                    b.emit("andi", "t0", "t0", 0x3FF)
-                elif lo_bits == 0:
-                    b.emit("srli", "t0", "t3", offset - 64)
-                    b.emit("andi", "t0", "t0", 0x3FF)
-                else:
-                    b.emit("srli", "t0", "a2", offset)
-                    b.emit("andi", "t1", "t3", (1 << hi_bits) - 1)
-                    b.emit("slli", "t1", "t1", lo_bits)
-                    b.emit("or", "t0", "t0", "t1")
+                emit_extract_declet(b, declet, ("a2", "t3"), "t0", "t1")
                 b.emit("slli", "t0", "t0", 1)
                 b.emit("add", "t0", "t0", "t5")
                 b.emit("lhu", "t0", "t0", 0)
@@ -629,7 +476,7 @@ class _OpKernelEmitter:
     def _hw_sub_frame(self, enter: bool) -> None:
         """The dummy variant's calls clobber ra inside these subroutines."""
         b = self.b
-        if not self.dummy:
+        if not self.hw.dummy:
             return
         if enter:
             b.emit("addi", "sp", "sp", -16)
@@ -642,11 +489,13 @@ class _OpKernelEmitter:
         b, p = self.b, self.p
         b.label(f"{p}_wadd")
         self._hw_sub_frame(enter=True)
-        self._hw_clear()                     # status carry <- 0 (regfile is dead)
+        self.hw.command("CLR_ALL")           # status carry <- 0 (regfile is dead)
         for w in range(self.NW):
             b.emit("ld", "t2", "a4", 8 * w)
             b.emit("ld", "t3", "a5", 8 * w)
-            self._hw_dec_addc("t2", "t3", "t4")
+            # one 16-digit word of a4 + a5; the carry chains via STATUS
+            self.hw.command("DEC_ADDC", rd="t4", rs1="t2", rs2="t3",
+                            xd=True, xs1=True, xs2=True)
             b.emit("sd", "t4", "a4", 8 * w)
         self._hw_sub_frame(enter=False)
         b.ret()
@@ -655,11 +504,13 @@ class _OpKernelEmitter:
         b, p = self.b, self.p
         b.label(f"{p}_wsub")
         self._hw_sub_frame(enter=True)
-        self._hw_clear()                     # status borrow <- 0
+        self.hw.command("CLR_ALL")           # status borrow <- 0
         for w in range(self.NW):
             b.emit("ld", "t2", "a4", 8 * w)
             b.emit("ld", "t3", "a5", 8 * w)
-            self._hw_dec_subb("t2", "t3", "t4")
+            # one 16-digit word of a4 - a5; the borrow chains via STATUS
+            self.hw.command("DEC_SUBB", rd="t4", rs1="t2", rs2="t3",
+                            xd=True, xs1=True, xs2=True)
             b.emit("sd", "t4", "a4", 8 * w)
         self._hw_sub_frame(enter=False)
         b.ret()
@@ -673,37 +524,12 @@ class _OpKernelEmitter:
         b.label(f"{p}_accrd")
         self._hw_sub_frame(enter=True)
         for w in range(self.ACCW):
-            self._hw_read(ACC_WORD_SELECTORS[w], "t4")
+            self.hw.command("RD", rd="t4", rs2=ACC_WORD_SELECTORS[w], xd=True)
             b.emit("sd", "t4", "a5", 8 * w)
         self._hw_sub_frame(enter=False)
         for w in range(self.ACCW, self.NW):
             b.emit("sd", "zero", "a5", 8 * w)
         b.ret()
-
-    def _emit_dummy_stubs(self) -> None:
-        """Static dummy functions (estimation methodology, reference [9])."""
-        b, p = self.b, self.p
-
-        def frame_enter():
-            b.emit("addi", "sp", "sp", -16)
-            b.emit("sd", "s0", "sp", 0)
-            b.emit("addi", "s0", "sp", 16)
-
-        def frame_leave():
-            b.emit("ld", "s0", "sp", 0)
-            b.emit("addi", "sp", "sp", 16)
-            b.ret()
-
-        returns = {"clr": None, "wr": None, "dec_add": 0x1, "dec_addsub": 0x1,
-                   "dec_accum": None, "rd": 0x123}
-        for name in sorted(self.used_stubs):
-            b.label(f"{p}_dummy_{name}")
-            frame_enter()
-            if returns[name] is not None:
-                b.li("a0", returns[name])
-            else:
-                b.mv("a1", "a0")
-            frame_leave()
 
     # ------------------------------------------------------------ entry layer
     def _call(self, name: str) -> None:
@@ -711,24 +537,12 @@ class _OpKernelEmitter:
 
     def _unbias(self, dest: str, src: str) -> None:
         """dest = src - bias (the bias can exceed the 12-bit addi range)."""
-        b = self.b
-        if self.bias <= 2047:
-            b.emit("addi", dest, src, -self.bias)
+        b, bias = self.b, self.layout.bias
+        if bias <= 2047:
+            b.emit("addi", dest, src, -bias)
         else:
-            b.li("t0", self.bias)
+            b.li("t0", bias)
             b.emit("sub", dest, src, "t0")
-
-    def _operand_regs(self):
-        """(x, y[, z]) argument registers as (lo, hi) pairs (lo None if W=1)."""
-        if self.W == 1:
-            regs = [(None, "a0"), (None, "a1")]
-            if self.fused:
-                regs.append((None, "a2"))
-        else:
-            regs = [("a0", "a1"), ("a2", "a3")]
-            if self.fused:
-                regs.append(("a4", "a5"))
-        return regs
 
     def _emit_entry(self) -> None:
         """Subtract sign flip, Inf/NaN screen, jump over the special path.
@@ -736,46 +550,32 @@ class _OpKernelEmitter:
         The special path is emitted *before* the prologue-equipped main body
         so the conditional branches stay short; it returns without a frame.
         """
-        b, p = self.b, self.p
-        regs = self._operand_regs()
+        b, layout = self.b, self.layout
         if self.operation == "sub":
             # Negate Y up front: NaN sign/payload never reach the encoded
             # comparison, so flipping before the screen is safe and lets the
             # whole special path be shared with add.
             b.li("t3", 1)
             b.emit("slli", "t3", "t3", 63)
-            y_hi = regs[1][1]
+            y_hi = layout.operand(1)[-1]
             b.emit("xor", y_hi, y_hi, "t3")
-        combs = ("t0", "t1", "t2")
-        for creg, (_, hi) in zip(combs, regs):
-            b.emit("srli", creg, hi, self.comb_shift)
-            b.emit("andi", creg, creg, 0x1F)
-        b.li("t3", 0b11110)
-        for creg, _ in zip(combs, regs):
-            b.branch("bgeu", creg, "t3", self.L("special"))
+        operands = [layout.operand(i) for i in range(3 if self.fused else 2)]
+        emit_special_screen(b, layout, operands, "t3", self.L("special"))
         b.j(self.L("main"))
         if self.fused:
             self._emit_fma_special()
         else:
             self._emit_addsub_special()
 
-    def _ret_operand(self, lo, hi) -> None:
-        """Return operand (lo, hi) verbatim in a0[/a1]."""
-        b = self.b
-        if self.W == 1:
-            if hi != "a0":
-                b.mv("a0", hi)
-        else:
-            if lo != "a0":
-                b.mv("a0", lo)
-            if hi != "a1":
-                b.mv("a1", hi)
-        b.ret()
+    def _ret_operand(self, operand) -> None:
+        """Return ``operand`` verbatim in the result registers."""
+        emit_moves(self.b, self.layout.result, operand)
+        self.b.ret()
 
     def _emit_addsub_special(self) -> None:
         """Inf/NaN path for add/sub (Y's sign is already effective)."""
-        b, p = self.b, self.p
-        (x_lo, x_hi), (y_lo, y_hi) = self._operand_regs()
+        b, layout = self.b, self.layout
+        x, y = layout.operand(0), layout.operand(1)
         b.label(self.L("special"))
         b.li("t3", 0b11111)
         b.branch("beq", "t0", "t3", self.L("sp_x_nan"))
@@ -784,25 +584,25 @@ class _OpKernelEmitter:
         b.li("t3", 0b11110)
         b.branch("bne", "t1", "t3", self.L("sp_x_inf"))   # Y finite -> X is Inf
         b.branch("bne", "t0", "t3", self.L("sp_y_inf"))   # X finite -> Y is Inf
-        b.emit("xor", "t4", x_hi, y_hi)                   # both Inf: sign clash?
+        b.emit("xor", "t4", x[-1], y[-1])                 # both Inf: sign clash?
         b.emit("srli", "t4", "t4", 63)
         b.bnez("t4", self.L("sp_make_nan"))
         b.label(self.L("sp_x_inf"))
-        self._ret_operand(x_lo, x_hi)
+        self._ret_operand(x)
         b.label(self.L("sp_y_inf"))
-        self._ret_operand(y_lo, y_hi)
+        self._ret_operand(y)
         b.label(self.L("sp_x_nan"))
-        self._quiet_nan_from(x_lo, x_hi)
+        emit_quiet_nan(b, layout, x)
         b.label(self.L("sp_y_nan"))
-        self._quiet_nan_from(y_lo, y_hi)
+        emit_quiet_nan(b, layout, y)
         b.label(self.L("sp_make_nan"))
-        self._canonical_qnan()
+        emit_canonical_qnan(b, layout)
         b.ret()
 
     def _emit_fma_special(self) -> None:
         """Inf/NaN path for fma, in the specification's evaluation order."""
-        b, p = self.b, self.p
-        (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = self._operand_regs()
+        b, layout = self.b, self.layout
+        x, y, z = layout.operand(0), layout.operand(1), layout.operand(2)
         b.label(self.L("special"))
         b.li("t3", 0b11111)
         b.branch("beq", "t0", "t3", self.L("sp_x_nan"))
@@ -812,69 +612,51 @@ class _OpKernelEmitter:
         b.branch("beq", "t1", "t4", self.L("sp_y_inf"))
         # X and Y finite: Z is the special one.
         b.branch("beq", "t2", "t3", self.L("sp_z_nan"))
-        self._ret_operand(z_lo, z_hi)                     # z infinite -> z
+        self._ret_operand(z)                              # z infinite -> z
         b.label(self.L("sp_x_inf"))
         # Inf * 0 is invalid even when z is an sNaN (checked before z).
-        self._nonzero_coefficient_branch("t1", y_lo, y_hi, self.L("sp_prod_inf"), "t5")
+        emit_nonzero_coefficient_branch(b, layout, "t1", y,
+                                        self.L("sp_prod_inf"), "t5")
         b.j(self.L("sp_make_nan"))
         b.label(self.L("sp_y_inf"))
-        self._nonzero_coefficient_branch("t0", x_lo, x_hi, self.L("sp_prod_inf"), "t5")
+        emit_nonzero_coefficient_branch(b, layout, "t0", x,
+                                        self.L("sp_prod_inf"), "t5")
         b.j(self.L("sp_make_nan"))
         b.label(self.L("sp_prod_inf"))
-        b.emit("xor", "t5", x_hi, y_hi)
+        b.emit("xor", "t5", x[-1], y[-1])
         b.emit("srli", "t5", "t5", 63)                    # product sign
         b.branch("beq", "t2", "t3", self.L("sp_z_nan"))
         b.branch("beq", "t2", "t4", self.L("sp_z_inf"))
         b.label(self.L("sp_inf_res"))
-        self._canonical_inf("t5")
+        emit_canonical_inf(b, layout, "t5")
         b.ret()
         b.label(self.L("sp_z_inf"))
-        b.emit("srli", "t6", z_hi, 63)
+        b.emit("srli", "t6", z[-1], 63)
         b.branch("beq", "t6", "t5", self.L("sp_inf_res"))
         b.label(self.L("sp_make_nan"))
-        self._canonical_qnan()
+        emit_canonical_qnan(b, layout)
         b.ret()
-        b.label(self.L("sp_x_nan"))
-        self._quiet_nan_from(x_lo, x_hi)
-        b.label(self.L("sp_y_nan"))
-        self._quiet_nan_from(y_lo, y_hi)
-        b.label(self.L("sp_z_nan"))
-        self._quiet_nan_from(z_lo, z_hi)
+        for name, operand in (("x", x), ("y", y), ("z", z)):
+            b.label(self.L(f"sp_{name}_nan"))
+            emit_quiet_nan(b, layout, operand)
 
     # ------------------------------------------------------------- main body
-    def _unpack_operand(self, lo, hi, dest_offset: int) -> None:
-        """Call {p}_unpack on operand (lo, hi) into sp+dest_offset."""
-        b = self.b
-        if self.W == 1:
-            if hi != "a2":
-                b.mv("a2", hi)
-        else:
-            if lo != "a2":
-                b.mv("a2", lo)
-            if hi != "a3":
-                b.mv("a3", hi)
-        b.emit("addi", "a5", "sp", dest_offset)
+    def _unpack_operand(self, operand, dest_offset: int) -> None:
+        """Call {p}_unpack on ``operand`` into sp+dest_offset."""
+        emit_moves(self.b, self.layout.words_at("a2"), operand)
+        self.b.emit("addi", "a5", "sp", dest_offset)
         self._call("unpack")
 
     def _emit_addsub_main(self) -> None:
-        b, p = self.b, self.p
-        if self.W == 1:
-            b.mv("s5", "a1")                       # park Y across the call
-            self._unpack_operand(None, "a0", self.OFF_A)
-            b.mv("s4", "a3")
-            self._unbias("s2", "a4")
-            self._unpack_operand(None, "s5", self.OFF_B)
-            b.mv("s5", "a3")
-            self._unbias("s3", "a4")
-        else:
-            b.mv("s5", "a2")
-            b.mv("s6", "a3")
-            self._unpack_operand("a0", "a1", self.OFF_A)
-            b.mv("s4", "a3")
-            self._unbias("s2", "a4")
-            self._unpack_operand("s5", "s6", self.OFF_B)
-            b.mv("s5", "a3")
-            self._unbias("s3", "a4")
+        b, layout = self.b, self.layout
+        y = ("s5", "s6")[:self.W]
+        emit_moves(b, y, layout.operand(1))        # park Y across the call
+        self._unpack_operand(layout.operand(0), self.OFF_A)
+        b.mv("s4", "a3")
+        self._unbias("s2", "a4")
+        self._unpack_operand(y, self.OFF_B)
+        b.mv("s5", "a3")
+        self._unbias("s3", "a4")
         b.emit("addi", "s0", "sp", self.OFF_A)
         b.emit("addi", "s1", "sp", self.OFF_B)
         b.mv("a5", "s0")
@@ -886,30 +668,17 @@ class _OpKernelEmitter:
         # falls into the shared core
 
     def _emit_fma_main(self) -> None:
-        b, p = self.b, self.p
-        if self.W == 1:
-            b.mv("s6", "a1")                       # park Y / Z
-            b.mv("s7", "a2")
-            self._unpack_operand(None, "a0", self.OFF_X)
-            b.mv("s4", "a3")
-            self._unbias("s2", "a4")
-            self._unpack_operand(None, "s6", self.OFF_Y)
-        else:
-            b.mv("s6", "a2")
-            b.mv("s7", "a3")
-            b.mv("s8", "a4")
-            b.mv("s9", "a5")
-            self._unpack_operand("a0", "a1", self.OFF_X)
-            b.mv("s4", "a3")
-            self._unbias("s2", "a4")
-            self._unpack_operand("s6", "s7", self.OFF_Y)
+        b, layout, W = self.b, self.layout, self.W
+        parked = ("s6", "s7", "s8", "s9")[:2 * W]
+        emit_moves(b, parked, layout.operand(1) + layout.operand(2))  # Y / Z
+        self._unpack_operand(layout.operand(0), self.OFF_X)
+        b.mv("s4", "a3")
+        self._unbias("s2", "a4")
+        self._unpack_operand(parked[:W], self.OFF_Y)
         b.emit("xor", "s4", "s4", "a3")            # product sign
         self._unbias("t1", "a4")
         b.emit("add", "s2", "s2", "t1")            # product exponent
-        if self.W == 1:
-            self._unpack_operand(None, "s7", self.OFF_B)
-        else:
-            self._unpack_operand("s8", "s9", self.OFF_B)
+        self._unpack_operand(parked[W:], self.OFF_B)
         b.mv("s5", "a3")
         self._unbias("s3", "a4")
         b.emit("addi", "s0", "sp", self.OFF_A)
@@ -956,7 +725,7 @@ class _OpKernelEmitter:
         nwb = 8 * self.NW
         # MM[d+1] = MM[d] + MM[1]  (MM[1] holds X already).
         b.emit("addi", "s11", "sp", self.OFF_MM)
-        b.li("s8", _MULTIPLE_COUNT - 1)
+        b.li("s8", MULTIPLE_COUNT - 1)
         b.label(self.L("mm_loop"))
         b.emit("addi", "a4", "s11", nwb)
         b.mv("a5", "s11")
@@ -988,17 +757,17 @@ class _OpKernelEmitter:
 
     def _emit_m1_product(self) -> None:
         """Exact product through the accelerator multiples + accumulator."""
-        b, p = self.b, self.p
-        self._hw_clear()
+        b, hw = self.b, self.hw
+        hw.command("CLR_ALL")
         for k in range(self.K):                    # lane 0 first (full write)
             b.emit("ld", "t2", "sp", self.OFF_X + 8 * k)
-            self._hw_write_lane(k, "t2", _MULTIPLICAND_REG)
-        for index in range(1, _MULTIPLE_COUNT):
-            self._hw_generate_multiple(index)
+            hw.command("WR", rd=k, rs1="t2", rs2=MULTIPLICAND_REG, xs1=True)
+        hw.generate_multiples()
         b.emit("addi", "s11", "s10", -1)
         b.label(self.L("dig_loop"))
         self._extract_y_digit()
-        self._hw_accumulate_digit("t2")            # acc = acc*10 + reg[digit]
+        # acc = acc * 10 + reg[digit]
+        hw.command("DEC_ACCUM", rs1="t2", xs1=True)
         b.emit("addi", "s11", "s11", -1)
         b.branch("bge", "s11", "zero", self.L("dig_loop"))
         b.mv("a5", "s0")
@@ -1110,7 +879,7 @@ class _OpKernelEmitter:
         b, p = self.b, self.p
         b.label(self.L("round"))
         b.emit("addi", "t0", "s10", -self.prec)
-        b.li("t1", self.etiny)
+        b.li("t1", self.layout.etiny)
         b.emit("sub", "t1", "t1", "s9")
         b.branch("bge", "t0", "t1", self.L("rd1"))
         b.mv("t0", "t1")
@@ -1164,32 +933,29 @@ class _OpKernelEmitter:
         b.label(self.L("finalize"))
         b.emit("add", "t0", "s9", "s10")
         b.emit("addi", "t0", "t0", -1)             # adjusted exponent
-        b.li("t1", self.emax)
+        b.li("t1", self.layout.emax)
         b.branch("blt", "t1", "t0", self.L("inf_res"))
-        b.li("t1", self.etop)
+        b.li("t1", self.layout.etop)
         b.branch("bge", "t1", "s9", self.L("encode"))
         # Fold-down clamp: pad with zeros down to etop (always fits: the
         # clamp only fires on exact paths where digits + pad <= p).
         b.emit("sub", "a4", "s9", "t1")
         b.mv("a5", "s0")
         self._call("shl")
-        b.li("s9", self.etop)
+        b.li("s9", self.layout.etop)
         b.j(self.L("encode"))
         b.label(self.L("zero_out"))
-        if self.W == 1:
-            emit_clamp_exponent(b, self.L("zc"), "s9", "t0")
-        else:
-            emit_wide_clamp_exponent(b, self.layout, self.L("zc"), "s9", "t0")
+        emit_clamp_exponent(b, self.layout, self.L("zc"), "s9", "t0")
         for w in range(self.K):
             b.emit("sd", "zero", "s0", 8 * w)
         b.j(self.L("encode"))
         b.label(self.L("inf_res"))
-        self._canonical_inf("s8")
+        emit_canonical_inf(b, self.layout, "s8")
         b.j(self.L("epilogue"))
 
     def _emit_encode(self) -> None:
         """Re-encode (s8, buffer at s0, s9) into a0[/a1] and return."""
-        b, p = self.b, self.p
+        b, layout = self.b, self.layout
         b.label(self.L("encode"))
         if self.W == 1:
             b.emit("ld", "t3", "s0", 0)
@@ -1199,7 +965,7 @@ class _OpKernelEmitter:
             b.emit("slli", "t2", "t2", 1)
             b.emit("add", "t2", "t2", "t0")
             b.emit("lhu", "a2", "t2", 0)
-            for declet in range(1, self.spec.declets):
+            for declet in range(1, layout.declets):
                 b.emit("srli", "t3", "t3", 12)
                 b.emit("and", "t2", "t3", "t4")
                 b.emit("slli", "t2", "t2", 1)
@@ -1208,13 +974,10 @@ class _OpKernelEmitter:
                 b.emit("slli", "t6", "t6", 10 * declet)
                 b.emit("or", "a2", "a2", "t6")
             b.emit("srli", "t3", "t3", 12)         # MSD
-            b.emit("addi", "a3", "s9", self.bias)
-            emit_encode_result(
-                b, self.L("res"), sign="s8", bexp="a3", msd="t3",
-                cont="a2", out="a0", tmp1="t1", tmp2="t2",
-            )
+            b.emit("addi", "a3", "s9", layout.bias)
+            emit_encode_result(b, layout, self.L("res"), "s8", "a3", "t3",
+                               ("a2",), layout.result, "t1", "t2")
         else:
-            layout = self.layout
             b.emit("ld", "a2", "s0", 0)
             b.emit("ld", "a3", "s0", 8)
             b.emit("ld", "a4", "s0", 16)
@@ -1239,19 +1002,15 @@ class _OpKernelEmitter:
                 b.emit("slli", "t1", "t1", 1)
                 b.emit("add", "t1", "t1", "t0")
                 b.emit("lhu", "t1", "t1", 0)
-                emit_place_declet(b, layout, declet, src="t1",
-                                  lo_acc="a6", hi_acc="a7", tmp="t2")
+                emit_place_declet(b, declet, "t1", ("a6", "a7"), "t2")
             b.emit("srli", "t6", "a4", 4)          # MSD (digit p-1)
             b.emit("andi", "t6", "t6", 0xF)
-            b.li("t3", self.bias)
+            b.li("t3", layout.bias)
             b.emit("add", "t3", "t3", "s9")
-            emit_wide_encode_result(
-                b, layout, self.L("res"), sign="s8", bexp="t3", msd="t6",
-                cont_lo="a6", cont_hi="a7", out_lo="a0", out_hi="a1",
-                tmp1="t1", tmp2="t2",
-            )
+            emit_encode_result(b, layout, self.L("res"), "s8", "t3", "t6",
+                               ("a6", "a7"), layout.result, "t1", "t2")
         b.label(self.L("epilogue"))
-        b.epilogue(_SAVED, self.extra)
+        b.epilogue(SAVED, self.extra)
 
     # ---------------------------------------------------------- orchestration
     def emit(self) -> str:
@@ -1260,7 +1019,7 @@ class _OpKernelEmitter:
         b.label(p)
         self._emit_entry()
         b.label(self.L("main"))
-        b.prologue(_SAVED, self.extra)
+        b.prologue(SAVED, self.extra)
         if self.fused:
             self._emit_fma_main()
         else:
@@ -1281,37 +1040,30 @@ class _OpKernelEmitter:
         self._emit_wadd_wsub()
         if self.fused and not self.soft:
             self._emit_accrd()
-        if self.dummy:
-            self._emit_dummy_stubs()
+        emit_dummy_functions(b, self.hw, OP_DUMMY_BODIES)
         return p
 
 
-_VARIANT_SUFFIX = {"software": "sw", "method1": "m1", "method1_dummy": "m1d"}
-
-
-def emit_addsub_kernel(
-    b, spec, label: str = None, operation: str = "add", variant: str = "software"
-) -> str:
-    """Emit an add or subtract kernel for ``spec``; returns its entry label.
+def emit_addsub_kernel(b, spec, label: str, solution: str,
+                       mnemonic: str) -> str:
+    """Emit the ``mnemonic`` (``add``/``sub``) kernel of Table IV row
+    ``solution`` for ``spec``; returns its entry label.
 
     Calling convention matches the multiply kernels: one-word formats take
     X in ``a0`` and Y in ``a1`` and return in ``a0``; two-word formats take
     X in ``a0``/``a1`` and Y in ``a2``/``a3`` and return in ``a0``/``a1``.
     """
-    if operation not in ("add", "sub"):
-        raise ValueError(f"emit_addsub_kernel handles add/sub, not {operation!r}")
-    if label is None:
-        label = f"dec{spec.total_bits}_{operation}_{_VARIANT_SUFFIX[variant]}"
-    return _OpKernelEmitter(b, spec, label, operation, variant, fused=False).emit()
+    if mnemonic not in ("add", "sub"):
+        raise ValueError(f"emit_addsub_kernel handles add/sub, not {mnemonic!r}")
+    return _OpKernelEmitter(b, spec, label, solution, mnemonic).emit()
 
 
-def emit_fma_kernel(b, spec, label: str = None, variant: str = "software") -> str:
-    """Emit a fused multiply-add kernel for ``spec``; returns its entry label.
+def emit_fma_kernel(b, spec, label: str, solution: str) -> str:
+    """Emit the fused multiply-add kernel of Table IV row ``solution`` for
+    ``spec``; returns its entry label.
 
     One-word formats take X/Y/Z in ``a0``/``a1``/``a2``; two-word formats in
     ``a0``/``a1``, ``a2``/``a3``, ``a4``/``a5``.  The product is exact and the
     single rounding happens in the shared aligned-add core.
     """
-    if label is None:
-        label = f"dec{spec.total_bits}_fma_{_VARIANT_SUFFIX[variant]}"
-    return _OpKernelEmitter(b, spec, label, "fma", variant, fused=True).emit()
+    return _OpKernelEmitter(b, spec, label, solution, "fma").emit()

@@ -6,12 +6,13 @@ extraction, rounding and re-encoding; the *hardware part* (grey blocks) —
 multiplicand-multiple generation and partial-product accumulation — runs on
 the RoCC decimal accelerator through the Table II instructions.
 
-``emit_method1_kernel(..., use_accelerator=True)`` emits the co-design kernel
-with real custom instructions.  ``use_accelerator=False`` emits the *dummy
-function* variant the paper compares against: the identical software flow, but
-every accelerator invocation is replaced by a call to a static function with a
-fixed return value (so the results are meaningless — only the timing is used,
-exactly as in the estimation methodology of reference [9]).
+:func:`emit_mul_kernel` with ``method1`` emits the co-design kernel with real
+custom instructions.  ``method1_dummy`` emits the *dummy function* variant the
+paper compares against: the identical software flow, but every accelerator
+invocation is replaced by a call to a static function with a fixed return
+value (so the results are meaningless — only the timing is used, exactly as in
+the estimation methodology of reference [9]).  ``software`` is the baseline of
+:mod:`repro.kernels.software_mul`.
 
 Register allocation (callee-saved so the dummy variant's calls are safe):
 
@@ -31,44 +32,32 @@ s10   digit-loop counter
 
 from __future__ import annotations
 
-from repro.kernels.common import (
-    emit_clamp_exponent,
-    emit_encode_result,
-    emit_entry_special_check,
-    emit_special_path,
+from repro.kernels.software_mul import emit_software_mul_kernel
+from repro.kernels.stages import (
+    MUL_DUMMY_BODIES,
+    MULTIPLICAND_REG,
+    SAVED,
+    HardwarePart,
+    Layout,
+    emit_canonical_inf,
+    emit_dummy_functions,
+    emit_finite_result,
+    emit_mul_special_path,
+    emit_nibcount,
+    emit_special_screen,
     emit_unpack_fields,
+    emit_zero_result,
 )
 from repro.kernels.tables import TABLE_SYMBOLS
 from repro.rocc.decimal_accel import ACC_HI_SELECTOR, ACC_LO_SELECTOR
 
-_FRAME = 112
-_SAVED = ("ra", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
 
-#: Accelerator register that holds the multiplicand (MM[1]); MM[i] lives in
-#: register i, and register 0 stays zero so a zero multiplier digit adds 0.
-_MULTIPLICAND_REG = 1
-_MULTIPLE_COUNT = 9  # MM[1] .. MM[9]
-
-
-def _emit_prologue(b) -> None:
-    b.emit("addi", "sp", "sp", -_FRAME)
-    for index, reg in enumerate(_SAVED):
-        b.emit("sd", reg, "sp", 8 * index)
-
-
-def _emit_epilogue(b) -> None:
-    for index, reg in enumerate(_SAVED):
-        b.emit("ld", reg, "sp", 8 * index)
-    b.emit("addi", "sp", "sp", _FRAME)
-    b.ret()
-
-
-def _emit_unpack_bcd_subroutine(b, p: str) -> None:
+def _emit_unpack_bcd_subroutine(b, layout: Layout, p: str) -> None:
     """Local subroutine: a2 = decimal64 word -> a2 = BCD coefficient,
     a3 = sign, a4 = biased exponent.  Clobbers t0-t6."""
     b.label(f"{p}_unpack_bcd")
     emit_unpack_fields(
-        b, f"{p}_ub", src="a2", out_sign="a3", out_bexp="a4",
+        b, layout, f"{p}_ub", "a2", out_sign="a3", out_bexp="a4",
         out_cont="t3", out_msd="t4", tmp1="t0", tmp2="t1",
     )
     b.la("t0", TABLE_SYMBOLS["dpd2bcd"])
@@ -90,131 +79,25 @@ def _emit_unpack_bcd_subroutine(b, p: str) -> None:
     b.ret()
 
 
-def _emit_nibcount_subroutine(b, p: str) -> None:
-    """Local subroutine: a2 = packed BCD value -> a2 = significant digit count.
-
-    Clobbers t0.  Returns 0 for a zero input (callers exclude that case).
-    """
-    b.label(f"{p}_nibcount")
-    b.li("t0", 0)
-    b.label(f"{p}_nibcount_loop")
-    b.beqz("a2", f"{p}_nibcount_done")
-    b.emit("srli", "a2", "a2", 4)
-    b.emit("addi", "t0", "t0", 1)
-    b.j(f"{p}_nibcount_loop")
-    b.label(f"{p}_nibcount_done")
-    b.mv("a2", "t0")
-    b.ret()
-
-
-def _emit_dummy_functions(b, p: str) -> None:
-    """The static dummy functions of the estimation methodology.
-
-    Each is shaped like a small compiled C function ("designed according to
-    the method's algorithm": a stack frame, a couple of data moves and a fixed
-    return value), so the caller's control flow keeps going but computes
-    nothing meaningful — only the call/return cost is representative.
-    """
-
-    def frame_enter():
-        b.emit("addi", "sp", "sp", -16)
-        b.emit("sd", "s0", "sp", 0)
-        b.emit("addi", "s0", "sp", 16)
-
-    def frame_leave():
-        b.emit("ld", "s0", "sp", 0)
-        b.emit("addi", "sp", "sp", 16)
-        b.ret()
-
-    b.label(f"{p}_dummy_clr")
-    frame_enter()
-    frame_leave()
-    b.label(f"{p}_dummy_wr")
-    frame_enter()
-    b.mv("a1", "a0")
-    frame_leave()
-    b.label(f"{p}_dummy_dec_add")
-    frame_enter()
-    b.mv("a2", "a0")
-    b.li("a0", 0x1)
-    frame_leave()
-    b.label(f"{p}_dummy_dec_accum")
-    frame_enter()
-    b.mv("a1", "a0")
-    frame_leave()
-    b.label(f"{p}_dummy_rd")
-    frame_enter()
-    b.li("a0", 0x123)
-    frame_leave()
-
-
-def emit_method1_kernel(
-    b, label: str = "dec64_mul_m1", use_accelerator: bool = True
-) -> str:
-    """Emit the Method-1 kernel; returns its entry label.
+def emit_mul_kernel(b, spec, label: str, solution: str) -> str:
+    """Emit the decimal64 multiply kernel of Table IV row ``solution``;
+    returns its entry label.
 
     Calling convention: ``a0`` = X (decimal64 bits), ``a1`` = Y; returns the
-    product's decimal64 bits in ``a0``.  With ``use_accelerator=False`` the
-    accelerator invocations become dummy-function calls (timing-only variant).
+    product's decimal64 bits in ``a0``.
     """
+    if solution == "software":
+        return emit_software_mul_kernel(b, spec, label)
+    layout = Layout(spec)
     p = label
-
-    # ----- hardware-invocation helpers (the only part that differs) ----------
-    def hw_clear():
-        if use_accelerator:
-            b.rocc("CLR_ALL")
-        else:
-            b.call(f"{p}_dummy_clr")
-
-    def hw_write_multiplicand():
-        if use_accelerator:
-            b.rocc("WR", rd=0, rs1="s3", rs2=_MULTIPLICAND_REG,
-                   xd=False, xs1=True, xs2=False)
-        else:
-            b.mv("a0", "s3")
-            b.call(f"{p}_dummy_wr")
-
-    def hw_generate_multiple(index):
-        if use_accelerator:
-            # regfile[index + 1] = regfile[index] + regfile[1]
-            b.rocc("DEC_ADD", rd=index + 1, rs1=index, rs2=_MULTIPLICAND_REG,
-                   xd=False, xs1=False, xs2=False)
-        else:
-            b.call(f"{p}_dummy_dec_add")
-
-    def hw_accumulate_digit(digit_reg):
-        if use_accelerator:
-            # accumulator = accumulator * 10 + regfile[digit]
-            b.rocc("DEC_ACCUM", rd=0, rs1=digit_reg, rs2=0,
-                   xd=False, xs1=True, xs2=False)
-        else:
-            b.mv("a0", digit_reg)
-            b.call(f"{p}_dummy_dec_accum")
-
-    def hw_read(selector, dest_reg):
-        if use_accelerator:
-            b.rocc("RD", rd=dest_reg, rs1=0, rs2=selector,
-                   xd=True, xs1=False, xs2=False)
-        else:
-            b.call(f"{p}_dummy_rd")
-            b.mv(dest_reg, "a0")
-
-    def hw_bcd_increment(reg):
-        if use_accelerator:
-            b.li("t2", 1)
-            b.rocc("DEC_ADD", rd=reg, rs1=reg, rs2="t2",
-                   xd=True, xs1=True, xs2=True)
-        else:
-            b.mv("a0", reg)
-            b.li("a1", 1)
-            b.call(f"{p}_dummy_dec_add")
-            b.mv(reg, "a0")
+    hw = HardwarePart(b, p, solution)
 
     # ----- kernel entry --------------------------------------------------------
     b.text()
     b.label(p)
-    emit_entry_special_check(b, p)
-    _emit_prologue(b)
+    emit_special_screen(b, layout, (layout.operand(0), layout.operand(1)),
+                        "t2", f"{p}_special")
+    b.prologue(SAVED)
 
     # Unpack both operands (software, table-driven DPD -> BCD).
     b.mv("a2", "a0")
@@ -227,30 +110,29 @@ def emit_method1_kernel(
     b.mv("s4", "a2")
     b.emit("xor", "s1", "s1", "a3")
     b.emit("add", "s2", "s2", "a4")
-    b.emit("addi", "s2", "s2", -796)
+    b.emit("addi", "s2", "s2", -2 * layout.bias)
 
     # Zero operands short-circuit the whole hardware section.
     b.beqz("s3", f"{p}_zero_result")
     b.beqz("s4", f"{p}_zero_result")
 
     # ----- hardware part: multiples generation --------------------------------
-    hw_clear()
-    hw_write_multiplicand()
-    for index in range(1, _MULTIPLE_COUNT):
-        hw_generate_multiple(index)
+    hw.command("CLR_ALL")
+    hw.command("WR", rs1="s3", rs2=MULTIPLICAND_REG, xs1=True)
+    hw.generate_multiples()
 
     # ----- digit loop: software extracts, hardware accumulates ----------------
-    b.li("s10", 16)
+    b.li("s10", layout.precision)
     b.label(f"{p}_digit_loop")
     b.emit("srli", "t0", "s4", 60)
-    hw_accumulate_digit("t0")
+    hw.command("DEC_ACCUM", rs1="t0", xs1=True)
     b.emit("slli", "s4", "s4", 4)
     b.emit("addi", "s10", "s10", -1)
     b.bnez("s10", f"{p}_digit_loop")
 
     # ----- read the 32-digit product back --------------------------------------
-    hw_read(ACC_LO_SELECTOR, "s5")
-    hw_read(ACC_HI_SELECTOR, "s6")
+    hw.command("RD", rd="s5", rs2=ACC_LO_SELECTOR, xd=True)
+    hw.command("RD", rd="s6", rs2=ACC_HI_SELECTOR, xd=True)
 
     # ----- software part: rounding ---------------------------------------------
     b.beqz("s6", f"{p}_d_lo_only")
@@ -266,7 +148,7 @@ def emit_method1_kernel(
 
     # drop = max(0, D - 16, etiny - e0)
     b.emit("addi", "s8", "s9", -16)
-    b.li("t0", -398)
+    b.li("t0", layout.etiny)
     b.emit("sub", "t0", "t0", "s2")
     b.branch("bge", "s8", "t0", f"{p}_m_drop1")
     b.mv("s8", "t0")
@@ -328,7 +210,7 @@ def emit_method1_kernel(
     b.bnez("t2", f"{p}_m_round_up")
     b.j(f"{p}_m_after_incr")
     b.label(f"{p}_m_round_up")
-    hw_bcd_increment("s7")
+    hw.increment(("s7",))
     b.bnez("s7", f"{p}_m_after_incr")
     # 9999999999999999 + 1: coefficient becomes 10**15, exponent + 1.
     b.li("t0", 1)
@@ -379,11 +261,11 @@ def emit_method1_kernel(
     b.jal("ra", f"{p}_nibcount")
     b.emit("add", "t0", "s2", "a2")
     b.emit("addi", "t0", "t0", -1)
-    b.li("t1", 384)
+    b.li("t1", layout.emax)
     b.branch("bge", "t1", "t0", f"{p}_m_no_ovf")
     b.j(f"{p}_m_overflow")
     b.label(f"{p}_m_no_ovf")
-    b.li("t1", 369)
+    b.li("t1", layout.etop)
     b.branch("bge", "t1", "s2", f"{p}_m_no_clamp")
     b.emit("sub", "t2", "s2", "t1")
     b.emit("slli", "t2", "t2", 2)
@@ -407,38 +289,24 @@ def emit_method1_kernel(
         b.emit("slli", "t3", "t3", shift)
         b.emit("or", "a2", "a2", "t3")
     b.emit("srli", "t6", "t6", 12)             # most significant digit
-    b.emit("addi", "a3", "s2", 398)
-    emit_encode_result(
-        b, f"{p}_fin", sign="s1", bexp="a3", msd="t6", cont="a2",
-        out="a0", tmp1="t1", tmp2="t2",
-    )
+    emit_finite_result(b, layout, f"{p}_fin", "s1", "s2", "t6", ("a2",))
     b.j(f"{p}_m_epilogue")
 
     # Zero result (either operand zero, or the product rounded to zero).
-    b.label(f"{p}_zero_result")
-    emit_clamp_exponent(b, f"{p}_z", "s2", "t0")
-    b.emit("addi", "a3", "s2", 398)
-    emit_encode_result(
-        b, f"{p}_zenc", sign="s1", bexp="a3", msd="zero", cont="zero",
-        out="a0", tmp1="t1", tmp2="t2",
-    )
+    emit_zero_result(b, layout, p, "s1", "s2")
     b.j(f"{p}_m_epilogue")
 
     # Overflow to infinity.
     b.label(f"{p}_m_overflow")
-    b.emit("slli", "t5", "s1", 63)
-    b.li("t6", 0b11110)
-    b.emit("slli", "t6", "t6", 58)
-    b.emit("or", "a0", "t5", "t6")
+    emit_canonical_inf(b, layout, "s1")
     b.j(f"{p}_m_epilogue")
 
     b.label(f"{p}_m_epilogue")
-    _emit_epilogue(b)
+    b.epilogue(SAVED)
 
     # ----- local subroutines, dummies, special path -----------------------------
-    _emit_unpack_bcd_subroutine(b, p)
-    _emit_nibcount_subroutine(b, p)
-    if not use_accelerator:
-        _emit_dummy_functions(b, p)
-    emit_special_path(b, p)
+    _emit_unpack_bcd_subroutine(b, layout, p)
+    emit_nibcount(b, p)
+    emit_dummy_functions(b, hw, MUL_DUMMY_BODIES)
+    emit_mul_special_path(b, layout, p)
     return p

@@ -37,12 +37,18 @@ Stack frame layout (offsets from sp):
 
 from __future__ import annotations
 
-from repro.kernels.common import (
-    emit_clamp_exponent,
-    emit_encode_result,
-    emit_entry_special_check,
-    emit_special_path,
-    emit_unpack_fields,
+from repro.kernels.stages import (
+    Layout,
+    emit_canonical_inf,
+    emit_count9,
+    emit_epilogue,
+    emit_finite_result,
+    emit_mul_special_path,
+    emit_prologue,
+    emit_schoolbook_multiply,
+    emit_special_screen,
+    emit_unpack_units,
+    emit_zero_result,
 )
 from repro.kernels.tables import TABLE_SYMBOLS
 
@@ -53,83 +59,25 @@ _YUNITS = 96          # sp+96  .. sp+143: Y units
 _ACC = 144            # sp+144 .. sp+239: product unit accumulator (12 units)
 _SAVE_BASE = 240      # sp+240 .. sp+343: ra, s0..s11
 
-_SAVED = ("ra", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11")
 
-
-def _emit_prologue(b) -> None:
-    b.emit("addi", "sp", "sp", -_FRAME)
-    for index, reg in enumerate(_SAVED):
-        b.emit("sd", reg, "sp", _SAVE_BASE + 8 * index)
-
-
-def _emit_epilogue(b) -> None:
-    for index, reg in enumerate(_SAVED):
-        b.emit("ld", reg, "sp", _SAVE_BASE + 8 * index)
-    b.emit("addi", "sp", "sp", _FRAME)
-    b.ret()
-
-
-def _emit_unpack_units_subroutine(b, p: str) -> None:
-    """Local subroutine: decode one operand into its six 3-digit units.
-
-    ``a2`` = decimal64 word, ``a6`` = pointer to a six-dword unit buffer.
-    Returns ``a3`` = OR of all units (zero-coefficient indicator), ``a4`` =
-    sign, ``a5`` = biased exponent.  Clobbers t0-t6.
-    """
-    b.label(f"{p}_unpack_units")
-    emit_unpack_fields(
-        b, f"{p}_upk", src="a2", out_sign="a4", out_bexp="a5",
-        out_cont="t3", out_msd="t4", tmp1="t0", tmp2="t1",
-    )
-    b.la("t0", TABLE_SYMBOLS["dpd2bin"])
-    b.li("a3", 0)
-    for unit_index in range(5):
-        b.emit("srli", "t2", "t3", 10 * unit_index)
-        b.emit("andi", "t2", "t2", 0x3FF)
-        b.emit("slli", "t2", "t2", 1)
-        b.emit("add", "t2", "t2", "t0")
-        b.emit("lhu", "t2", "t2", 0)
-        b.emit("sd", "t2", "a6", 8 * unit_index)
-        b.emit("or", "a3", "a3", "t2")
-    b.emit("sd", "t4", "a6", 40)
-    b.emit("or", "a3", "a3", "t4")
-    b.ret()
-
-
-def _emit_count9_subroutine(b, p: str) -> None:
-    """Local subroutine: a2 = limb (< 1e9) -> a2 = number of decimal digits (>= 1).
-
-    Uses the pow10 table via s7.  Clobbers t0, t1.
-    """
-    b.label(f"{p}_count9")
-    b.li("t0", 1)
-    b.label(f"{p}_count9_loop")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "s7")
-    b.emit("ld", "t1", "t1", 0)
-    b.branch("bltu", "a2", "t1", f"{p}_count9_done")
-    b.emit("addi", "t0", "t0", 1)
-    b.j(f"{p}_count9_loop")
-    b.label(f"{p}_count9_done")
-    b.mv("a2", "t0")
-    b.ret()
-
-
-def emit_software_mul_kernel(b, label: str = "dec64_mul_sw") -> str:
-    """Emit the pure-software multiplication kernel; returns its entry label.
+def emit_software_mul_kernel(b, spec, label: str) -> str:
+    """Emit the pure-software decimal64 multiplication kernel; returns its
+    entry label.
 
     Calling convention: ``a0`` = X (decimal64 bits), ``a1`` = Y; returns the
     product's decimal64 bits in ``a0``.
     """
+    layout = Layout(spec)
     p = label
     b.text()
     b.label(p)
 
     # ---- special values: handled before any stack frame exists -------------
-    emit_entry_special_check(b, p)
+    emit_special_screen(b, layout, (layout.operand(0), layout.operand(1)),
+                        "t2", f"{p}_special")
 
     # ---- prologue, constants ------------------------------------------------
-    _emit_prologue(b)
+    emit_prologue(b, _FRAME, _SAVE_BASE)
     b.la("s7", TABLE_SYMBOLS["pow10"])
     b.li("s8", 1_000_000_000)
 
@@ -145,62 +93,14 @@ def emit_software_mul_kernel(b, label: str = "dec64_mul_sw") -> str:
     b.jal("ra", f"{p}_unpack_units")
     b.emit("xor", "s1", "s1", "a4")
     b.emit("add", "s2", "s2", "a5")
-    b.emit("addi", "s2", "s2", -796)  # e0 = (bx - 398) + (by - 398)
+    b.emit("addi", "s2", "s2", -2 * layout.bias)  # e0 = (bx - 398) + (by - 398)
 
     # ---- zero operands ------------------------------------------------------
     b.beqz("s3", f"{p}_zero_result")
     b.beqz("a3", f"{p}_zero_result")
 
     # ---- coefficient multiplication: unit-by-unit schoolbook loop -----------
-    # Clear the 12-unit accumulator.
-    b.li("t0", 0)
-    b.label(f"{p}_acc_clear")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("sd", "zero", "t1", _ACC)
-    b.emit("addi", "t0", "t0", 1)
-    b.li("t2", 12)
-    b.branch("bne", "t0", "t2", f"{p}_acc_clear")
-    # for j in 0..5: for i in 0..5: acc[i+j] += xu[i] * yu[j]
-    b.li("s0", 0)
-    b.label(f"{p}_mac_outer")
-    b.emit("slli", "t1", "s0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "a4", "t1", _YUNITS)
-    b.li("t3", 0)
-    b.label(f"{p}_mac_inner")
-    b.emit("slli", "t1", "t3", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "t4", "t1", _XUNITS)
-    b.emit("mul", "t4", "t4", "a4")
-    b.emit("add", "t5", "t3", "s0")
-    b.emit("slli", "t5", "t5", 3)
-    b.emit("add", "t5", "t5", "sp")
-    b.emit("ld", "t6", "t5", _ACC)
-    b.emit("add", "t6", "t6", "t4")
-    b.emit("sd", "t6", "t5", _ACC)
-    b.emit("addi", "t3", "t3", 1)
-    b.li("t1", 6)
-    b.branch("bne", "t3", "t1", f"{p}_mac_inner")
-    b.emit("addi", "s0", "s0", 1)
-    b.li("t1", 6)
-    b.branch("bne", "s0", "t1", f"{p}_mac_outer")
-    # Carry normalisation: every accumulator unit back to 0..999.
-    b.li("a7", 1000)
-    b.li("t2", 0)                      # running carry
-    b.li("t0", 0)
-    b.label(f"{p}_carry_loop")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "t4", "t1", _ACC)
-    b.emit("add", "t4", "t4", "t2")
-    b.emit("divu", "t2", "t4", "a7")   # carry out
-    b.emit("mul", "t5", "t2", "a7")
-    b.emit("sub", "t5", "t4", "t5")    # unit value
-    b.emit("sd", "t5", "t1", _ACC)
-    b.emit("addi", "t0", "t0", 1)
-    b.li("t1", 12)
-    b.branch("bne", "t0", "t1", f"{p}_carry_loop")
+    emit_schoolbook_multiply(b, p, 6, _XUNITS, _YUNITS, _ACC)
     # Combine units into four base-1e9 limbs for the rounding machinery.
     b.li("a7", 1000)
     b.li("a6", 1_000_000)
@@ -232,7 +132,7 @@ def emit_software_mul_kernel(b, label: str = "dec64_mul_sw") -> str:
 
     # ---- digits to drop: max(0, D - 16, etiny - e0) --------------------------
     b.emit("addi", "s9", "a6", -16)
-    b.li("t0", -398)
+    b.li("t0", layout.etiny)
     b.emit("sub", "t0", "t0", "s2")
     b.branch("bge", "s9", "t0", f"{p}_drop1")
     b.mv("s9", "t0")
@@ -380,11 +280,11 @@ def emit_software_mul_kernel(b, label: str = "dec64_mul_sw") -> str:
     b.emit("add", "a6", "a6", "a2")
     b.emit("add", "t0", "s2", "a6")
     b.emit("addi", "t0", "t0", -1)                    # adjusted exponent
-    b.li("t1", 384)
+    b.li("t1", layout.emax)
     b.branch("bge", "t1", "t0", f"{p}_no_ovf")
     b.j(f"{p}_overflow_inf")
     b.label(f"{p}_no_ovf")
-    b.li("t1", 369)
+    b.li("t1", layout.etop)
     b.branch("bge", "t1", "s2", f"{p}_no_clamp")
     b.emit("sub", "t2", "s2", "t1")                   # pad
     b.mv("s2", "t1")
@@ -446,38 +346,25 @@ def emit_software_mul_kernel(b, label: str = "dec64_mul_sw") -> str:
     b.emit("lhu", "t3", "t2", 0)
     b.emit("slli", "t3", "t3", 40)
     b.emit("or", "a2", "a2", "t3")
-    # s11 now holds the most significant digit; biased exponent -> a3
-    b.emit("addi", "a3", "s2", 398)
-    emit_encode_result(
-        b, f"{p}_fin", sign="s1", bexp="a3", msd="s11", cont="a2",
-        out="a0", tmp1="t1", tmp2="t2",
-    )
+    # s11 now holds the most significant digit.
+    emit_finite_result(b, layout, f"{p}_fin", "s1", "s2", "s11", ("a2",))
     b.j(f"{p}_epilogue")
 
     # ---- zero result -----------------------------------------------------------
-    b.label(f"{p}_zero_result")
-    emit_clamp_exponent(b, f"{p}_z", "s2", "t0")
-    b.emit("addi", "a3", "s2", 398)
-    emit_encode_result(
-        b, f"{p}_zenc", sign="s1", bexp="a3", msd="zero", cont="zero",
-        out="a0", tmp1="t1", tmp2="t2",
-    )
+    emit_zero_result(b, layout, p, "s1", "s2")
     b.j(f"{p}_epilogue")
 
     # ---- overflow to infinity ---------------------------------------------------
     b.label(f"{p}_overflow_inf")
-    b.emit("slli", "t5", "s1", 63)
-    b.li("t6", 0b11110)
-    b.emit("slli", "t6", "t6", 58)
-    b.emit("or", "a0", "t5", "t6")
+    emit_canonical_inf(b, layout, "s1")
     b.j(f"{p}_epilogue")
 
     # ---- epilogue ----------------------------------------------------------------
     b.label(f"{p}_epilogue")
-    _emit_epilogue(b)
+    emit_epilogue(b, _FRAME, _SAVE_BASE)
 
     # ---- local subroutines and the special path ----------------------------------
-    _emit_unpack_units_subroutine(b, p)
-    _emit_count9_subroutine(b, p)
-    emit_special_path(b, p)
+    emit_unpack_units(b, layout, p)
+    emit_count9(b, p)
+    emit_mul_special_path(b, layout, p)
     return p

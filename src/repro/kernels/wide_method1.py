@@ -17,9 +17,10 @@ All widths derive from the :class:`~repro.decnumber.formats.FormatSpec`:
   spare register-file registers, read back via the register-file word-lane
   selectors (passed by value, ``xs2=1``).
 
-``use_accelerator=False`` emits the *dummy function* estimation variant:
-identical software flow, every accelerator invocation replaced by a static
-call with a fixed return value (timing-representative, results meaningless).
+``method1_dummy`` emits the *dummy function* estimation variant: identical
+software flow, every accelerator invocation replaced by a static call with a
+fixed return value (timing-representative, results meaningless).
+``software`` is the baseline of :mod:`repro.kernels.wide_mul`.
 
 Calling convention: X in ``a0``/``a1`` (low/high), Y in ``a2``/``a3``;
 returns the product in ``a0``/``a1``.
@@ -28,172 +29,57 @@ returns the product in ``a0``/``a1``.
 from __future__ import annotations
 
 from repro.decnumber.formats import FormatSpec
-from repro.kernels.tables import TABLE_SYMBOLS
-from repro.kernels.wide import (
-    WideLayout,
+from repro.errors import ConfigurationError
+from repro.kernels.stages import (
+    MUL_DUMMY_BODIES,
+    MULTIPLICAND_REG,
+    SAVED,
+    HardwarePart,
+    Layout,
+    emit_canonical_inf,
+    emit_dummy_functions,
     emit_extract_declet,
+    emit_finite_result,
+    emit_mul_special_path,
+    emit_nibcount,
     emit_place_declet,
-    emit_wide_clamp_exponent,
-    emit_wide_encode_result,
-    emit_wide_entry_special_check,
-    emit_wide_special_path,
-    emit_wide_unpack_fields,
+    emit_special_screen,
+    emit_unpack_fields,
+    emit_zero_result,
 )
-from repro.rocc.decimal_accel import (
-    DecimalAcceleratorConfig,
-    acc_word_selector,
-    regfile_word_selector,
-)
-
-_SAVED = ("ra", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9",
-          "s10", "s11")
-
-#: Accelerator register that holds the multiplicand (MM[1]); MM[i] lives in
-#: register i, and register 0 stays zero so a zero multiplier digit adds 0.
-_MULTIPLICAND_REG = 1
-_MULTIPLE_COUNT = 9  # MM[1] .. MM[9]
-
-#: Spare accelerator registers used for the rounding increment.
-_INCR_VALUE_REG = 10
-_INCR_ONE_REG = 11
-_INCR_RESULT_REG = 12
+from repro.kernels.tables import TABLE_SYMBOLS
+from repro.kernels.wide_mul import emit_wide_software_mul_kernel
+from repro.rocc.decimal_accel import DecimalAcceleratorConfig, acc_word_selector
 
 
-def _bcd_words(precision: int) -> int:
-    """64-bit words of a ``precision``-digit packed-BCD coefficient."""
-    return -(-(4 * precision) // 64)
-
-
-def _emit_dummy_functions(b, p: str) -> None:
-    """The static dummy functions of the estimation methodology."""
-
-    def frame_enter():
-        b.emit("addi", "sp", "sp", -16)
-        b.emit("sd", "s0", "sp", 0)
-        b.emit("addi", "s0", "sp", 16)
-
-    def frame_leave():
-        b.emit("ld", "s0", "sp", 0)
-        b.emit("addi", "sp", "sp", 16)
-        b.ret()
-
-    b.label(f"{p}_dummy_clr")
-    frame_enter()
-    frame_leave()
-    b.label(f"{p}_dummy_wr")
-    frame_enter()
-    b.mv("a1", "a0")
-    frame_leave()
-    b.label(f"{p}_dummy_dec_add")
-    frame_enter()
-    b.mv("a2", "a0")
-    b.li("a0", 0x1)
-    frame_leave()
-    b.label(f"{p}_dummy_dec_accum")
-    frame_enter()
-    b.mv("a1", "a0")
-    frame_leave()
-    b.label(f"{p}_dummy_rd")
-    frame_enter()
-    b.li("a0", 0x123)
-    frame_leave()
-
-
-def emit_wide_method1_kernel(
-    b, spec: FormatSpec, label: str = None, use_accelerator: bool = True
-) -> str:
-    """Emit the wide Method-1 kernel; returns its entry label."""
-    layout = WideLayout(spec)
-    p = label if label is not None else f"dec{spec.total_bits}_mul_m1"
+def emit_wide_mul_kernel(b, spec: FormatSpec, label: str, solution: str) -> str:
+    """Emit the wide multiply kernel of Table IV row ``solution``; returns
+    its entry label."""
+    if solution == "software":
+        return emit_wide_software_mul_kernel(b, spec, label)
+    layout = Layout(spec)
+    p = label
     precision = layout.precision
-    bcd_words = _bcd_words(precision)               # 3 for decimal128
+    bcd_words = -(-(4 * precision) // 64)           # 3 for decimal128
+    if bcd_words != 3:
+        raise ConfigurationError(
+            f"wide method1 kernel expects a three-word BCD coefficient; "
+            f"{spec.name} needs {bcd_words}"
+        )
     acc_words = DecimalAcceleratorConfig.for_format(spec.name).accumulator_words
     # The quotient walk reads nibbles up to (drop + precision - 1); pad the
     # product buffer with zero words so those reads stay in-frame.
     prod_nibbles = 2 * precision + precision        # worst-case nibble index
     prod_words = -(-prod_nibbles // 16)
-    save_bytes = 8 * len(_SAVED)
-    prod_offset = save_bytes
-    frame = (save_bytes + 8 * prod_words + 15) // 16 * 16
-
-    if bcd_words != 3:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"wide method1 kernel expects a three-word BCD coefficient; "
-            f"{spec.name} needs {bcd_words}"
-        )
-
-    # ----- hardware-invocation helpers (the only part that differs) ----------
-    def hw_clear():
-        if use_accelerator:
-            b.rocc("CLR_ALL")
-        else:
-            b.call(f"{p}_dummy_clr")
-
-    def hw_write_multiplicand_word(lane, reg):
-        if use_accelerator:
-            b.rocc("WR", rd=lane, rs1=reg, rs2=_MULTIPLICAND_REG,
-                   xd=False, xs1=True, xs2=False)
-        else:
-            b.mv("a0", reg)
-            b.call(f"{p}_dummy_wr")
-
-    def hw_generate_multiple(index):
-        if use_accelerator:
-            # regfile[index + 1] = regfile[index] + regfile[1]
-            b.rocc("DEC_ADD", rd=index + 1, rs1=index, rs2=_MULTIPLICAND_REG,
-                   xd=False, xs1=False, xs2=False)
-        else:
-            b.call(f"{p}_dummy_dec_add")
-
-    def hw_accumulate_digit(digit_reg):
-        if use_accelerator:
-            # accumulator = accumulator * 10 + regfile[digit]
-            b.rocc("DEC_ACCUM", rd=0, rs1=digit_reg, rs2=0,
-                   xd=False, xs1=True, xs2=False)
-        else:
-            b.mv("a0", digit_reg)
-            b.call(f"{p}_dummy_dec_accum")
-
-    def hw_read_acc_word(word, dest_reg):
-        if use_accelerator:
-            b.rocc("RD", rd=dest_reg, rs1=0, rs2=acc_word_selector(word),
-                   xd=True, xs1=False, xs2=False)
-        else:
-            b.call(f"{p}_dummy_rd")
-            b.mv(dest_reg, "a0")
-
-    def hw_bcd_increment(regs):
-        """regs (low..high BCD words) += 1 on the accelerator's BCD adder."""
-        if use_accelerator:
-            # Assemble the wide value in a spare register (lane 0 clears
-            # the upper lanes), add the constant 1, read the sum back.
-            for lane, reg in enumerate(regs):
-                b.rocc("WR", rd=lane, rs1=reg, rs2=_INCR_VALUE_REG,
-                       xd=False, xs1=True, xs2=False)
-            b.li("t2", 1)
-            b.rocc("WR", rd=0, rs1="t2", rs2=_INCR_ONE_REG,
-                   xd=False, xs1=True, xs2=False)
-            b.rocc("DEC_ADD", rd=_INCR_RESULT_REG, rs1=_INCR_VALUE_REG,
-                   rs2=_INCR_ONE_REG, xd=False, xs1=False, xs2=False)
-            for lane, reg in enumerate(regs):
-                b.li("t2", regfile_word_selector(_INCR_RESULT_REG, lane))
-                b.rocc("RD", rd=reg, rs1=0, rs2="t2",
-                       xd=True, xs1=False, xs2=True)
-        else:
-            b.mv("a0", regs[0])
-            b.li("a1", 1)
-            b.call(f"{p}_dummy_dec_add")
-            b.mv(regs[0], "a0")
+    prod_offset = 8 * len(SAVED)
+    hw = HardwarePart(b, p, solution)
 
     # ----- kernel entry --------------------------------------------------------
     b.text()
     b.label(p)
-    emit_wide_entry_special_check(b, layout, p)
-    b.emit("addi", "sp", "sp", -frame)
-    for index, reg in enumerate(_SAVED):
-        b.emit("sd", reg, "sp", 8 * index)
+    emit_special_screen(b, layout, (layout.operand(0), layout.operand(1)),
+                        "t2", f"{p}_special")
+    b.prologue(SAVED, 8 * prod_words)
 
     # Unpack both operands (software, table-driven DPD -> BCD).
     b.mv("s3", "a2")                  # stash Y before clobbering a-regs
@@ -226,11 +112,10 @@ def emit_wide_method1_kernel(
     b.beqz("t0", f"{p}_zero_result")
 
     # ----- hardware part: multiples generation --------------------------------
-    hw_clear()
+    hw.command("CLR_ALL")
     for lane, reg in enumerate(("s5", "s6", "s7")):
-        hw_write_multiplicand_word(lane, reg)
-    for index in range(1, _MULTIPLE_COUNT):
-        hw_generate_multiple(index)
+        hw.command("WR", rd=lane, rs1=reg, rs2=MULTIPLICAND_REG, xs1=True)
+    hw.generate_multiples()
 
     # ----- digit loop: software extracts, hardware accumulates ----------------
     # The top multiplier digit sits at nibble (precision-1) % 16 of the high
@@ -240,7 +125,7 @@ def emit_wide_method1_kernel(
     b.label(f"{p}_digit_loop")
     b.emit("srli", "t0", "s11", top_nibble_shift)
     b.emit("andi", "t0", "t0", 0xF)
-    hw_accumulate_digit("t0")
+    hw.command("DEC_ACCUM", rs1="t0", xs1=True)
     b.emit("slli", "s11", "s11", 4)
     b.emit("srli", "t1", "s4", 60)
     b.emit("or", "s11", "s11", "t1")
@@ -253,7 +138,7 @@ def emit_wide_method1_kernel(
 
     # ----- read the full product back into the stack buffer -------------------
     for word in range(acc_words):
-        hw_read_acc_word(word, "t0")
+        hw.command("RD", rd="t0", rs2=acc_word_selector(word), xd=True)
         b.emit("sd", "t0", "sp", prod_offset + 8 * word)
     for word in range(acc_words, prod_words):
         b.emit("sd", "zero", "sp", prod_offset + 8 * word)
@@ -348,7 +233,7 @@ def emit_wide_method1_kernel(
     b.bnez("t2", f"{p}_m_round_up")
     b.j(f"{p}_m_after_incr")
     b.label(f"{p}_m_round_up")
-    hw_bcd_increment(("s5", "s6", "s7"))
+    hw.increment(("s5", "s6", "s7"))
     # All-nines quotient carried out to 10**precision: fold back to
     # 10**(precision-1), exponent + 1.  Nibble ``precision`` lands in the
     # high word at (precision % 16); nibble precision-1 one position lower.
@@ -460,66 +345,43 @@ def emit_wide_method1_kernel(
         b.emit("slli", "t2", "t2", 1)
         b.emit("add", "t2", "t2", "t0")
         b.emit("lhu", "t3", "t2", 0)
-        emit_place_declet(b, layout, declet, src="t3",
-                          lo_acc="a2", hi_acc="a4", tmp="t6")
+        emit_place_declet(b, declet, "t3", ("a2", "a4"), "t6")
     # Most significant digit: nibble precision-1 of the BCD value.
     b.emit("srli", "t6", bcd_regs[(precision - 1) // 16],
            4 * ((precision - 1) % 16))
     b.emit("andi", "t6", "t6", 0xF)
-    b.li("t4", layout.bias)
-    b.emit("add", "a3", "s2", "t4")
-    emit_wide_encode_result(
-        b, layout, f"{p}_fin", sign="s1", bexp="a3", msd="t6",
-        cont_lo="a2", cont_hi="a4", out_lo="a0", out_hi="a1",
-        tmp1="t1", tmp2="t2",
-    )
+    emit_finite_result(b, layout, f"{p}_fin", "s1", "s2", "t6", ("a2", "a4"))
     b.j(f"{p}_m_epilogue")
 
     # Zero result (either operand zero, or the product rounded to zero).
-    b.label(f"{p}_zero_result")
-    emit_wide_clamp_exponent(b, layout, f"{p}_z", "s2", "t0")
-    b.li("t4", layout.bias)
-    b.emit("add", "a3", "s2", "t4")
-    emit_wide_encode_result(
-        b, layout, f"{p}_zenc", sign="s1", bexp="a3", msd="zero",
-        cont_lo="zero", cont_hi="zero", out_lo="a0", out_hi="a1",
-        tmp1="t1", tmp2="t2",
-    )
+    emit_zero_result(b, layout, p, "s1", "s2")
     b.j(f"{p}_m_epilogue")
 
     # Overflow to infinity.
     b.label(f"{p}_m_overflow")
-    b.emit("slli", "t5", "s1", layout.sign_shift)
-    b.li("t6", 0b11110)
-    b.emit("slli", "t6", "t6", layout.comb_shift)
-    b.emit("or", "a1", "t5", "t6")
-    b.li("a0", 0)
+    emit_canonical_inf(b, layout, "s1")
     b.j(f"{p}_m_epilogue")
 
     b.label(f"{p}_m_epilogue")
-    for index, reg in enumerate(_SAVED):
-        b.emit("ld", reg, "sp", 8 * index)
-    b.emit("addi", "sp", "sp", frame)
-    b.ret()
+    b.epilogue(SAVED, 8 * prod_words)
 
     # ----- local subroutines, dummies, special path -----------------------------
     _emit_unpack_bcd_subroutine(b, layout, p)
-    _emit_nibcount_subroutine(b, p)
+    emit_nibcount(b, p)
     _emit_nibble_at_subroutine(b, p, prod_offset)
-    if not use_accelerator:
-        _emit_dummy_functions(b, p)
-    emit_wide_special_path(b, layout, p)
+    emit_dummy_functions(b, hw, MUL_DUMMY_BODIES)
+    emit_mul_special_path(b, layout, p)
     return p
 
 
-def _emit_unpack_bcd_subroutine(b, layout: WideLayout, p: str) -> None:
+def _emit_unpack_bcd_subroutine(b, layout: Layout, p: str) -> None:
     """Local subroutine: a2/a3 = wide word pair -> a2/a3/a6 = BCD coefficient
     words (low/mid/high), a4 = sign, a5 = biased exponent.  Clobbers t0-t6
     and a7."""
     b.label(f"{p}_unpack_bcd")
-    emit_wide_unpack_fields(
-        b, layout, f"{p}_ub", lo="a2", hi="a3", out_sign="a4", out_bexp="a5",
-        out_cont_hi="t3", out_msd="t4", tmp1="t0", tmp2="t1",
+    emit_unpack_fields(
+        b, layout, f"{p}_ub", "a3", out_sign="a4", out_bexp="a5",
+        out_cont="t3", out_msd="t4", tmp1="t0", tmp2="t1",
     )
     b.la("t0", TABLE_SYMBOLS["dpd2bcd"])
     b.li("t6", 0)                    # BCD low word accumulator
@@ -527,7 +389,7 @@ def _emit_unpack_bcd_subroutine(b, layout: WideLayout, p: str) -> None:
     b.li("a7", 0)                    # BCD high word accumulator
     accs = ("t6", "a6", "a7")
     for declet in range(layout.declets):
-        emit_extract_declet(b, layout, declet, lo="a2", hi="t3", out="t1", tmp="t5")
+        emit_extract_declet(b, declet, ("a2", "t3"), "t1", "t5")
         b.emit("slli", "t1", "t1", 1)
         b.emit("add", "t1", "t1", "t0")
         b.emit("lhu", "t1", "t1", 0)
@@ -553,23 +415,6 @@ def _emit_unpack_bcd_subroutine(b, layout: WideLayout, p: str) -> None:
     b.mv("a2", "t6")
     b.mv("a3", "a6")
     b.mv("a6", "a7")
-    b.ret()
-
-
-def _emit_nibcount_subroutine(b, p: str) -> None:
-    """Local subroutine: a2 = packed BCD word -> a2 = significant nibbles.
-
-    Clobbers t0.  Returns 0 for a zero input (callers exclude that case).
-    """
-    b.label(f"{p}_nibcount")
-    b.li("t0", 0)
-    b.label(f"{p}_nibcount_loop")
-    b.beqz("a2", f"{p}_nibcount_done")
-    b.emit("srli", "a2", "a2", 4)
-    b.emit("addi", "t0", "t0", 1)
-    b.j(f"{p}_nibcount_loop")
-    b.label(f"{p}_nibcount_done")
-    b.mv("a2", "t0")
     b.ret()
 
 

@@ -22,20 +22,22 @@ returns the product in ``a0``/``a1``.  Results are bit-for-bit the same as
 from __future__ import annotations
 
 from repro.decnumber.formats import FormatSpec
-from repro.kernels.tables import TABLE_SYMBOLS
-from repro.kernels.wide import (
-    WideLayout,
-    emit_extract_declet,
+from repro.kernels.stages import (
+    SAVED,
+    Layout,
+    emit_canonical_inf,
+    emit_count9,
+    emit_epilogue,
+    emit_finite_result,
+    emit_mul_special_path,
     emit_place_declet,
-    emit_wide_clamp_exponent,
-    emit_wide_encode_result,
-    emit_wide_entry_special_check,
-    emit_wide_special_path,
-    emit_wide_unpack_fields,
+    emit_prologue,
+    emit_schoolbook_multiply,
+    emit_special_screen,
+    emit_unpack_units,
+    emit_zero_result,
 )
-
-_SAVED = ("ra", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9",
-          "s10", "s11")
+from repro.kernels.tables import TABLE_SYMBOLS
 
 
 class _Frame:
@@ -54,68 +56,8 @@ class _Frame:
         self.v_slots = self.limbs + self.q_limbs
         self.q = self.v + 8 * self.v_slots
         self.save = self.q + 8 * self.q_limbs
-        total = self.save + 8 * len(_SAVED)
+        total = self.save + 8 * len(SAVED)
         self.size = (total + 15) // 16 * 16
-
-
-def _emit_prologue(b, frame: _Frame) -> None:
-    b.emit("addi", "sp", "sp", -frame.size)
-    for index, reg in enumerate(_SAVED):
-        b.emit("sd", reg, "sp", frame.save + 8 * index)
-
-
-def _emit_epilogue(b, frame: _Frame) -> None:
-    for index, reg in enumerate(_SAVED):
-        b.emit("ld", reg, "sp", frame.save + 8 * index)
-    b.emit("addi", "sp", "sp", frame.size)
-    b.ret()
-
-
-def _emit_unpack_units_subroutine(b, layout: WideLayout, p: str) -> None:
-    """Local subroutine: decode one operand into its 3-digit units.
-
-    ``a2``/``a3`` = the operand's low/high words, ``a6`` = pointer to the
-    unit buffer.  Returns ``a3`` = OR of all units (zero-coefficient
-    indicator), ``a4`` = sign, ``a5`` = biased exponent.  Clobbers t0-t6
-    and ``a2``.
-    """
-    b.label(f"{p}_unpack_units")
-    emit_wide_unpack_fields(
-        b, layout, f"{p}_upk", lo="a2", hi="a3", out_sign="a4", out_bexp="a5",
-        out_cont_hi="t3", out_msd="t4", tmp1="t0", tmp2="t1",
-    )
-    b.la("t0", TABLE_SYMBOLS["dpd2bin"])
-    # a3 (the high source word) is consumed; reuse it as the OR accumulator.
-    b.li("a3", 0)
-    for declet in range(layout.declets):
-        emit_extract_declet(b, layout, declet, lo="a2", hi="t3", out="t2", tmp="t5")
-        b.emit("slli", "t2", "t2", 1)
-        b.emit("add", "t2", "t2", "t0")
-        b.emit("lhu", "t2", "t2", 0)
-        b.emit("sd", "t2", "a6", 8 * declet)
-        b.emit("or", "a3", "a3", "t2")
-    b.emit("sd", "t4", "a6", 8 * layout.declets)
-    b.emit("or", "a3", "a3", "t4")
-    b.ret()
-
-
-def _emit_count9_subroutine(b, p: str) -> None:
-    """Local subroutine: a2 = limb (< 1e9) -> a2 = decimal digit count (>= 1).
-
-    Uses the pow10 table via s7.  Clobbers t0, t1.
-    """
-    b.label(f"{p}_count9")
-    b.li("t0", 1)
-    b.label(f"{p}_count9_loop")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "s7")
-    b.emit("ld", "t1", "t1", 0)
-    b.branch("bltu", "a2", "t1", f"{p}_count9_done")
-    b.emit("addi", "t0", "t0", 1)
-    b.j(f"{p}_count9_loop")
-    b.label(f"{p}_count9_done")
-    b.mv("a2", "t0")
-    b.ret()
 
 
 def _emit_sticky_loop(b, p: str, tag: str, bound_reg: str, v_offset: int) -> None:
@@ -132,13 +74,11 @@ def _emit_sticky_loop(b, p: str, tag: str, bound_reg: str, v_offset: int) -> Non
     b.label(f"{p}_{tag}_done")
 
 
-def emit_wide_software_mul_kernel(
-    b, spec: FormatSpec, label: str = None
-) -> str:
+def emit_wide_software_mul_kernel(b, spec: FormatSpec, label: str) -> str:
     """Emit the pure-software wide multiplication kernel; returns its label."""
-    layout = WideLayout(spec)
+    layout = Layout(spec)
     frame = _Frame(spec)
-    p = label if label is not None else f"dec{spec.total_bits}_mul_sw"
+    p = label
     precision = layout.precision
     q_limbs = frame.q_limbs
     top_limb_pow = 10 ** (precision - 9 * (q_limbs - 1))
@@ -147,10 +87,11 @@ def emit_wide_software_mul_kernel(
     b.label(p)
 
     # ---- special values: handled before any stack frame exists -------------
-    emit_wide_entry_special_check(b, layout, p)
+    emit_special_screen(b, layout, (layout.operand(0), layout.operand(1)),
+                        "t2", f"{p}_special")
 
     # ---- prologue, constants ------------------------------------------------
-    _emit_prologue(b, frame)
+    emit_prologue(b, frame.size, frame.save)
     b.la("s7", TABLE_SYMBOLS["pow10"])
     b.li("s8", 1_000_000_000)
 
@@ -178,55 +119,8 @@ def emit_wide_software_mul_kernel(
     b.beqz("a3", f"{p}_zero_result")
 
     # ---- coefficient multiplication: unit-by-unit schoolbook loop -----------
-    # Clear the accumulator.
-    b.li("t0", 0)
-    b.label(f"{p}_acc_clear")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("sd", "zero", "t1", frame.acc)
-    b.emit("addi", "t0", "t0", 1)
-    b.li("t2", frame.acc_units)
-    b.branch("bne", "t0", "t2", f"{p}_acc_clear")
-    # for j in units: for i in units: acc[i+j] += xu[i] * yu[j]
-    b.li("s0", 0)
-    b.label(f"{p}_mac_outer")
-    b.emit("slli", "t1", "s0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "a4", "t1", frame.y_units)
-    b.li("t3", 0)
-    b.label(f"{p}_mac_inner")
-    b.emit("slli", "t1", "t3", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "t4", "t1", frame.x_units)
-    b.emit("mul", "t4", "t4", "a4")
-    b.emit("add", "t5", "t3", "s0")
-    b.emit("slli", "t5", "t5", 3)
-    b.emit("add", "t5", "t5", "sp")
-    b.emit("ld", "t6", "t5", frame.acc)
-    b.emit("add", "t6", "t6", "t4")
-    b.emit("sd", "t6", "t5", frame.acc)
-    b.emit("addi", "t3", "t3", 1)
-    b.li("t1", frame.units)
-    b.branch("bne", "t3", "t1", f"{p}_mac_inner")
-    b.emit("addi", "s0", "s0", 1)
-    b.li("t1", frame.units)
-    b.branch("bne", "s0", "t1", f"{p}_mac_outer")
-    # Carry normalisation: every accumulator unit back to 0..999.
-    b.li("a7", 1000)
-    b.li("t2", 0)                      # running carry
-    b.li("t0", 0)
-    b.label(f"{p}_carry_loop")
-    b.emit("slli", "t1", "t0", 3)
-    b.emit("add", "t1", "t1", "sp")
-    b.emit("ld", "t4", "t1", frame.acc)
-    b.emit("add", "t4", "t4", "t2")
-    b.emit("divu", "t2", "t4", "a7")   # carry out
-    b.emit("mul", "t5", "t2", "a7")
-    b.emit("sub", "t5", "t4", "t5")    # unit value
-    b.emit("sd", "t5", "t1", frame.acc)
-    b.emit("addi", "t0", "t0", 1)
-    b.li("t1", frame.acc_units)
-    b.branch("bne", "t0", "t1", f"{p}_carry_loop")
+    emit_schoolbook_multiply(b, p, frame.units, frame.x_units, frame.y_units,
+                             frame.acc)
     # Combine units into base-1e9 product limbs v[0..limbs-1] (in memory),
     # and zero the over-read padding slots.
     b.li("a7", 1000)
@@ -449,46 +343,27 @@ def emit_wide_software_mul_kernel(
             b.emit("slli", "t2", "t2", 1)
             b.emit("add", "t2", "t2", "t0")
             b.emit("lhu", "t3", "t2", 0)
-            emit_place_declet(b, layout, declet_index, src="t3",
-                              lo_acc="a2", hi_acc="a4", tmp="t5")
+            emit_place_declet(b, declet_index, "t3", ("a2", "a4"), "t5")
             declet_index += 1
-    # t6 now holds the most significant digit; biased exponent -> a3.
-    b.li("t4", layout.bias)
-    b.emit("add", "a3", "s2", "t4")
-    emit_wide_encode_result(
-        b, layout, f"{p}_fin", sign="s1", bexp="a3", msd="t6",
-        cont_lo="a2", cont_hi="a4", out_lo="a0", out_hi="a1",
-        tmp1="t1", tmp2="t2",
-    )
+    # t6 now holds the most significant digit.
+    emit_finite_result(b, layout, f"{p}_fin", "s1", "s2", "t6", ("a2", "a4"))
     b.j(f"{p}_epilogue")
 
     # ---- zero result -----------------------------------------------------------
-    b.label(f"{p}_zero_result")
-    emit_wide_clamp_exponent(b, layout, f"{p}_z", "s2", "t0")
-    b.li("t4", layout.bias)
-    b.emit("add", "a3", "s2", "t4")
-    emit_wide_encode_result(
-        b, layout, f"{p}_zenc", sign="s1", bexp="a3", msd="zero",
-        cont_lo="zero", cont_hi="zero", out_lo="a0", out_hi="a1",
-        tmp1="t1", tmp2="t2",
-    )
+    emit_zero_result(b, layout, p, "s1", "s2")
     b.j(f"{p}_epilogue")
 
     # ---- overflow to infinity ---------------------------------------------------
     b.label(f"{p}_overflow_inf")
-    b.emit("slli", "t5", "s1", layout.sign_shift)
-    b.li("t6", 0b11110)
-    b.emit("slli", "t6", "t6", layout.comb_shift)
-    b.emit("or", "a1", "t5", "t6")
-    b.li("a0", 0)
+    emit_canonical_inf(b, layout, "s1")
     b.j(f"{p}_epilogue")
 
     # ---- epilogue ----------------------------------------------------------------
     b.label(f"{p}_epilogue")
-    _emit_epilogue(b, frame)
+    emit_epilogue(b, frame.size, frame.save)
 
     # ---- local subroutines and the special path ----------------------------------
-    _emit_unpack_units_subroutine(b, layout, p)
-    _emit_count9_subroutine(b, p)
-    emit_wide_special_path(b, layout, p)
+    emit_unpack_units(b, layout, p)
+    emit_count9(b, p)
+    emit_mul_special_path(b, layout, p)
     return p

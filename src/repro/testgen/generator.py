@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.asm.builder import AsmBuilder
 from repro.asm.program import TOHOST_ADDRESS
 from repro.decnumber.operations import get_operation
 from repro.errors import ConfigurationError
-from repro.kernels.method1 import emit_method1_kernel
-from repro.kernels.software_mul import emit_software_mul_kernel
+from repro.kernels.addsub_fma import emit_addsub_kernel, emit_fma_kernel
+from repro.kernels.method1 import emit_mul_kernel
 from repro.kernels.tables import emit_tables
+from repro.kernels.wide_method1 import emit_wide_mul_kernel
 from repro.testgen.config import SolutionKind, TestProgramConfig
 from repro.verification.database import VerificationDatabase
 from repro.verification.reference import GoldenReference
@@ -35,8 +37,7 @@ HARNESS_SYMBOLS = {
     "num_samples": "num_samples",
 }
 
-#: Solution kind -> label suffix (shared with the kernel emitters' default
-#: label vocabulary, e.g. ``dec64_mul_sw`` / ``dec128_fma_m1``).
+#: Solution kind -> kernel label suffix (``dec64_mul_sw``, ``dec128_fma_m1``).
 _SOLUTION_SUFFIXES = {
     SolutionKind.SOFTWARE: "sw",
     SolutionKind.METHOD1: "m1",
@@ -178,39 +179,28 @@ class GeneratedProgram:
         return start, stop - start
 
 
-def _emit_kernel(builder: AsmBuilder, config: TestProgramConfig) -> str:
-    label = kernel_label(config.fmt, config.operation, config.solution)
-    if config.operation != "multiply":
-        from repro.kernels.addsub_fma import emit_addsub_kernel, emit_fma_kernel
+_ADD = partial(emit_addsub_kernel, mnemonic="add")
+_SUBTRACT = partial(emit_addsub_kernel, mnemonic="sub")
 
-        spec = config.format_spec
-        if config.operation == "fma":
-            return emit_fma_kernel(
-                builder, spec, label=label, variant=config.solution
-            )
-        return emit_addsub_kernel(
-            builder,
-            spec,
-            label=label,
-            operation=get_operation(config.operation).mnemonic,
-            variant=config.solution,
-        )
-    use_accelerator = config.solution == SolutionKind.METHOD1
-    if config.fmt == "decimal64":
-        if config.solution == SolutionKind.SOFTWARE:
-            return emit_software_mul_kernel(builder, label=label)
-        return emit_method1_kernel(
-            builder, label=label, use_accelerator=use_accelerator
-        )
-    from repro.kernels.wide_method1 import emit_wide_method1_kernel
-    from repro.kernels.wide_mul import emit_wide_software_mul_kernel
+#: (operation, words per value) -> kernel emitter; every emitter takes
+#: ``(builder, spec, label, solution)``.
+_KERNEL_EMITTERS = {
+    ("multiply", 1): emit_mul_kernel,
+    ("multiply", 2): emit_wide_mul_kernel,
+    ("add", 1): _ADD,
+    ("add", 2): _ADD,
+    ("subtract", 1): _SUBTRACT,
+    ("subtract", 2): _SUBTRACT,
+    ("fma", 1): emit_fma_kernel,
+    ("fma", 2): emit_fma_kernel,
+}
 
+
+def _emit_kernel(builder: AsmBuilder, config: TestProgramConfig,
+                 label: str) -> str:
     spec = config.format_spec
-    if config.solution == SolutionKind.SOFTWARE:
-        return emit_wide_software_mul_kernel(builder, spec, label=label)
-    return emit_wide_method1_kernel(
-        builder, spec, label=label, use_accelerator=use_accelerator
-    )
+    emit = _KERNEL_EMITTERS[(config.operation, spec.words_per_value)]
+    return emit(builder, spec, label, config.solution)
 
 
 def _emit_harness(builder: AsmBuilder, kernel_label: str, num_samples: int,
@@ -400,11 +390,10 @@ def build_test_program(
     builder.dword(len(vectors))
 
     # Text: harness first (entry point), then the kernel.
-    _emit_harness(builder,
-                  kernel_label(config.fmt, config.operation, config.solution),
-                  len(vectors), config.repetitions,
+    label = kernel_label(config.fmt, config.operation, config.solution)
+    _emit_harness(builder, label, len(vectors), config.repetitions,
                   words_per_value=words_per_value, arity=arity)
-    label = _emit_kernel(builder, config)
+    _emit_kernel(builder, config, label)
 
     image = builder.link(entry_symbol="_start")
     return GeneratedProgram(
