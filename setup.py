@@ -1,8 +1,8 @@
-"""Setup shim.
+"""Setup script: the project metadata for ``pip install -e .``.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` keeps working on offline machines that lack the
-``wheel`` package required by PEP 660 editable installs.
+Everything is stdlib-only, so this file is the whole packaging story; it
+keeps working on offline machines that lack the ``wheel`` package required
+by PEP 660 editable installs.
 """
 
 from setuptools import find_packages, setup

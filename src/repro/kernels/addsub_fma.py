@@ -431,12 +431,9 @@ class _OpKernelEmitter:
         accelerator is live here).  Clobbers t0-t6, a2-a3, a6-a7 (software)
         or t2-t4 (method1); preserves a4/a5.
         """
-        if self.soft:
-            self._emit_soft_waddsub(sub=False)
-            self._emit_soft_waddsub(sub=True)
-        else:
-            self._emit_hw_wadd()
-            self._emit_hw_wsub()
+        emit = self._emit_soft_waddsub if self.soft else self._emit_hw_waddsub
+        emit(sub=False)
+        emit(sub=True)
 
     def _emit_soft_waddsub(self, sub: bool) -> None:
         b, p = self.b, self.p
@@ -473,46 +470,19 @@ class _OpKernelEmitter:
             b.mv("a6", "a7")
         b.ret()
 
-    def _hw_sub_frame(self, enter: bool) -> None:
-        """The dummy variant's calls clobber ra inside these subroutines."""
-        b = self.b
-        if not self.hw.dummy:
-            return
-        if enter:
-            b.emit("addi", "sp", "sp", -16)
-            b.emit("sd", "ra", "sp", 0)
-        else:
-            b.emit("ld", "ra", "sp", 0)
-            b.emit("addi", "sp", "sp", 16)
-
-    def _emit_hw_wadd(self) -> None:
-        b, p = self.b, self.p
-        b.label(f"{p}_wadd")
-        self._hw_sub_frame(enter=True)
-        self.hw.command("CLR_ALL")           # status carry <- 0 (regfile is dead)
+    def _emit_hw_waddsub(self, sub: bool) -> None:
+        b, hw = self.b, self.hw
+        b.label(self.L("wsub" if sub else "wadd"))
+        hw.save_ra()
+        hw.command("CLR_ALL")          # status carry/borrow <- 0 (regfile is dead)
         for w in range(self.NW):
             b.emit("ld", "t2", "a4", 8 * w)
             b.emit("ld", "t3", "a5", 8 * w)
-            # one 16-digit word of a4 + a5; the carry chains via STATUS
-            self.hw.command("DEC_ADDC", rd="t4", rs1="t2", rs2="t3",
-                            xd=True, xs1=True, xs2=True)
+            # one 16-digit word of a4 -/+ a5; the borrow/carry chains via STATUS
+            hw.command("DEC_SUBB" if sub else "DEC_ADDC", rd="t4", rs1="t2",
+                       rs2="t3", xd=True, xs1=True, xs2=True)
             b.emit("sd", "t4", "a4", 8 * w)
-        self._hw_sub_frame(enter=False)
-        b.ret()
-
-    def _emit_hw_wsub(self) -> None:
-        b, p = self.b, self.p
-        b.label(f"{p}_wsub")
-        self._hw_sub_frame(enter=True)
-        self.hw.command("CLR_ALL")           # status borrow <- 0
-        for w in range(self.NW):
-            b.emit("ld", "t2", "a4", 8 * w)
-            b.emit("ld", "t3", "a5", 8 * w)
-            # one 16-digit word of a4 - a5; the borrow chains via STATUS
-            self.hw.command("DEC_SUBB", rd="t4", rs1="t2", rs2="t3",
-                            xd=True, xs1=True, xs2=True)
-            b.emit("sd", "t4", "a4", 8 * w)
-        self._hw_sub_frame(enter=False)
+        hw.restore_ra()
         b.ret()
 
     def _emit_accrd(self) -> None:
@@ -522,11 +492,11 @@ class _OpKernelEmitter:
         """
         b, p = self.b, self.p
         b.label(f"{p}_accrd")
-        self._hw_sub_frame(enter=True)
+        self.hw.save_ra()
         for w in range(self.ACCW):
             self.hw.command("RD", rd="t4", rs2=ACC_WORD_SELECTORS[w], xd=True)
             b.emit("sd", "t4", "a5", 8 * w)
-        self._hw_sub_frame(enter=False)
+        self.hw.restore_ra()
         for w in range(self.ACCW, self.NW):
             b.emit("sd", "zero", "a5", 8 * w)
         b.ret()

@@ -125,6 +125,7 @@ def emit_mul_kernel(b, spec, label: str, solution: str) -> str:
     b.li("s10", layout.precision)
     b.label(f"{p}_digit_loop")
     b.emit("srli", "t0", "s4", 60)
+    # accumulator = accumulator * 10 + regfile[digit]
     hw.command("DEC_ACCUM", rs1="t0", xs1=True)
     b.emit("slli", "s4", "s4", 4)
     b.emit("addi", "s10", "s10", -1)
@@ -147,7 +148,7 @@ def emit_mul_kernel(b, spec, label: str, solution: str) -> str:
     b.label(f"{p}_d_done")
 
     # drop = max(0, D - 16, etiny - e0)
-    b.emit("addi", "s8", "s9", -16)
+    b.emit("addi", "s8", "s9", -layout.precision)
     b.li("t0", layout.etiny)
     b.emit("sub", "t0", "t0", "s2")
     b.branch("bge", "s8", "t0", f"{p}_m_drop1")

@@ -93,7 +93,7 @@ def emit_software_mul_kernel(b, spec, label: str) -> str:
     b.jal("ra", f"{p}_unpack_units")
     b.emit("xor", "s1", "s1", "a4")
     b.emit("add", "s2", "s2", "a5")
-    b.emit("addi", "s2", "s2", -2 * layout.bias)  # e0 = (bx - 398) + (by - 398)
+    b.emit("addi", "s2", "s2", -2 * layout.bias)  # e0 = (bx - bias) + (by - bias)
 
     # ---- zero operands ------------------------------------------------------
     b.beqz("s3", f"{p}_zero_result")
@@ -131,7 +131,7 @@ def emit_software_mul_kernel(b, spec, label: str) -> str:
     b.emit("add", "a6", "a6", "a2")
 
     # ---- digits to drop: max(0, D - 16, etiny - e0) --------------------------
-    b.emit("addi", "s9", "a6", -16)
+    b.emit("addi", "s9", "a6", -layout.precision)
     b.li("t0", layout.etiny)
     b.emit("sub", "t0", "t0", "s2")
     b.branch("bge", "s9", "t0", f"{p}_drop1")

@@ -577,6 +577,19 @@ class HardwarePart:
         if xd:
             b.mv(rd, "a0")
 
+    def save_ra(self) -> None:
+        """Push ``ra`` for ``method1_dummy``: inside a subroutine, the
+        commands become calls that clobber it."""
+        if self.dummy:
+            self.b.emit("addi", "sp", "sp", -16)
+            self.b.emit("sd", "ra", "sp", 0)
+
+    def restore_ra(self) -> None:
+        """Undo :meth:`save_ra`."""
+        if self.dummy:
+            self.b.emit("ld", "ra", "sp", 0)
+            self.b.emit("addi", "sp", "sp", 16)
+
     def generate_multiples(self) -> None:
         """MM[2..9] from MM[1]: regfile[i + 1] = regfile[i] + regfile[1]."""
         for index in range(1, MULTIPLE_COUNT):

@@ -29,34 +29,28 @@ def _emit_halfword_table(builder, label: str, values) -> None:
         )
 
 
-def emit_tables(builder, which=("dpd2bin", "dpd2bcd", "bin2dpd", "bcd2dpd", "pow10")) -> None:
-    """Emit the requested tables into the builder's *data* section.
+def emit_tables(builder) -> None:
+    """Emit every table into the builder's *data* section.
 
     The builder's current section is switched to ``.data`` and left there.
     """
     builder.data()
-    selected = set(which)
-    if "dpd2bin" in selected:
-        _emit_halfword_table(
-            builder,
-            TABLE_SYMBOLS["dpd2bin"],
-            (dpd.decode_declet(declet) for declet in range(1024)),
-        )
-    if "dpd2bcd" in selected:
-        _emit_halfword_table(
-            builder, TABLE_SYMBOLS["dpd2bcd"], dpd.declet_table_bcd()
-        )
-    if "bin2dpd" in selected:
-        _emit_halfword_table(
-            builder,
-            TABLE_SYMBOLS["bin2dpd"],
-            (dpd.encode_declet(value) for value in range(1000)),
-        )
-    if "bcd2dpd" in selected:
-        _emit_halfword_table(
-            builder, TABLE_SYMBOLS["bcd2dpd"], dpd.bcd_to_declet_table()
-        )
-    if "pow10" in selected:
-        builder.align(8)
-        builder.label(TABLE_SYMBOLS["pow10"])
-        builder.dword(*[10 ** k for k in range(20)])
+    _emit_halfword_table(
+        builder,
+        TABLE_SYMBOLS["dpd2bin"],
+        (dpd.decode_declet(declet) for declet in range(1024)),
+    )
+    _emit_halfword_table(
+        builder, TABLE_SYMBOLS["dpd2bcd"], dpd.declet_table_bcd()
+    )
+    _emit_halfword_table(
+        builder,
+        TABLE_SYMBOLS["bin2dpd"],
+        (dpd.encode_declet(value) for value in range(1000)),
+    )
+    _emit_halfword_table(
+        builder, TABLE_SYMBOLS["bcd2dpd"], dpd.bcd_to_declet_table()
+    )
+    builder.align(8)
+    builder.label(TABLE_SYMBOLS["pow10"])
+    builder.dword(*[10 ** k for k in range(20)])

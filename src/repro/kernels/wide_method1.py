@@ -125,6 +125,7 @@ def emit_wide_mul_kernel(b, spec: FormatSpec, label: str, solution: str) -> str:
     b.label(f"{p}_digit_loop")
     b.emit("srli", "t0", "s11", top_nibble_shift)
     b.emit("andi", "t0", "t0", 0xF)
+    # accumulator = accumulator * 10 + regfile[digit]
     hw.command("DEC_ACCUM", rs1="t0", xs1=True)
     b.emit("slli", "s11", "s11", 4)
     b.emit("srli", "t1", "s4", 60)

@@ -4,8 +4,8 @@ The paper's accelerator is a single blocking design point: the interface FSM
 (Fig. 5) accepts one command, occupies its function state for the datapath's
 busy cycles and only then returns to ``Idle``, so back-to-back RoCC commands
 serialise completely.  This module generalises that into a *staged* datapath
-behind an issue queue, which is what ROADMAP item 2's design-space study
-sweeps:
+behind an issue queue, which is what the design-space study of
+docs/pipeline.md sweeps:
 
 * a command's busy cycles are split into ``min(depth, busy)`` balanced
   segments (:func:`split_busy_cycles`) -- the stage occupancies of a

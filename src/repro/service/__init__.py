@@ -1,6 +1,6 @@
 """Campaign-as-a-service: content-addressed result cache + async job engine.
 
-The persistent-service layer of ROADMAP item 5 (see docs/service.md):
+The persistent-service layer described in docs/service.md:
 
 * :mod:`repro.service.cache` — :func:`cell_key` content-addresses one
   campaign cell (inputs + code fingerprint); :class:`ResultCache` persists

@@ -1,6 +1,6 @@
 """Asyncio campaign job engine: decompose, satisfy from cache, fan out, merge.
 
-The engine is the service half of ROADMAP item 5.  A submitted campaign
+The engine is the service half of docs/service.md.  A submitted campaign
 spec is decomposed into :class:`~repro.core.campaign.CampaignCell`s; every
 cell is content-addressed through :mod:`repro.service.cache`:
 

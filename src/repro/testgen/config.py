@@ -29,7 +29,6 @@ class TestProgramConfig:
     operand_classes: tuple = OperandClass.TABLE_IV_MIX
     num_samples: int = 100
     repetitions: int = 1                    # repetitions per calculation
-    output_mode: str = "cycles"             # "cycles" or "time"
     seed: int = 2018
     #: Registered workload name; when set, the generator draws operand
     #: vectors from ``repro.workloads.get_workload(workload)`` instead of
@@ -56,8 +55,6 @@ class TestProgramConfig:
             raise ConfigurationError("num_samples must be at least 1")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
-        if self.output_mode not in ("cycles", "time"):
-            raise ConfigurationError(f"unknown output mode: {self.output_mode!r}")
         for name in self.operand_classes:
             if name not in OperandClass.ALL:
                 raise ConfigurationError(f"unknown operand class: {name!r}")

@@ -105,39 +105,19 @@ class GeneratedProgram:
 
     # ------------------------------------------------------- batch re-binding
     def encode_operands(self, vectors) -> tuple:
-        """``(operand_words, blob)`` for ``vectors`` under this program's format.
+        """:func:`encode_operands` for ``vectors`` under this program's
+        configuration."""
+        return encode_operands(self.config, vectors)
 
-        ``blob`` is byte-identical to the operand region a fresh
-        :func:`build_test_program` over the same vectors would emit, so a
-        warm simulator (or a patched image) loaded with it is
-        indistinguishable from a cold build.
-        """
-        reference = GoldenReference(
-            operation=self.config.operation, precision=self.config.precision
-        )
-        words_per_value = self.words_per_value
-        mask64 = (1 << 64) - 1
-        operand_words = []
-        blob = bytearray()
-        for vector in vectors:
-            words = tuple(
-                reference.encode_operand(operand) for operand in vector.operands
-            )
-            operand_words.append(words)
-            for value in words:
-                for i in range(words_per_value):
-                    blob += struct.pack("<Q", (value >> (64 * i)) & mask64)
-        return operand_words, bytes(blob)
-
-    def rebind(self, vectors, encoded=None) -> "GeneratedProgram":
+    def rebind(self, vectors) -> "GeneratedProgram":
         """This program over a new same-shape vector set, without re-linking.
 
         Returns a new :class:`GeneratedProgram` whose image shares the text
         segment, symbol table and layout of this one; only the operand words
-        in the data segment are replaced (``encoded`` may pass a precomputed
-        :meth:`encode_operands` result to avoid encoding twice).  Byte-for-
-        byte identical to re-running the full generate/assemble/link pipeline
-        over the new vectors — that is the invariant batch mode rests on.
+        in the data segment are replaced.  Byte-for-byte identical to
+        re-running the full generate/assemble/link pipeline over the new
+        vectors — that is the invariant batch mode rests on — and rejects
+        the same vector sets :func:`build_test_program` rejects.
         """
         vectors = list(vectors)
         if len(vectors) != self.num_samples:
@@ -145,9 +125,7 @@ class GeneratedProgram:
                 f"rebind vector count {len(vectors)} != program num_samples "
                 f"{self.num_samples}"
             )
-        operand_words, blob = (
-            encoded if encoded is not None else self.encode_operands(vectors)
-        )
+        operand_words, blob = self.encode_operands(vectors)
         address = self.image.symbol(HARNESS_SYMBOLS["operands"])
         segments = dict(self.image.segments)
         for name, (base, data) in segments.items():
@@ -201,6 +179,39 @@ def _emit_kernel(builder: AsmBuilder, config: TestProgramConfig,
     spec = config.format_spec
     emit = _KERNEL_EMITTERS[(config.operation, spec.words_per_value)]
     return emit(builder, spec, label, config.solution)
+
+
+def encode_operands(config: TestProgramConfig, vectors) -> tuple:
+    """``(operand_words, blob)``: ``vectors`` encoded for ``config``.
+
+    ``blob`` is the program's operand region, each value least-significant
+    word first; :func:`build_test_program` emits it and
+    :meth:`GeneratedProgram.rebind` patches it in, so a rebound image is
+    byte-identical to a cold build.  Raises :class:`ConfigurationError`
+    naming the first vector whose operand count is not the operation's
+    arity.
+    """
+    reference = GoldenReference(operation=config.operation,
+                                precision=config.precision)
+    arity = get_operation(config.operation).arity
+    words_per_value = config.format_spec.words_per_value
+    mask64 = (1 << 64) - 1
+    operand_words = []
+    blob = bytearray()
+    for vector in vectors:
+        if len(vector.operands) != arity:
+            raise ConfigurationError(
+                f"vector {vector.index} carries {len(vector.operands)} "
+                f"operands but operation {config.operation!r} takes {arity}"
+            )
+        words = tuple(
+            reference.encode_operand(operand) for operand in vector.operands
+        )
+        operand_words.append(words)
+        for value in words:
+            for i in range(words_per_value):
+                blob += struct.pack("<Q", (value >> (64 * i)) & mask64)
+    return operand_words, bytes(blob)
 
 
 def _emit_harness(builder: AsmBuilder, kernel_label: str, num_samples: int,
@@ -353,33 +364,16 @@ def build_test_program(
             f"vector count {len(vectors)} != configured num_samples {config.num_samples}"
         )
 
-    reference = GoldenReference(operation=config.operation, precision=config.precision)
+    operand_words, blob = encode_operands(config, vectors)
     builder = AsmBuilder()
     words_per_value = config.format_spec.words_per_value
-    mask64 = (1 << 64) - 1
 
-    # Data: lookup tables, operands, result/cycle buffers.  Multi-word
-    # encodings are stored least-significant word first.
+    # Data: lookup tables, operands, result/cycle buffers.
     emit_tables(builder)
     builder.data()
     builder.align(8)
     builder.label(HARNESS_SYMBOLS["operands"])
-    arity = get_operation(config.operation).arity
-    operand_words = []
-    for vector in vectors:
-        if len(vector.operands) != arity:
-            raise ConfigurationError(
-                f"vector {vector.index} carries {len(vector.operands)} "
-                f"operands but operation {config.operation!r} takes {arity}"
-            )
-        words = tuple(
-            reference.encode_operand(operand) for operand in vector.operands
-        )
-        operand_words.append(words)
-        for value in words:
-            builder.dword(
-                *((value >> (64 * i)) & mask64 for i in range(words_per_value))
-            )
+    builder.current_section.append_bytes(blob)
     builder.label(HARNESS_SYMBOLS["results"])
     builder.space(8 * len(vectors) * words_per_value)
     builder.label(HARNESS_SYMBOLS["cycle_samples"])
@@ -392,7 +386,8 @@ def build_test_program(
     # Text: harness first (entry point), then the kernel.
     label = kernel_label(config.fmt, config.operation, config.solution)
     _emit_harness(builder, label, len(vectors), config.repetitions,
-                  words_per_value=words_per_value, arity=arity)
+                  words_per_value=words_per_value,
+                  arity=get_operation(config.operation).arity)
     _emit_kernel(builder, config, label)
 
     image = builder.link(entry_symbol="_start")

@@ -4,9 +4,11 @@ Compiled ``.pyc`` files are host- and version-specific; once committed they
 shadow real source changes and bloat every diff.  The tier-1 suite (and CI)
 fails if any reappear in the index.  The docs checker
 (``tools/check_docs.py``, also a CI step) keeps markdown links and the file
-paths quoted in doc code fences pointing at files that exist.
+paths quoted in doc code fences and prose code spans pointing at files that
+exist.
 """
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -65,3 +67,30 @@ def test_docs_links_and_file_references():
     assert result.returncode == 0, (
         f"tools/check_docs.py found problems:\n{result.stdout}{result.stderr}"
     )
+
+
+def _check_docs_module():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_check_flags_missing_paths_in_prose_code_spans():
+    check_docs = _check_docs_module()
+    lines = [
+        "The stages live in `kernels/stages.py` and `src/repro/kernels/`.",
+        "```sh",
+        "echo `kernels/fenced_only.py`",
+        "```",
+        "A deleted module: `kernels/no_such.py`, and `docs/no_such.md`.",
+    ]
+    errors = check_docs.check_prose_paths(
+        REPO_ROOT / "docs" / "example.md", lines
+    )
+    assert errors == [
+        "docs/example.md:5: kernels/no_such.py names a missing file",
+        "docs/example.md:5: docs/no_such.md names a missing file",
+    ]

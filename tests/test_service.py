@@ -1,6 +1,6 @@
 """Campaign service tests: content-addressed cache, job engine, HTTP API.
 
-Pins the ROADMAP item 5 acceptance criteria (docs/service.md): a repeated
+Pins the service guarantees of docs/service.md: a repeated
 campaign is served entirely from the result cache with a summary
 bit-identical to the cold run, the cache key covers every measurement
 input plus the code-version fingerprint, and concurrent duplicate

@@ -6,7 +6,11 @@ from repro.decnumber.number import DecNumber
 from repro.errors import ConfigurationError
 from repro.sim.spike import SpikeSimulator
 from repro.testgen.config import SolutionKind, TestProgramConfig
-from repro.testgen.generator import HARNESS_SYMBOLS, build_test_program
+from repro.testgen.generator import (
+    HARNESS_SYMBOLS,
+    build_test_program,
+    generate_vectors,
+)
 from repro.verification.checker import CheckReport, ResultChecker
 from repro.verification.coverage import CoverageTracker
 from repro.verification.database import OperandClass, VerificationDatabase, VerificationVector
@@ -25,7 +29,6 @@ class TestConfig:
         dict(operation="divide"),
         dict(num_samples=0),
         dict(repetitions=0),
-        dict(output_mode="joules"),
         dict(operand_classes=("weird",)),
     ])
     def test_invalid_configs_rejected(self, kwargs):
@@ -164,6 +167,18 @@ class TestGeneratedPrograms:
         config = TestProgramConfig(solution=SolutionKind.SOFTWARE, num_samples=5)
         with pytest.raises(ConfigurationError):
             build_test_program(config, vectors=vectors)
+
+    def test_rebind_rejects_what_build_rejects(self):
+        # A longer operand blob would spill into the results buffer: rebind
+        # must refuse fma triples for a multiply program, as build does.
+        config = TestProgramConfig(solution=SolutionKind.SOFTWARE,
+                                   num_samples=4, seed=7)
+        program = build_test_program(config)
+        triples = generate_vectors(config.with_overrides(operation="fma"))
+        with pytest.raises(ConfigurationError, match="vector 0 carries 3"):
+            build_test_program(config, vectors=triples)
+        with pytest.raises(ConfigurationError, match="vector 0 carries 3"):
+            program.rebind(triples)
 
     def test_repetitions_scale_cycle_counts(self):
         database = VerificationDatabase(seed=8)

@@ -11,6 +11,10 @@ Scans ``README.md``, ``PAPER.md`` and every ``docs/*.md`` for
   ``docs/…``, ``examples/…``, ``benchmarks/…``, ``tools/…``, ``tests/…``)
   or a root-level ``*.md``/``*.py`` file must exist, so quickstart commands
   and examples cannot silently rot;
+* **repo paths in prose inline code spans** — a path into one of those
+  directories, or into a ``repro`` subpackage written relative to
+  ``src/repro/`` (``kernels/stages.py``), must exist, so prose cannot keep
+  naming deleted modules;
 * **backticked dotted ``repro.…`` names** — an inline code span that starts
   with a name such as ``repro.core.campaign.run_campaign`` must resolve:
   the longest importable module prefix is imported and the rest looked up
@@ -41,6 +45,16 @@ _DIR_PATH_RE = re.compile(
     r"(?<![\w./-])(?:%s)/[\w.][\w./-]*" % "|".join(CHECKED_DIRS)
 )
 _ROOT_FILE_RE = re.compile(r"(?<![\w./@-])[A-Za-z][\w.-]*\.(?:md|py)\b")
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+#: ``repro`` subpackages whose paths prose may write relative to src/repro/.
+SUBPACKAGES = tuple(sorted(
+    path.name for path in PACKAGE_ROOT.iterdir()
+    if (path / "__init__.py").exists()
+))
+_SUBPACKAGE_PATH_RE = re.compile(
+    r"(?<![\w./-])(?:%s)/[\w.][\w./-]*" % "|".join(SUBPACKAGES)
+)
+_INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 _EXTERNAL = ("http://", "https://", "mailto:")
 _CODE_SPAN_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[^`]*`")
 
@@ -112,6 +126,28 @@ def check_fence_paths(path: Path, lines) -> list:
     return errors
 
 
+def check_prose_paths(path: Path, lines) -> list:
+    """Repo paths in inline code spans outside code fences that are gone."""
+    errors = []
+    fenced = {lineno for _language, lineno, _line in _fence_blocks(lines)}
+    for lineno, line in enumerate(lines, 1):
+        if lineno in fenced or _FENCE_RE.match(line.strip()):
+            continue
+        for span in _INLINE_CODE_RE.findall(line):
+            candidates = [(REPO_ROOT, c) for c in _DIR_PATH_RE.findall(span)]
+            candidates += [
+                (PACKAGE_ROOT, c) for c in _SUBPACKAGE_PATH_RE.findall(span)
+            ]
+            for root, candidate in candidates:
+                cleaned = candidate.rstrip("/.,:;")
+                if not _exists(root / cleaned):
+                    errors.append(
+                        f"{path.relative_to(REPO_ROOT)}:{lineno}: {cleaned} "
+                        "names a missing file"
+                    )
+    return errors
+
+
 def resolves(name: str) -> bool:
     """Whether dotted ``name`` is an importable module or an attribute of one."""
     if str(REPO_ROOT / "src") not in sys.path:
@@ -150,6 +186,7 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         errors.extend(check_links(path, lines))
         errors.extend(check_fence_paths(path, lines))
+        errors.extend(check_prose_paths(path, lines))
         errors.extend(check_dotted_names(path, lines))
     for error in sorted(errors):
         print(error)
