@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.kernels.stages import (
     MULTIPLE_COUNT,
     MULTIPLICAND_REG,
-    OP_DUMMY_BODIES,
+    ADDSUB_FMA_DUMMY_BODIES,
     SAVED,
     HardwarePart,
     Layout,
@@ -1010,7 +1010,7 @@ class _OpKernelEmitter:
         self._emit_wadd_wsub()
         if self.fused and not self.soft:
             self._emit_accrd()
-        emit_dummy_functions(b, self.hw, OP_DUMMY_BODIES)
+        emit_dummy_functions(b, self.hw, ADDSUB_FMA_DUMMY_BODIES)
         return p
 
 

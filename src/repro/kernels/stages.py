@@ -368,7 +368,10 @@ def emit_finite_result(b, layout: Layout, prefix: str, sign, exp, msd,
 
 
 def emit_zero_result(b, layout: Layout, p: str, sign, exp) -> None:
-    """``{p}_zero_result``: a signed zero at the clamped exponent ``exp``."""
+    """``{p}_zero_result``: a signed zero at the clamped exponent ``exp``.
+
+    Clobbers ``t0`` and what :func:`emit_finite_result` clobbers.
+    """
     b.label(f"{p}_zero_result")
     emit_clamp_exponent(b, layout, f"{p}_z", exp, "t0")
     emit_finite_result(b, layout, f"{p}_zenc", sign, exp, "zero",
@@ -567,6 +570,7 @@ class HardwarePart:
 
     def command(self, funct: str, rd=0, rs1=0, rs2=0, xd=False, xs1=False,
                 xs2=False) -> None:
+        """Issue Table II command ``funct`` (RoCC operand fields)."""
         b = self.b
         if not self.dummy:
             b.rocc(funct, rd=rd, rs1=rs1, rs2=rs2, xd=xd, xs1=xs1, xs2=xs2)
@@ -637,7 +641,7 @@ MUL_DUMMY_BODIES = {
     "dec_accum": (("mv", "a1", "a0"),),
     "rd": (("li", "a0", 0x123),),
 }
-OP_DUMMY_BODIES = {
+ADDSUB_FMA_DUMMY_BODIES = {
     "clr": (("mv", "a1", "a0"),),
     "dec_accum": (("mv", "a1", "a0"),),
     "dec_add": (("li", "a0", 0x1),),

@@ -91,6 +91,6 @@ def test_docs_check_flags_missing_paths_in_prose_code_spans():
         REPO_ROOT / "docs" / "example.md", lines
     )
     assert errors == [
-        "docs/example.md:5: kernels/no_such.py names a missing file",
-        "docs/example.md:5: docs/no_such.md names a missing file",
+        "docs/example.md:5: kernels/no_such.py names a missing path",
+        "docs/example.md:5: docs/no_such.md names a missing path",
     ]

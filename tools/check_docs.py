@@ -143,7 +143,7 @@ def check_prose_paths(path: Path, lines) -> list:
                 if not _exists(root / cleaned):
                     errors.append(
                         f"{path.relative_to(REPO_ROOT)}:{lineno}: {cleaned} "
-                        "names a missing file"
+                        "names a missing path"
                     )
     return errors
 
