@@ -35,9 +35,9 @@ unboundedly.  Results are bit-identical to ``arith.add``/``subtract``/``fma``
 from __future__ import annotations
 
 from repro.kernels.stages import (
+    ADDSUB_FMA_DUMMY_BODIES,
     MULTIPLE_COUNT,
     MULTIPLICAND_REG,
-    ADDSUB_FMA_DUMMY_BODIES,
     SAVED,
     HardwarePart,
     Layout,
@@ -157,7 +157,7 @@ class _OpKernelEmitter:
             b.emit("slli", "t1", "t1", 1)
             b.emit("add", "t1", "t1", "t5")
             b.emit("lhu", "t6", "t1", 0)
-            for declet in range(1, self.layout.declets):
+            for declet in range(1, layout.declets):
                 b.emit("srli", "t2", "t3", 10 * declet)
                 b.emit("andi", "t2", "t2", 0x3FF)
                 b.emit("slli", "t2", "t2", 1)
@@ -165,7 +165,7 @@ class _OpKernelEmitter:
                 b.emit("lhu", "t0", "t2", 0)
                 b.emit("slli", "t0", "t0", 12 * declet)
                 b.emit("or", "t6", "t6", "t0")
-            b.emit("slli", "t0", "t4", 12 * self.layout.declets)
+            b.emit("slli", "t0", "t4", 12 * layout.declets)
             b.emit("or", "t6", "t6", "t0")
             b.emit("sd", "t6", "a5", 0)
             self._zero_buffer("a5", first_word=1)
