@@ -22,6 +22,9 @@ Calling conventions shared by every kernel:
 
 Labels are prefixed with a caller-supplied string so several kernels can
 coexist in one program; every helper documents the registers it clobbers.
+Kernel emitters take the ``SolutionKind`` value as a plain string
+(``software``, ``method1``, ``method1_dummy``): ``repro.testgen`` imports
+this package, so importing ``SolutionKind`` here would be circular.
 """
 
 from __future__ import annotations
