@@ -30,6 +30,7 @@ class TestConfig:
         dict(num_samples=0),
         dict(repetitions=0),
         dict(operand_classes=("weird",)),
+        dict(operand_classes=(OperandClass.NORMAL, "weird")),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
