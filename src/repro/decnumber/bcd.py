@@ -54,14 +54,18 @@ def bcd_to_int(bcd: int) -> int:
 
 
 def is_valid_bcd(bcd: int) -> bool:
-    """Return True when every nibble of ``bcd`` is a decimal digit."""
+    """Return True when every nibble of ``bcd`` is a decimal digit.
+
+    Word-parallel: a nibble is above 9 exactly when adding 6 carries out of
+    it, so one binary add of 0x66…6 tests every nibble at once — no nibble
+    carries out exactly when all of them are decimal digits.
+    """
     if bcd < 0:
         return False
-    while bcd:
-        if bcd & 0xF > 9:
-            return False
-        bcd >>= 4
-    return True
+    nibbles = (bcd.bit_length() + 3) >> 2
+    ones = ((1 << (4 * nibbles)) - 1) // 15  # 0x11…1, one bit per nibble
+    sixes = 6 * ones
+    return not ((bcd + sixes) ^ bcd ^ sixes) & (ones << 4)
 
 
 def bcd_digits(bcd: int, count: int) -> tuple:

@@ -3,8 +3,12 @@
 Method-1 of the paper needs exactly one BCD-CLA "to generate multiplicand
 multiples and accumulate partial products".  This class models it:
 
-* *functionally* — digit-serial BCD addition with carry in/out (the carry
-  network only changes delay, not values, so the functional model is simple);
+* *functionally* — word-parallel BCD addition with carry in/out, the
+  six-correction the software kernels emit too (``kernels/addsub_fma.py``):
+  one binary add of ``a + b + carry_in + 0x66…6`` lets every digit whose sum
+  reached 10 carry out, then 6 is taken back from every digit that did not
+  (the carry network only changes delay, not values, so one wide add is
+  exact);
 * *for timing* — a combinational latency in clock cycles (1 by default, the
   adder fits in a pipeline stage at Rocket-class frequencies);
 * *for cost* — gate-equivalent area and logic depth estimates of a
@@ -14,7 +18,7 @@ multiples and accumulate partial products".  This class models it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AcceleratorError
 from repro.hw.cost import GE_PER_AND_OR, GE_PER_XOR, GateCost
@@ -26,8 +30,7 @@ _DIGIT_CELL_GE = 42.0
 _LOOKAHEAD_GE_PER_DIGIT = 9.0
 
 
-@dataclass(frozen=True)
-class BcdAddResult:
+class BcdAddResult(NamedTuple):
     """Outcome of one BCD addition."""
 
     value: int       # packed BCD sum, truncated to the adder width
@@ -43,32 +46,36 @@ class BcdCarryLookaheadAdder:
             raise AcceleratorError("adder width must be at least one digit")
         self.width_digits = width_digits
         self.latency_cycles = latency_cycles
+        bits = 4 * width_digits
+        self._bits = bits
+        self._mask = (1 << bits) - 1
+        ones = self._mask // 15                 # 0x11…1, one bit per digit
+        self._sixes = 6 * ones                  # 0x66…6
+        #: Bit 4(i+1) of a sum's carry vector is the carry out of digit i.
+        self._digit_carries = ones << 4
 
     # ------------------------------------------------------------------ value
     def add(self, a: int, b: int, carry_in: int = 0) -> BcdAddResult:
         """Add two packed-BCD operands (must fit the adder width)."""
-        mask = (1 << (4 * self.width_digits)) - 1
-        if a & ~mask or b & ~mask:
+        bits = self._bits
+        if (a | b) >> bits:  # also catches a negative operand
             raise AcceleratorError(
                 f"operand wider than the {self.width_digits}-digit adder"
             )
-        carry = 1 if carry_in else 0
-        result = 0
-        for digit_index in range(self.width_digits):
-            da = (a >> (4 * digit_index)) & 0xF
-            db = (b >> (4 * digit_index)) & 0xF
-            if da > 9 or db > 9:
-                raise AcceleratorError(
-                    f"invalid BCD nibble in operand at digit {digit_index}"
-                )
-            total = da + db + carry
-            if total > 9:
-                total -= 10
-                carry = 1
-            else:
-                carry = 0
-            result |= total << (4 * digit_index)
-        return BcdAddResult(value=result, carry_out=carry, digits=self.width_digits)
+        sixes = self._sixes
+        digit_carries = self._digit_carries
+        # A nibble is above 9 exactly when adding 6 carries out of it; the
+        # lowest bad nibble always carries and nothing below it does.
+        bad = ((a + sixes) ^ a ^ sixes | (b + sixes) ^ b ^ sixes) & digit_carries
+        if bad:
+            digit = (bad & -bad).bit_length() // 4 - 1
+            raise AcceleratorError(f"invalid BCD nibble in operand at digit {digit}")
+        biased = a + sixes
+        addend = b + 1 if carry_in else b  # b's low digit <= 9: no nibble carry
+        total = biased + addend
+        carried = (biased ^ addend ^ total) & digit_carries
+        total -= ((carried ^ digit_carries) >> 4) * 6
+        return BcdAddResult(total & self._mask, total >> bits, self.width_digits)
 
     # ------------------------------------------------------------------- cost
     def cost(self) -> GateCost:

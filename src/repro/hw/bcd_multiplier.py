@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AcceleratorError
-from repro.decnumber.bcd import bcd_to_int, int_to_bcd
+from repro.decnumber.bcd import bcd_to_int, int_to_bcd, is_valid_bcd
 from repro.hw.bcd_adder import BcdCarryLookaheadAdder
 from repro.hw.cost import AreaReport, GateCost, register_cost
 
@@ -42,6 +42,10 @@ class BcdMultiplier:
         limit = (1 << (4 * self.operand_digits)) - 1
         if multiplicand & ~limit or multiplier & ~limit:
             raise AcceleratorError("operand wider than the multiplier datapath")
+        if not is_valid_bcd(multiplicand):
+            raise AcceleratorError("invalid BCD nibble in multiplicand")
+        if not is_valid_bcd(multiplier):
+            raise AcceleratorError("invalid BCD nibble in multiplier")
         x = bcd_to_int(multiplicand)
         # Multiple generation: MM[i] = MM[i-1] + X, eight additions (2..9).
         multiples = [0, x]
@@ -51,8 +55,6 @@ class BcdMultiplier:
         accumulator = 0
         for digit_index in reversed(range(self.operand_digits)):
             digit = (multiplier >> (4 * digit_index)) & 0xF
-            if digit > 9:
-                raise AcceleratorError("invalid BCD nibble in multiplier")
             accumulator = accumulator * 10 + multiples[digit]
         return BcdMultiplyResult(
             value=int_to_bcd(accumulator, 2 * self.operand_digits), cycles=self.cycles

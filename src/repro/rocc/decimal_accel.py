@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.decnumber.bcd import is_valid_bcd
 from repro.errors import AcceleratorError
 from repro.hw.bcd_adder import BcdCarryLookaheadAdder
 from repro.hw.bcd_multiplier import BcdMultiplier
@@ -105,6 +106,8 @@ class DecimalAcceleratorConfig:
             raise AcceleratorError("pipeline depth must be positive")
         if self.issue_width < 1:
             raise AcceleratorError("issue width must be positive")
+        if self.adder_width_digits < 1:
+            raise AcceleratorError("adder width must be at least one digit")
         if self.register_width_digits < self.digits + 1:
             # Multiples of a ``digits``-digit coefficient reach digits + 1.
             raise AcceleratorError(
@@ -316,14 +319,6 @@ class DecimalAccelerator(Accelerator):
         width = self.config.adder_width_digits
         return max(1, -(-digits_needed // width))  # ceil division
 
-    @staticmethod
-    def _require_bcd(value: int, what: str) -> None:
-        probe = value
-        while probe:
-            if probe & 0xF > 9:
-                raise AcceleratorError(f"{what} is not valid packed BCD")
-            probe >>= 4
-
     # ---------------------------------------------------------------- handlers
     # Every handler takes the whole command and returns the response value;
     # ``execute`` has already checked the row's required flags.
@@ -440,8 +435,11 @@ class DecimalAccelerator(Accelerator):
         # The adder checks every digit inside the register width (a bad op2
         # digit leaves a bad complement digit); core-operand digits above
         # it are masked off before the adder sees them, so check them here.
-        self._require_bcd(op1 >> (4 * width), "DEC_ADDSUB operand 1")
-        self._require_bcd(op2 >> (4 * width), "DEC_ADDSUB operand 2")
+        for number, operand in enumerate((op1, op2), 1):
+            if not is_valid_bcd(operand >> (4 * width)):
+                raise AcceleratorError(
+                    f"DEC_ADDSUB operand {number} is not valid packed BCD"
+                )
         # Digit-wise 9 - d never borrows, so the complement is plain binary.
         complement = self._reg_nines - (op2 & self._reg_mask)
         result = self.adder.add(op1 & self._reg_mask, complement, carry_in=1)

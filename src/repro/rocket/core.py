@@ -117,9 +117,10 @@ class RocketEmulator:
         # available to dependent instructions (load / mul shadow latencies).
         self._reg_ready = [0] * 32
 
-        # Compiled timing tier (repro.rocket.timing): hot redirect targets
-        # are compiled into superblock functions that accumulate the cycle
-        # arithmetic in locals.  Only the random replacement policy — the
+        # Compiled timing tier (repro.rocket.timing): hot redirect targets,
+        # and hot pcs right after a RoCC command, are compiled into
+        # superblock functions that accumulate the cycle arithmetic in
+        # locals.  Only the random replacement policy — the
         # paper's configuration — is compiled; LRU caches (and explicit
         # ``timing_tier=False``, which the lockstep tests use as the
         # reference) keep the per-instruction loop for every instruction.
@@ -282,6 +283,7 @@ class RocketEmulator:
         rocc_commands = 0
         instructions = 0
         timing_retired = 0
+        arrived = False  # the step just retired redirected or issued a command
         try:
             while not htif.exited and not executor.exit_requested:
                 if instructions >= limit:
@@ -374,18 +376,7 @@ class RocketEmulator:
                         cost += div_latency - 1
                     elif info.branch_taken:  # jal/jalr: always taken
                         cost += jump_penalty
-                        # Redirect targets are where timing spans start:
-                        # count the arrival and compile once hot.
-                        if timing:
-                            target = hart.pc
-                            if tblocks_get(target) is None:
-                                heat = timing_heat.get(target, 0)
-                                if heat >= 0:
-                                    heat += 1
-                                    if heat >= PROMOTE_ARRIVALS:
-                                        compile_timing(target)
-                                    else:
-                                        timing_heat[target] = heat
+                        arrived = timing
                 else:
                     # Counter CSRs read executor.retired mid-instruction.
                     executor.retired = retired_base + instructions
@@ -437,24 +428,32 @@ class RocketEmulator:
                         hw_cost = resume - cycle
                         cost = 0
                         rocc_commands += 1
+                        # Spans end before a command; the code after it
+                        # starts one, so it does not stay interpreted.
+                        arrived = timing
                     elif info.branch_taken:
                         cost += branch_penalty
-                        if timing:
-                            target = hart.pc
-                            if tblocks_get(target) is None:
-                                heat = timing_heat.get(target, 0)
-                                if heat >= 0:
-                                    heat += 1
-                                    if heat >= PROMOTE_ARRIVALS:
-                                        compile_timing(target)
-                                    else:
-                                        timing_heat[target] = heat
+                        arrived = timing
 
                 cycle += cost + hw_cost
                 self.cycle = cycle  # rdcycle must observe the live count
                 sw_cycles += cost
                 hw_cycles += hw_cost
                 instructions += 1
+
+                # Redirect targets and the pc after a RoCC command are where
+                # timing spans start: count the arrival, compile once hot.
+                if arrived:
+                    arrived = False
+                    target = hart.pc
+                    if tblocks_get(target) is None:
+                        heat = timing_heat.get(target, 0)
+                        if heat >= 0:
+                            heat += 1
+                            if heat >= PROMOTE_ARRIVALS:
+                                compile_timing(target)
+                            else:
+                                timing_heat[target] = heat
         finally:
             self.cycle = cycle
             self.sw_cycles += sw_cycles

@@ -9,10 +9,11 @@ of code can be compiled — exactly like the functional tier-2 engine compiles
 architectural state into Python locals — into one function that accumulates
 ``cycle`` in a local and touches shared state only at its exits.
 
-A *timing span* starts at a redirect target (branch/jump destinations are the
-only places the interpreted loop looks for one) and follows fall-through
-execution, inlining unconditional ``jal`` hops, until it reaches something
-that needs per-step synchronized state:
+A *timing span* starts at a redirect target or right after a RoCC command
+(the interpreted loop counts arrivals at branch/jump destinations and at the
+pc after each command) and follows fall-through execution, inlining
+unconditional ``jal`` hops, until it reaches something that needs per-step
+synchronized state:
 
 * CSR reads (``rdcycle``/``rdinstret`` observe live counters),
 * ``ecall``/``ebreak``/``fence.i`` (traps and code-visibility barriers),

@@ -94,6 +94,19 @@ class TestBcd:
         assert not bcd.is_valid_bcd(0x1B)
         assert bcd.is_valid_bcd(0x1234567890)
 
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=70),
+           st.integers(0, 69), st.integers(0, 15), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_is_valid_bcd_matches_a_nibble_loop(self, nibbles, position,
+                                                nibble, negate):
+        """The word-parallel +6 test against a per-nibble reference."""
+        nibbles[position % len(nibbles)] = nibble
+        value = sum(n << (4 * i) for i, n in enumerate(nibbles))
+        expected = all(n <= 9 for n in nibbles)
+        if negate:
+            value, expected = -value - 1, False
+        assert bcd.is_valid_bcd(value) == expected
+
     def test_digit_helpers(self):
         packed = bcd.int_to_bcd(907)
         assert bcd.bcd_digits(packed, 4) == (7, 0, 9, 0)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.decnumber.bcd import bcd_to_int, int_to_bcd
+from repro.decnumber.bcd import bcd_to_int, digits_to_bcd, int_to_bcd
 from repro.errors import AcceleratorError
 from repro.hw.bcd_adder import BcdCarryLookaheadAdder
 from repro.hw.bcd_multiplier import BcdMultiplier
@@ -52,6 +52,122 @@ class TestBcdAdder:
         assert large.logic_levels >= small.logic_levels
 
 
+#: Adder widths the accelerator and multiplier build (decimal64 and
+#: decimal128 registers, accumulators and the multiplier's double width),
+#: plus the one-digit edge.
+_ADDER_WIDTHS = (1, 16, 20, 32, 34, 38, 68)
+
+
+def _digit_loop_add(width, a, b, carry_in):
+    """Reference: the digit-serial adder the word-parallel model replaced."""
+    mask = (1 << (4 * width)) - 1
+    if a & ~mask or b & ~mask:
+        raise AcceleratorError(f"operand wider than the {width}-digit adder")
+    carry = 1 if carry_in else 0
+    result = 0
+    for digit_index in range(width):
+        da = (a >> (4 * digit_index)) & 0xF
+        db = (b >> (4 * digit_index)) & 0xF
+        if da > 9 or db > 9:
+            raise AcceleratorError(
+                f"invalid BCD nibble in operand at digit {digit_index}"
+            )
+        total = da + db + carry
+        if total > 9:
+            total -= 10
+            carry = 1
+        else:
+            carry = 0
+        result |= total << (4 * digit_index)
+    return result, carry
+
+
+def _adder_outcome(add, width, a, b, carry_in):
+    """``(value, carry)`` of one addition, or the error's type and message."""
+    try:
+        return add(width, a, b, carry_in)
+    except AcceleratorError as error:
+        return type(error), str(error)
+
+
+def _model_add(width, a, b, carry_in):
+    result = BcdCarryLookaheadAdder(width_digits=width).add(a, b, carry_in)
+    assert result.digits == width
+    return result.value, result.carry_out
+
+
+def _assert_adder_matches_digit_loop(width, a, b, carry_in):
+    assert _adder_outcome(_model_add, width, a, b, carry_in) == _adder_outcome(
+        _digit_loop_add, width, a, b, carry_in
+    ), (width, hex(a), hex(b), carry_in)
+
+
+def _with_nibble(value, digit, nibble):
+    return value & ~(0xF << (4 * digit)) | nibble << (4 * digit)
+
+
+@st.composite
+def _adder_cases(draw):
+    """Width, operands and carry-in: BCD operands rich in 9s (long carry
+    chains), sometimes with a non-BCD nibble or bits above the width."""
+    width = draw(st.sampled_from(_ADDER_WIDTHS))
+    digits = st.lists(st.sampled_from((0, 9)) | st.integers(0, 9),
+                      min_size=width, max_size=width)
+    a = digits_to_bcd(draw(digits))
+    b = digits_to_bcd(draw(digits))
+    flaw = draw(st.sampled_from(("none", "nibble", "both", "wide")))
+    if flaw in ("nibble", "both"):
+        a = _with_nibble(a, draw(st.integers(0, width - 1)),
+                         draw(st.integers(0xA, 0xF)))
+    if flaw == "both":
+        b = _with_nibble(b, draw(st.integers(0, width - 1)),
+                         draw(st.integers(0xA, 0xF)))
+    if flaw == "wide":
+        b |= draw(st.integers(1, 0xFF)) << (4 * width)
+    if draw(st.booleans()):
+        a, b = b, a
+    return width, a, b, draw(st.integers(0, 1))
+
+
+class TestBcdAdderMatchesDigitLoop:
+    """The word-parallel adder against the digit loop it replaced: same
+    value, carry, error type and message (the lowest bad digit)."""
+
+    @given(_adder_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_operands(self, case):
+        _assert_adder_matches_digit_loop(*case)
+
+    @pytest.mark.parametrize("width", _ADDER_WIDTHS)
+    def test_carry_chains_and_wide_operands(self, width):
+        nines = int("9" * width, 16)
+        top = 1 << (4 * width)
+        cases = [
+            (nines, 0), (nines, 1), (nines, nines), (0, nines), (0, 0),
+            (nines >> 4, 1), (nines, nines >> 4),
+            (top, 0), (0, top), (top | nines, 0), (-1, 0), (0, -1),
+        ]
+        for a, b in cases:
+            for carry_in in (0, 1):
+                _assert_adder_matches_digit_loop(width, a, b, carry_in)
+
+    @pytest.mark.parametrize("width", _ADDER_WIDTHS)
+    def test_every_bad_nibble_at_every_digit(self, width):
+        nines = int("9" * width, 16)
+        for digit in range(width):
+            for nibble in range(0xA, 0x10):
+                for base in (0, nines):
+                    bad = _with_nibble(base, digit, nibble)
+                    for a, b in ((bad, base), (base, bad)):
+                        for carry_in in (0, 1):
+                            _assert_adder_matches_digit_loop(width, a, b, carry_in)
+            # A bad digit in each operand: the lower one is named.
+            low = _with_nibble(nines, digit, 0xA)
+            high = _with_nibble(nines, width - 1, 0xF)
+            _assert_adder_matches_digit_loop(width, high, low, 0)
+            _assert_adder_matches_digit_loop(width, low, high, 0)
+
+
 class TestBcdMultiplierAndConverter:
     @given(st.integers(0, 10 ** 16 - 1), st.integers(0, 10 ** 16 - 1))
     @settings(max_examples=50, deadline=None)
@@ -64,6 +180,17 @@ class TestBcdMultiplierAndConverter:
     def test_multiplier_rejects_wide_operand(self):
         with pytest.raises(AcceleratorError):
             BcdMultiplier(operand_digits=4).multiply(int_to_bcd(123456), 0)
+
+    @pytest.mark.parametrize("operands", [(0x1A, 0x3), (0x3, 0x1A)])
+    def test_multiplier_rejects_non_bcd_operands(self, operands):
+        """A bad multiplicand is an accelerator error, like a bad multiplier
+        (not the decimal library's error from the BCD conversion)."""
+        with pytest.raises(AcceleratorError):
+            BcdMultiplier(operand_digits=4).multiply(*operands)
+        wide = DecimalAccelerator(DecimalAcceleratorConfig(include_multiplier=True))
+        with pytest.raises(AcceleratorError):
+            _execute(wide, DecimalFunct.DEC_MUL, rs1_value=operands[0],
+                     rs2_value=operands[1], xs1=True, xs2=True)
 
     @given(st.integers(0, 10 ** 19))
     @settings(max_examples=100, deadline=None)
@@ -279,6 +406,11 @@ class TestDecimalAccelerator:
             DecimalAcceleratorConfig(register_width_digits=16)
         with pytest.raises(AcceleratorError):
             DecimalAcceleratorConfig(accumulator_digits=20)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_adder_width_below_one_digit_rejected(self, width):
+        with pytest.raises(AcceleratorError, match="adder width"):
+            DecimalAcceleratorConfig(adder_width_digits=width)
 
     def test_reset(self, accelerator):
         accelerator.execute(

@@ -205,6 +205,30 @@ class TestLockstepCycleIdentity:
             program.image, make_accel=lambda: solution.make_accelerator(fmt)
         )
 
+    @pytest.mark.parametrize("fmt", ["decimal64", "decimal128"])
+    @pytest.mark.parametrize("depth, width", [(1, 1), (4, 2)])
+    def test_method1_spans_start_after_rocc_commands(self, fmt, depth, width):
+        """The pc after a RoCC command starts a timing span, so Method-1's
+        straight-line code between commands compiles, and cycles stay
+        identical with a blocking and with a staged dual-issue accelerator."""
+        config = TestProgramConfig(
+            solution=SolutionKind.METHOD1,
+            precision=TestProgramConfig.precision_for_format(fmt),
+            num_samples=12,
+            seed=2018,
+        )
+        image = build_test_program(config).image
+        fast, _ = _assert_identical(
+            image,
+            make_accel=lambda: _accelerator(fmt, depth=depth, width=width),
+        )
+        text_base, _ = image.segment_range(".text")
+        assert any(
+            head - 4 >= text_base
+            and fast.executor.fetch_decode(head - 4).mnemonic == "rocc"
+            for head in fast._timing_sources
+        )
+
     def test_pipelined_accelerator_d2w1(self):
         """Staged pipeline (depth 2, width 1): occupancy bookkeeping must be
         identical whether commands issue from a span exit or the loop."""
