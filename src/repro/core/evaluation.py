@@ -83,6 +83,19 @@ class ShardRunOutcome:
     functional_result: object = None
     timed_result: object = None
     check_report: object = None
+    #: A differential shard's :class:`~repro.verification.differential.
+    #: Divergence` list (the report keeps only their count and the first).
+    divergences: list = field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        """Any divergence, kernel/oracle check failure, or oracle split."""
+        check = self.check_report
+        return bool(
+            self.divergences
+            or getattr(check, "failures", None)
+            or getattr(check, "oracle_disagreements", None)
+        )
 
 
 def run_solution_shard(
@@ -112,14 +125,17 @@ def run_solution_shard(
     the timing compiler for the Rocket run); that reuse is bit-identical to
     a fresh runner (same image bytes, results, retire and cycle counts).
 
-    A differential cell becomes a cross-model shard: the functional check
-    uses the **dual-oracle** checker (decnumber + stdlib ``decimal``), the
-    program additionally runs on the gem5 atomic model, and the
-    spike/rocket/gem5 result buffers are diffed vector-by-vector.
-    Divergences, oracle disagreements and check failures are *recorded* in
-    the shard report (instead of raising), so a sharded campaign can merge
-    and render them; host-side golden condition coverage of the shard's
-    vectors is recorded alongside.
+    A differential cell becomes a cross-model shard — the one
+    co-simulation path, which the fuzz engine (:mod:`repro.fuzz`) drives
+    too: the functional check uses the **dual-oracle** checker (decnumber +
+    stdlib ``decimal``), the program additionally runs on the gem5 atomic
+    model, and the spike/rocket/gem5 result buffers are diffed
+    vector-by-vector.  Divergences, oracle disagreements and check failures
+    are *recorded* (instead of raising): counts in the shard report, so a
+    sharded campaign can merge and render them, and the live divergences
+    and check report on the outcome (:attr:`ShardRunOutcome.failed`).
+    Host-side golden condition coverage of the shard's vectors is recorded
+    alongside.
     """
     vectors = list(vectors)
     if runner is None:
@@ -217,7 +233,7 @@ def run_solution_shard(
             "gem5": program.read_results(gem5_result),
         }
         report.models = tuple(words_by_model)
-        divergences = diff_result_words(
+        divergences = outcome.divergences = diff_result_words(
             vectors, words_by_model,
             decode=GoldenReference(precision=fmt).decode,
             operation=operation,

@@ -1,12 +1,13 @@
-"""Coverage-guided differential fuzzing of the decimal64 multiply pipeline.
+"""Coverage-guided differential fuzzing of the decimal kernels.
 
 The fuzz subsystem manufactures regression tests instead of enumerating
 them: seeded mutation over the verification database's operand classes and
 the registered workloads (:mod:`repro.fuzz.mutate`), coverage feedback from
 :class:`~repro.verification.coverage.CoverageTracker` steering generation
 toward unhit result conditions, cross-model + dual-oracle checking of every
-batch (:mod:`repro.verification.differential`), and delta-debugging shrinks
-of any failure into a replayable minimal reproducer
+batch as one differential campaign shard
+(:func:`repro.core.evaluation.run_solution_shard`), and delta-debugging
+shrinks of any failure into a replayable minimal reproducer
 (:mod:`repro.fuzz.shrink`).
 
 Run it from the command line::

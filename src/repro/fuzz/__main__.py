@@ -33,19 +33,6 @@ from repro.fuzz.engine import (
     replay,
 )
 from repro.testgen.config import SolutionKind
-from repro.verification.differential import MODELS
-
-
-def _parse_models(text: str):
-    models = tuple(part.strip() for part in text.split(",") if part.strip())
-    for model in models:
-        if model not in MODELS:
-            raise argparse.ArgumentTypeError(
-                f"unknown model {model!r} (choose from {MODELS})"
-            )
-    if not models:
-        raise argparse.ArgumentTypeError("--models needs at least one model")
-    return models
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--solution", default=SolutionKind.METHOD1,
         choices=SolutionKind.ALL,
         help="solution kind to fuzz (default method1)",
-    )
-    parser.add_argument(
-        "--models", type=_parse_models, default=MODELS,
-        metavar="NAME[,NAME...]",
-        help=f"models to cross-check (default {','.join(MODELS)})",
     )
     parser.add_argument(
         "--workload", default=None,
@@ -101,12 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_report(path: str) -> int:
-    with open(path) as handle:
-        data = json.load(handle)
-    reproducers = [
-        Reproducer.from_json(item) for item in data.get("failures", [])
-    ]
+def _replay_report(path: str, parser) -> int:
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        parser.error(f"--replay {path}: {error}")
+    if not isinstance(data, dict) or not isinstance(data.get("failures"), list):
+        parser.error(
+            f"--replay {path}: not a fuzz report (expected a JSON object "
+            "with a 'failures' list, as --json writes)"
+        )
+    reproducers = [Reproducer.from_json(item) for item in data["failures"]]
     if not reproducers:
         print(f"{path}: no recorded failures to replay")
         return 0
@@ -124,9 +112,10 @@ def _replay_report(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.replay:
-        return _replay_report(args.replay)
+        return _replay_report(args.replay, parser)
 
     from repro.decnumber.formats import resolve_format_name
     from repro.errors import DecimalError
@@ -134,24 +123,24 @@ def main(argv=None) -> int:
     try:
         fmt = resolve_format_name(args.fmt)
     except DecimalError as error:
-        build_parser().error(str(error))
+        parser.error(str(error))
     from repro.decnumber.operations import resolve_operation_name
 
     try:
         operation = resolve_operation_name(args.operation)
     except DecimalError as error:
-        build_parser().error(str(error))
+        parser.error(str(error))
     if args.workload is not None:
         from repro.workloads import get_workload
 
         workload = get_workload(args.workload)  # raises with suggestions
         if not workload.supports_format(fmt):
-            build_parser().error(
+            parser.error(
                 f"workload {args.workload!r} does not support format "
                 f"{fmt!r} (declares {workload.formats})"
             )
         if not workload.supports_operation(operation):
-            build_parser().error(
+            parser.error(
                 f"workload {args.workload!r} does not support operation "
                 f"{operation!r} (declares {workload.operations}); see "
                 "docs/operations.md"
@@ -161,7 +150,6 @@ def main(argv=None) -> int:
         budget=args.budget,
         batch_size=args.batch_size,
         solution=args.solution,
-        models=args.models,
         workload=args.workload,
         shrink=not args.no_shrink,
         max_failures=args.max_failures,

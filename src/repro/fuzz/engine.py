@@ -4,16 +4,20 @@ A campaign is a pure function of its :class:`FuzzConfig`: the corpus is
 seeded deterministically from the verification database's operand classes and
 the registered workloads, batches are generated by seeded mutation
 (:mod:`repro.fuzz.mutate`) steered by :class:`~repro.verification.coverage.
-CoverageTracker` feedback toward unhit result conditions, and every batch is
-co-simulated across the configured models with the dual-oracle checker
-attached (:mod:`repro.verification.differential`).  Any failing batch —
-cross-model divergence, kernel-vs-oracle mismatch, or the two oracles
-disagreeing with each other — is shrunk (:mod:`repro.fuzz.shrink`) to a
-minimal :class:`Reproducer` carrying the campaign seed for replay.
+CoverageTracker` feedback toward unhit result conditions, and every batch
+runs as one differential campaign shard
+(:func:`repro.core.evaluation.run_solution_shard`): spike, Rocket and gem5
+diffed vector by vector, with the dual-oracle checker attached
+(:mod:`repro.verification.differential`).  A campaign keeps one warm
+:class:`~repro.sim.batch.BatchRunner`, so its batches of one size link once.
+Any failing batch — cross-model divergence, kernel-vs-oracle mismatch, or
+the two oracles disagreeing with each other — is shrunk
+(:mod:`repro.fuzz.shrink`) to a minimal :class:`Reproducer` carrying the
+campaign seed for replay.
 
 Re-running the same config reproduces the same batches, the same coverage
 trajectory and the same failures; :func:`replay` re-executes a recorded
-reproducer directly.
+reproducer directly, on a fresh runner.
 """
 
 from __future__ import annotations
@@ -22,11 +26,16 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.core.campaign import CampaignCell
+from repro.core.evaluation import ShardRunOutcome, run_solution_shard
+from repro.core.solution import standard_solutions
 from repro.decnumber.formats import resolve_format_name
 from repro.decnumber.number import DecNumber
 from repro.errors import ConfigurationError, DecimalError
 from repro.fuzz.mutate import choose_mutator, mutators_for_format
 from repro.fuzz.shrink import shrink_failure
+from repro.rocket.config import RocketConfig
+from repro.sim.batch import BatchRunner
 from repro.testgen.config import SolutionKind
 from repro.verification.coverage import CoverageTracker
 from repro.verification.database import (
@@ -34,7 +43,6 @@ from repro.verification.database import (
     VerificationDatabase,
     VerificationVector,
 )
-from repro.verification.differential import MODELS, CoSimulator
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,6 @@ class FuzzConfig:
     batch_size: int = 64
     #: Solution kind to fuzz (must be verifiable for the oracle check).
     solution: str = SolutionKind.METHOD1
-    #: Simulation models to cross-check (first one is the oracle reference).
-    models: tuple = MODELS
     #: Optional single workload whose vectors seed the corpus; None seeds
     #: from the database classes plus every registered workload.
     workload: str = None
@@ -145,7 +151,6 @@ class Reproducer:
     campaign_seed: int
     batch_index: int
     solution: str
-    models: tuple
     workload: str = None
     original_count: int = 0      # failing vectors before shrinking
     fmt: str = "decimal64"
@@ -159,7 +164,6 @@ class Reproducer:
             "campaign_seed": self.campaign_seed,
             "batch_index": self.batch_index,
             "solution": self.solution,
-            "models": list(self.models),
             "workload": self.workload,
             "original_count": self.original_count,
             "fmt": self.fmt,
@@ -168,6 +172,8 @@ class Reproducer:
 
     @classmethod
     def from_json(cls, data: dict) -> "Reproducer":
+        # Older reports also carry a "models" list; it is not read, since
+        # every replay runs all three models.
         return cls(
             kind=data["kind"],
             description=data["description"],
@@ -175,7 +181,6 @@ class Reproducer:
             campaign_seed=data["campaign_seed"],
             batch_index=data["batch_index"],
             solution=data["solution"],
-            models=tuple(data["models"]),
             workload=data.get("workload"),
             original_count=data.get("original_count", 0),
             fmt=data.get("fmt", "decimal64"),
@@ -183,24 +188,21 @@ class Reproducer:
         )
 
 
-def replay(reproducer: Reproducer, models=None, rocket_config=None):
-    """Re-run a reproducer's vectors through the same co-simulation.
+def replay(reproducer: Reproducer, rocket_config=None) -> ShardRunOutcome:
+    """Re-run a reproducer's vectors as one differential shard.
 
-    Returns the fresh :class:`~repro.verification.differential.
-    DivergenceReport`; the failure recorded by the campaign should make
-    ``report.failed`` true again unless the underlying bug was fixed.
+    The shard runs on a fresh runner, the cold reference.  The failure the
+    campaign recorded should make the returned outcome's ``failed`` true
+    again unless the underlying bug was fixed.
     """
-    cosim = CoSimulator(
+    config = FuzzConfig(
+        seed=reproducer.campaign_seed,
         solution=reproducer.solution,
-        models=models if models is not None else reproducer.models,
         workload=reproducer.workload,
-        rocket_config=rocket_config,
         fmt=reproducer.fmt,
         operation=reproducer.operation,
     )
-    return cosim.co_simulate(
-        reproducer.vectors, seed=reproducer.campaign_seed
-    )
+    return FuzzCampaign(config, rocket_config).co_simulate(reproducer.vectors)
 
 
 @dataclass
@@ -226,8 +228,7 @@ class FuzzReport:
             (
                 f"fuzz campaign: seed {self.config.seed}, "
                 f"{self.vectors_run}/{self.config.budget} vectors in "
-                f"{self.batches_run} batches, solution {self.config.solution}, "
-                f"models {', '.join(self.config.models)}"
+                f"{self.batches_run} batches, solution {self.config.solution}"
                 + (f", format {self.config.fmt}" if self.config.fmt != "decimal64" else "")
                 + (
                     f", operation {self.config.operation}"
@@ -284,7 +285,6 @@ class FuzzReport:
             "budget": self.config.budget,
             "batch_size": self.config.batch_size,
             "solution": self.config.solution,
-            "models": list(self.config.models),
             "workload": self.config.workload,
             "fmt": self.config.fmt,
             "operation": self.config.operation,
@@ -299,23 +299,39 @@ class FuzzReport:
 
 
 class FuzzCampaign:
-    """Coverage-guided differential fuzzing over decimal64 operand pairs."""
+    """Coverage-guided differential fuzzing of one solution, format and op.
+
+    The campaign is one differential :class:`~repro.core.campaign.
+    CampaignCell` of ``budget`` vectors, operand pairs or fma triples; each
+    batch runs as one shard of it on the campaign's warm
+    :class:`~repro.sim.batch.BatchRunner`.
+    """
 
     def __init__(self, config: FuzzConfig = None, rocket_config=None) -> None:
         from repro.decnumber.operations import get_operation
 
-        self.config = config if config is not None else FuzzConfig()
-        self.rocket_config = rocket_config
-        self.mutators = mutators_for_format(self.config.fmt)
-        self.arity = get_operation(self.config.operation).arity
-        self.cosim = CoSimulator(
-            solution=self.config.solution,
-            models=self.config.models,
-            workload=self.config.workload,
-            rocket_config=rocket_config,
-            fmt=self.config.fmt,
-            operation=self.config.operation,
+        if config is None:
+            config = FuzzConfig()
+        self.config = config
+        self.mutators = mutators_for_format(config.fmt)
+        self.arity = get_operation(config.operation).arity
+        self.cell = CampaignCell(
+            solution=standard_solutions()[config.solution],
+            num_samples=config.budget,
+            seed=config.seed,
+            rocket_config=(
+                RocketConfig() if rocket_config is None else rocket_config
+            ),
+            workload=config.workload,
+            differential=True,
+            fmt=config.fmt,
+            op=config.operation,
         )
+        self.runner = BatchRunner()
+
+    def co_simulate(self, vectors) -> ShardRunOutcome:
+        """One differential shard over ``vectors`` on the warm runner."""
+        return run_solution_shard(self.cell, vectors, runner=self.runner)
 
     # ---------------------------------------------------------------- corpus
     def seed_corpus(self) -> list:
@@ -345,8 +361,8 @@ class FuzzCampaign:
         )
 
         if config.workload is not None:
-            # An explicitly-requested workload must support the operation;
-            # workload_vectors raises with the opt-in recipe if it doesn't.
+            # The campaign's cell already rejected a requested workload
+            # that does not support the format or the operation.
             workloads = {config.workload: get_workload(config.workload)}
         else:
             workloads = {
@@ -417,24 +433,20 @@ class FuzzCampaign:
         return batch
 
     # ----------------------------------------------------------------- runs
-    def _failure_kind(self, report) -> str:
-        if report.divergences:
-            return "divergence"
-        if report.oracle_disagreements:
-            return "oracle-disagreement"
-        return "check-failure"
+    @staticmethod
+    def _findings(outcome: ShardRunOutcome) -> tuple:
+        """``(kind, items)`` per failure class, in classification order."""
+        check = outcome.check_report
+        return (
+            ("divergence", outcome.divergences),
+            ("oracle-disagreement", getattr(check, "oracle_disagreements", [])),
+            ("check-failure", getattr(check, "failures", [])),
+        )
 
-    def _describe_failure(self, report) -> str:
-        if report.divergences:
-            return report.first_divergence.describe()
-        if report.oracle_disagreements:
-            return report.oracle_disagreements[0].describe()
-        return report.check_failures[0].describe()
-
-    def _failing_vectors(self, batch, report) -> list:
-        indices = {divergence.index for divergence in report.divergences}
-        indices.update(item.index for item in report.oracle_disagreements)
-        indices.update(item.index for item in report.check_failures)
+    def _failing_vectors(self, batch, outcome: ShardRunOutcome) -> list:
+        indices = {
+            item.index for _, items in self._findings(outcome) for item in items
+        }
         failing = [vector for vector in batch if vector.index in indices]
         return failing if failing else list(batch)
 
@@ -465,7 +477,7 @@ class FuzzCampaign:
             batch = self.generate_batch(
                 rng, tracker, corpus, size, report.vectors_run
             )
-            outcome = self.cosim.co_simulate(batch, seed=config.seed)
+            outcome = self.co_simulate(batch)
             report.batches_run += 1
             report.vectors_run += len(batch)
             if tracker.covered_conditions() - covered_before:
@@ -486,30 +498,32 @@ class FuzzCampaign:
         described = outcome
         if config.shrink:
             # The shrinker only keeps subsets its predicate confirmed
-            # failing, so the last failing report it saw describes the
+            # failing, so the last failing outcome it saw describes the
             # shrunk set — no extra co-simulation needed afterwards.
             last_failing = {}
 
             def still_fails(vectors) -> bool:
-                result = self.cosim.co_simulate(vectors, seed=config.seed)
+                result = self.co_simulate(vectors)
                 if result.failed:
                     last_failing["vectors"] = list(vectors)
-                    last_failing["report"] = result
+                    last_failing["outcome"] = result
                 return result.failed
 
             shrunk = shrink_failure(failing, still_fails)
             if last_failing.get("vectors") == list(shrunk):
-                described = last_failing["report"]
+                described = last_failing["outcome"]
         else:
             shrunk = failing
+        kind, items = next(
+            (kind, items) for kind, items in self._findings(described) if items
+        )
         return Reproducer(
-            kind=self._failure_kind(described),
-            description=self._describe_failure(described),
+            kind=kind,
+            description=items[0].describe(),
             vectors=shrunk,
             campaign_seed=config.seed,
             batch_index=batch_index,
             solution=config.solution,
-            models=config.models,
             workload=config.workload,
             original_count=len(failing),
             fmt=config.fmt,

@@ -65,6 +65,14 @@ def _spec_int(spec: dict, name: str, default: int, minimum: int = None) -> int:
     return value
 
 
+def _spec_bool(spec: dict, name: str, default: bool) -> bool:
+    """Boolean field ``name`` of a submitted spec (a JSON boolean)."""
+    value = spec.get(name, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"'{name}' must be true or false, got {value!r}")
+    return value
+
+
 def _spec_names(spec: dict, name: str, known) -> tuple:
     """List-of-names field ``name`` of a submitted spec, each one of ``known``."""
     values = spec[name]
@@ -94,7 +102,11 @@ def cells_from_spec(spec: dict) -> list:
             f"(known: {', '.join(sorted(_SPEC_FIELDS))})"
         )
     workloads = spec.get("workloads")
-    if workloads is None and spec.get("workload") is not None:
+    if spec.get("workload") is not None:
+        if workloads is not None:
+            raise ConfigurationError(
+                "'workload' and 'workloads' are mutually exclusive: set one"
+            )
         workloads = [spec["workload"]]
     if workloads is not None and not isinstance(workloads, (list, tuple)):
         raise ConfigurationError("'workloads' must be a list of workload names")
@@ -115,8 +127,8 @@ def cells_from_spec(spec: dict) -> list:
             _spec_names(spec, "classes", OperandClass.ALL)
             if classes is not None else OperandClass.TABLE_IV_MIX
         ),
-        verify_functionally=bool(spec.get("verify", True)),
-        differential=bool(spec.get("differential", False)),
+        verify_functionally=_spec_bool(spec, "verify", True),
+        differential=_spec_bool(spec, "differential", False),
     )
     if spec.get("kinds") is not None:
         kinds = _spec_names(spec, "kinds", SolutionKind.ALL)
@@ -145,6 +157,7 @@ class Job:
     spec: dict
     cells: list
     shards_per_cell: int
+    use_cache: bool = True
     status: str = QUEUED
     error: str = ""
     result: CampaignResult = None
@@ -267,6 +280,7 @@ class CampaignService:
             spec=dict(spec),
             cells=cells,
             shards_per_cell=shards_per_cell,
+            use_cache=_spec_bool(spec, "cache", True),
         )
         job.shards_total = sum(
             len(plan_shards(cell.num_samples, shards_per_cell)) for cell in cells
@@ -316,7 +330,7 @@ class CampaignService:
         job.status = RUNNING
         started = time.monotonic()
         try:
-            use_cache = bool(job.spec.get("cache", True))
+            use_cache = job.use_cache
             if not use_cache:
                 self.cache.bypass(len(job.cells))
             run = CampaignRun(job.cells, job.shards_per_cell, self.cache)

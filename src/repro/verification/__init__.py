@@ -6,7 +6,11 @@ paper uses the constraint-based decimal verification vectors of reference
 paper's input classes (normal / rounding / overflow / underflow / clamping /
 special values), the golden reference computes the expected IEEE 754-2008
 results with :mod:`repro.decnumber`, and the checker compares what a simulated
-kernel wrote back to memory against those expectations.
+kernel wrote back to memory against those expectations.  The differential
+pieces — the cross-model result diff (:class:`Divergence`) and the
+dual-oracle checker — run inside a differential campaign shard
+(:func:`repro.core.evaluation.run_solution_shard`), the one co-simulation
+path.
 """
 
 from repro.verification.database import OperandClass, VerificationDatabase, VerificationVector
@@ -14,9 +18,7 @@ from repro.verification.reference import GoldenReference
 from repro.verification.checker import CheckFailure, CheckReport, ResultChecker
 from repro.verification.coverage import CoverageTracker
 from repro.verification.differential import (
-    CoSimulator,
     Divergence,
-    DivergenceReport,
     DualCheckReport,
     DualOracleChecker,
     OracleDisagreement,
@@ -33,9 +35,7 @@ __all__ = [
     "CheckReport",
     "ResultChecker",
     "CoverageTracker",
-    "CoSimulator",
     "Divergence",
-    "DivergenceReport",
     "DualCheckReport",
     "DualOracleChecker",
     "OracleDisagreement",

@@ -1,28 +1,29 @@
-"""Cross-model differential verification: co-simulation + dual oracles.
+"""Cross-model differential verification: result diffs + dual oracles.
 
 The paper's measurement story rests on three independent execution paths —
 Spike-style functional simulation, the Rocket-like cycle-accurate emulator,
 and the gem5 SE-mode atomic model — but trusting them individually is not the
 same as proving they agree.  This module closes that gap from two directions:
 
-* the :class:`CoSimulator` runs *the same linked test program* on every model,
-  reads each model's architectural result buffer back, and diffs them
-  vector-by-vector into a structured :class:`DivergenceReport` that pinpoints
-  the first diverging vector and its operand class (plus the Rocket/gem5
-  cycle numbers of the run, so gross timing-model breakage is visible too);
+* :func:`diff_result_words` diffs the architectural result buffers that the
+  models read back from *the same linked test program*, vector by vector,
+  into :class:`Divergence` records that pinpoint each diverging vector, its
+  operand class and every model's word;
 * the :class:`DualOracleChecker` extends the plain
   :class:`~repro.verification.checker.ResultChecker` so every expected value
   is computed **twice** — once by our :mod:`repro.decnumber` port and once by
-  Python's independently implemented stdlib :mod:`decimal` module, quantized
-  to the decimal64 format.  A kernel mismatch is still a
+  Python's independently implemented stdlib :mod:`decimal` module, under
+  the run's interchange format.  A kernel mismatch is still a
   :class:`~repro.verification.checker.CheckFailure`; the two oracles
   disagreeing with *each other* is reported as its own failure class
   (:class:`OracleDisagreement`), because it means the reference itself —
   not the kernel — is suspect.
 
-Both pieces are what the fuzz engine (:mod:`repro.fuzz`) drives in bulk, and
-what ``python -m repro.campaign --differential`` shards over worker
-processes.
+Both pieces run inside :func:`repro.core.evaluation.run_solution_shard` on a
+differential :class:`~repro.core.campaign.CampaignCell`, the one
+co-simulation path: ``python -m repro.campaign --differential`` shards it
+over worker processes, and the fuzz engine (:mod:`repro.fuzz`) runs one
+such shard per batch.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from repro.errors import ConfigurationError
 from repro.verification.checker import CheckReport, ResultChecker
 from repro.verification.reference import GoldenReference, GoldenResult
 
-#: Simulation models the co-simulator knows how to drive, in reference order:
-#: the first available model's results are what the oracle check judges.
+#: The models a differential shard co-simulates, in report order; spike's
+#: results are the ones the oracle check judges.
 MODELS = ("spike", "rocket", "gem5")
 
 #: stdlib ``decimal`` signal classes -> our flag names.
@@ -246,21 +247,7 @@ def dual_checker_for_workload(workload: str = None, fmt: str = "decimal64",
     return DualOracleChecker(fmt=fmt, operation=operation)
 
 
-# ---------------------------------------------------------------- co-simulation
-@dataclass(frozen=True)
-class ModelRun:
-    """One model's architectural outcome over a test program."""
-
-    model: str
-    result_words: tuple
-    exit_code: int
-    instructions_retired: int
-    #: Total simulated cycles/ticks (None for the untimed functional model).
-    cycles: int = None
-    #: Per-vector RDCYCLE deltas as the program measured them (Rocket only).
-    cycle_samples: tuple = None
-
-
+# ----------------------------------------------------------------- result diff
 @dataclass(frozen=True)
 class Divergence:
     """One vector on which the models' architectural results differ."""
@@ -304,9 +291,7 @@ def diff_result_words(vectors, words_by_model, decode=None,
 
     ``words_by_model`` maps each model name to its full result-word list
     (aligned with ``vectors``).  Returns one :class:`Divergence` per vector
-    on which any two models disagree — the single diff implementation both
-    :meth:`CoSimulator.diff_program` and the campaign engine's differential
-    shards use, so they can never drift apart.
+    on which any two models disagree.
     """
     if decode is None:
         decode = decimal64.decode
@@ -332,232 +317,3 @@ def diff_result_words(vectors, words_by_model, decode=None,
                 )
             )
     return divergences
-
-
-@dataclass
-class DivergenceReport:
-    """Outcome of co-simulating one vector set across several models."""
-
-    solution_kind: str
-    models: tuple
-    total: int
-    divergences: list = field(default_factory=list)
-    runs: dict = field(default_factory=dict)       # model -> ModelRun
-    check_report: object = None                    # DualCheckReport or None
-    workload: str = None
-    fmt: str = "decimal64"
-    operation: str = "multiply"
-
-    @property
-    def all_agree(self) -> bool:
-        return not self.divergences
-
-    @property
-    def first_divergence(self):
-        return self.divergences[0] if self.divergences else None
-
-    @property
-    def oracle_disagreements(self) -> list:
-        if self.check_report is None:
-            return []
-        return list(getattr(self.check_report, "oracle_disagreements", []))
-
-    @property
-    def check_failures(self) -> list:
-        if self.check_report is None:
-            return []
-        return list(self.check_report.failures)
-
-    @property
-    def failed(self) -> bool:
-        """Any divergence, kernel/oracle check failure, or oracle split."""
-        return bool(
-            self.divergences or self.check_failures or self.oracle_disagreements
-        )
-
-    def cycle_summary(self) -> dict:
-        """Per-model total cycles (models without a timing model omitted)."""
-        return {
-            model: run.cycles
-            for model, run in self.runs.items()
-            if run.cycles is not None
-        }
-
-    def describe(self, max_reported: int = 5) -> str:
-        lines = [
-            f"differential: {self.total} vectors x {len(self.models)} models "
-            f"({', '.join(self.models)}), solution {self.solution_kind}"
-            + (f", operation {self.operation}" if self.operation != "multiply" else "")
-            + (f", format {self.fmt}" if self.fmt != "decimal64" else "")
-            + (f", workload {self.workload}" if self.workload else "")
-        ]
-        cycles = self.cycle_summary()
-        if cycles:
-            lines.append(
-                "cycles: "
-                + ", ".join(f"{model}={count}" for model, count in sorted(cycles.items()))
-            )
-        if self.all_agree:
-            lines.append("all models agree")
-        else:
-            lines.append(f"{len(self.divergences)} diverging vector(s):")
-            lines.extend(
-                "  " + divergence.describe()
-                for divergence in self.divergences[:max_reported]
-            )
-        for item in self.oracle_disagreements[:max_reported]:
-            lines.append("  " + item.describe())
-        for item in self.check_failures[:max_reported]:
-            lines.append("  " + item.describe())
-        return "\n".join(lines)
-
-
-class CoSimulator:
-    """Runs one test program on several simulation models and diffs them.
-
-    ``solution`` may be a :class:`~repro.core.solution.CoDesignSolution` or a
-    :class:`~repro.testgen.config.SolutionKind` string (resolved through
-    :func:`~repro.core.solution.standard_solutions`).  Every model gets its
-    own fresh accelerator instance, so no architectural state leaks between
-    models.  Functional results are oracle-checked (dual-oracle by default)
-    against the first model in ``models`` — the reference model — whenever
-    the solution is verifiable.
-    """
-
-    def __init__(
-        self,
-        solution=None,
-        models=MODELS,
-        rocket_config=None,
-        gem5_config=None,
-        checker=None,
-        workload: str = None,
-        verify: bool = True,
-        fmt: str = "decimal64",
-        operation: str = "multiply",
-    ) -> None:
-        from repro.core.solution import standard_solutions
-        from repro.decnumber.formats import resolve_format_name
-        from repro.decnumber.operations import resolve_operation_name
-        from repro.testgen.config import SolutionKind
-
-        if solution is None:
-            solution = SolutionKind.METHOD1
-        if isinstance(solution, str):
-            solutions = standard_solutions()
-            if solution not in solutions:
-                raise ConfigurationError(
-                    f"unknown solution kind {solution!r} "
-                    f"(choose from {tuple(solutions)})"
-                )
-            solution = solutions[solution]
-        self.solution = solution
-        models = tuple(models)
-        if not models:
-            raise ConfigurationError("co-simulation needs at least one model")
-        for model in models:
-            if model not in MODELS:
-                raise ConfigurationError(
-                    f"unknown model {model!r} (choose from {MODELS})"
-                )
-        self.models = models
-        self.rocket_config = rocket_config
-        self.gem5_config = gem5_config
-        self.workload = workload
-        self.verify = verify
-        self.fmt = resolve_format_name(fmt)
-        self.operation = resolve_operation_name(operation)
-        if checker is None and verify and solution.verifiable:
-            checker = dual_checker_for_workload(workload, self.fmt, self.operation)
-        self.checker = checker
-
-    # ------------------------------------------------------------- model runs
-    def run_model(self, model: str, program) -> ModelRun:
-        """Run ``program`` on one model and capture its architectural output."""
-        accelerator = self.solution.make_accelerator(self.fmt)
-        if model == "spike":
-            from repro.sim.spike import SpikeSimulator
-
-            result = SpikeSimulator(program.image, accelerator=accelerator).run()
-            cycles = None
-            cycle_samples = None
-        elif model == "rocket":
-            from repro.rocket.config import RocketConfig
-            from repro.rocket.core import RocketEmulator
-
-            result = RocketEmulator(
-                program.image,
-                accelerator=accelerator,
-                config=(
-                    self.rocket_config
-                    if self.rocket_config is not None
-                    else RocketConfig()
-                ),
-            ).run()
-            cycles = result.cycles
-            cycle_samples = tuple(program.read_cycle_samples(result))
-        elif model == "gem5":
-            from repro.gem5.se_mode import Gem5Config, SyscallEmulationRunner
-
-            runner = SyscallEmulationRunner(
-                self.gem5_config if self.gem5_config is not None else Gem5Config()
-            )
-            result = runner.run_binary(program.image, accelerator=accelerator)
-            cycles = result.ticks
-            cycle_samples = None
-        else:  # pragma: no cover - guarded in __init__
-            raise ConfigurationError(f"unknown model {model!r}")
-        return ModelRun(
-            model=model,
-            result_words=tuple(program.read_results(result)),
-            exit_code=result.exit_code,
-            instructions_retired=result.instructions_retired,
-            cycles=cycles,
-            cycle_samples=cycle_samples,
-        )
-
-    # ------------------------------------------------------------------ diffs
-    def co_simulate(
-        self, vectors, seed: int = 2018, repetitions: int = 1
-    ) -> DivergenceReport:
-        """Build one program over ``vectors``, run every model, diff results."""
-        from repro.testgen.config import TestProgramConfig
-        from repro.testgen.generator import build_test_program
-
-        vectors = list(vectors)
-        config = TestProgramConfig(
-            solution=self.solution.kind,
-            precision=TestProgramConfig.precision_for_format(self.fmt),
-            operation=self.operation,
-            num_samples=len(vectors),
-            repetitions=repetitions,
-            seed=seed,
-            workload=self.workload,
-        )
-        program = build_test_program(config, vectors=vectors)
-        return self.diff_program(program)
-
-    def diff_program(self, program) -> DivergenceReport:
-        """Run an already-built program on every model and diff the results."""
-        runs = {model: self.run_model(model, program) for model in self.models}
-        report = DivergenceReport(
-            solution_kind=self.solution.kind,
-            models=self.models,
-            total=program.num_samples,
-            runs=runs,
-            workload=self.workload,
-            fmt=self.fmt,
-            operation=self.operation,
-        )
-        report.divergences = diff_result_words(
-            program.vectors,
-            {model: run.result_words for model, run in runs.items()},
-            decode=GoldenReference(precision=self.fmt).decode,
-            operation=self.operation,
-        )
-        if self.checker is not None and self.verify and self.solution.verifiable:
-            reference_model = self.models[0]
-            report.check_report = self.checker.check_run(
-                program.vectors, list(runs[reference_model].result_words)
-            )
-        return report

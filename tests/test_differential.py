@@ -1,12 +1,12 @@
 """Cross-model differential verification tests.
 
-Covers the co-simulation harness (spike/rocket/gem5 agreement over every
-solution kind and built-in workload), the differential campaign-cell mode
-(serial and sharded-multiprocess paths, reporting, CLI exit codes), and the
-headline acceptance property: an intentionally injected, model-specific
-executor bug is *caught* by the fuzz campaign, *shrunk* to a <=3-vector
-reproducer, and *replays* from its recorded seed — then stops reproducing
-once the bug is gone.
+Covers the co-simulation path — a differential shard, with spike/rocket/gem5
+agreement over every solution kind and built-in workload — campaigns of
+differential cells (serial and sharded-multiprocess paths, reporting, CLI
+exit codes), and the headline acceptance property: an intentionally
+injected, model-specific executor bug is *caught* by the fuzz campaign,
+*shrunk* to a <=3-vector reproducer, and *replays* from its recorded seed —
+then stops reproducing once the bug is gone.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from repro.verification.coverage import CoverageTracker
 from repro.verification.database import OperandClass, VerificationDatabase
 from repro.verification.differential import (
     MODELS,
-    CoSimulator,
     Divergence,
     DualCheckReport,
 )
 from repro.workloads import registered_workloads
 
 
-def _differential_cell(kind, vectors):
+def _differential_cell(kind, vectors, **fields):
     return CampaignCell(solution=standard_solutions()[kind],
-                        num_samples=len(vectors), differential=True)
+                        num_samples=len(vectors), differential=True, **fields)
 
 
 def _vectors(count=24, seed=13, classes=OperandClass.ALL):
@@ -64,37 +63,37 @@ def broken_gem5(monkeypatch):
     monkeypatch.setattr(atomic_cpu, "SparseMemory", _BitFlipMemory)
 
 
-# ------------------------------------------------------------------ co-simulator
+# ------------------------------------------------------------------ co-simulation
 @pytest.mark.parametrize("kind", SolutionKind.ALL)
 def test_models_agree_for_every_solution_kind(kind):
-    report = CoSimulator(solution=kind).co_simulate(_vectors())
+    vectors = _vectors()
+    outcome = run_solution_shard(_differential_cell(kind, vectors), vectors)
+    report = outcome.shard_report
     assert report.models == MODELS
-    assert report.total == 24
-    assert report.all_agree
-    assert not report.failed
-    assert report.first_divergence is None
+    assert report.num_samples == 24
+    assert not outcome.divergences
+    assert not outcome.failed
+    assert report.first_divergence == ""
     solution = standard_solutions()[kind]
     if solution.verifiable:
-        assert isinstance(report.check_report, DualCheckReport)
-        assert report.check_report.all_passed
+        assert isinstance(outcome.check_report, DualCheckReport)
+        assert outcome.check_report.all_passed
     else:
-        assert report.check_report is None
+        assert outcome.check_report is None
 
 
 def test_model_runs_capture_cycles_and_per_vector_samples():
-    report = CoSimulator(solution=SolutionKind.METHOD1).co_simulate(
-        _vectors(count=10)
+    vectors = _vectors(count=10)
+    outcome = run_solution_shard(
+        _differential_cell(SolutionKind.METHOD1, vectors), vectors
     )
-    rocket = report.runs["rocket"]
-    assert rocket.cycles > 0
-    assert len(rocket.cycle_samples) == 10
-    gem5 = report.runs["gem5"]
-    assert gem5.cycles > 0
-    assert report.runs["spike"].cycles is None
-    summary = report.cycle_summary()
-    assert set(summary) == {"rocket", "gem5"}
-    assert all(run.exit_code == 0 for run in report.runs.values())
-    assert "all models agree" in report.describe()
+    report = outcome.shard_report
+    assert report.total_cycles_run > 0
+    assert len(report.raw_cycle_samples) == 10
+    assert report.gem5_cycles > 0
+    assert outcome.functional_result.exit_code == 0
+    assert outcome.timed_result.exit_code == 0
+    assert not outcome.divergences
 
 
 @pytest.mark.parametrize("name", sorted(registered_workloads()))
@@ -105,37 +104,24 @@ def test_models_agree_on_every_builtin_workload(name):
     operation = workload.operations[0]
     kwargs = {} if operation == "multiply" else {"operation": operation}
     vectors = workload.vectors(20, seed=3, **kwargs)
-    report = CoSimulator(
-        solution=SolutionKind.METHOD1, workload=name, operation=operation
-    ).co_simulate(vectors, seed=3)
-    assert report.all_agree
-    assert not report.failed
-    assert report.workload == name
-    assert report.operation == operation
-
-
-def test_model_subset_and_unknown_model():
-    from repro.errors import ConfigurationError
-
-    report = CoSimulator(
-        solution=SolutionKind.METHOD1, models=("spike", "rocket")
-    ).co_simulate(_vectors(count=6))
-    assert report.models == ("spike", "rocket")
-    assert report.all_agree
-    with pytest.raises(ConfigurationError, match="unknown model"):
-        CoSimulator(models=("spike", "verilator"))
-    with pytest.raises(ConfigurationError, match="at least one model"):
-        CoSimulator(models=())
-    with pytest.raises(ConfigurationError, match="unknown solution kind"):
-        CoSimulator(solution="hardware2")
+    cell = _differential_cell(
+        SolutionKind.METHOD1, vectors, seed=3, workload=name, op=operation
+    )
+    outcome = run_solution_shard(cell, vectors)
+    assert not outcome.divergences
+    assert not outcome.failed
+    assert outcome.program.config.workload == name
+    assert outcome.shard_report.operation == operation
 
 
 def test_cosimulator_pinpoints_divergence_and_operand_class(broken_gem5):
     vectors = _vectors(count=30, seed=21)
-    report = CoSimulator(solution=SolutionKind.METHOD1).co_simulate(vectors)
-    assert not report.all_agree
-    assert report.failed
-    first = report.first_divergence
+    outcome = run_solution_shard(
+        _differential_cell(SolutionKind.METHOD1, vectors), vectors
+    )
+    assert outcome.divergences
+    assert outcome.failed
+    first = outcome.divergences[0]
     assert isinstance(first, Divergence)
     # The diverging vector is pinpointed with its class and per-model words.
     assert first.operand_class == vectors[first.index].operand_class
@@ -143,7 +129,8 @@ def test_cosimulator_pinpoints_divergence_and_operand_class(broken_gem5):
     assert set(first.words) == set(MODELS)
     assert first.words["spike"] == first.words["rocket"] != first.words["gem5"]
     assert "gem5=" in first.describe()
-    assert str(first.index) in report.describe()
+    assert outcome.shard_report.first_divergence == first.describe()
+    assert f"vector {first.index} " in outcome.shard_report.first_divergence
 
 
 def test_dual_checker_respects_custom_workload_oracles():
@@ -344,7 +331,7 @@ def test_injected_bug_is_caught_shrunk_and_replays(broken_gem5, monkeypatch):
     # Replays from the recorded seed while the bug is still present...
     replayed = replay(failure)
     assert replayed.failed
-    assert not replayed.all_agree
+    assert replayed.divergences
 
     # ...round-trips through JSON (how --json reports store reproducers)...
     restored = Reproducer.from_json(failure.to_json())
@@ -356,4 +343,4 @@ def test_injected_bug_is_caught_shrunk_and_replays(broken_gem5, monkeypatch):
     monkeypatch.undo()
     fixed = replay(failure)
     assert not fixed.failed
-    assert fixed.all_agree
+    assert not fixed.divergences

@@ -482,7 +482,6 @@ class TestFormatFuzz:
 
         report = FuzzCampaign(FuzzConfig(
             seed=11, budget=24, batch_size=12, fmt="decimal128",
-            models=("spike", "rocket"),
         )).run()
         assert report.ok, report.describe()
         assert report.vectors_run == 24

@@ -188,10 +188,9 @@ def test_campaign_reaches_full_condition_coverage():
     assert "11/11" in report.describe()
 
 
-def test_campaign_workload_corpus_and_spike_rocket_only():
+def test_campaign_workload_corpus():
     report = run_fuzz_campaign(
-        seed=5, budget=32, batch_size=32,
-        workload="carry-stress", models=("spike", "rocket"),
+        seed=5, budget=32, batch_size=32, workload="carry-stress",
     )
     assert report.ok
     assert report.config.workload == "carry-stress"
@@ -199,6 +198,25 @@ def test_campaign_workload_corpus_and_spike_rocket_only():
     assert all(
         name.startswith("fuzz:") for name in report.coverage.class_counts
     )
+
+
+def test_campaign_links_once_per_batch_size(monkeypatch):
+    """Batches of one size share one linked program on the campaign's warm
+    runner; only the vectors are rebound between them."""
+    import repro.testgen.generator as generator
+
+    builds = []
+    build = generator.build_test_program
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(generator, "build_test_program", counting_build)
+    report = run_fuzz_campaign(seed=3, budget=48, batch_size=16)
+    assert report.ok
+    assert report.batches_run == 3
+    assert len(builds) == 1
 
 
 def test_campaign_time_limit_stops_between_batches():
@@ -245,8 +263,39 @@ def test_fuzz_cli_rejects_unknown_workload_and_model():
 
     with pytest.raises(ConfigurationError, match="unknown workload"):
         main(["--workload", "nope", "--budget", "8"])
+    # Every campaign runs all three models, so there is no model option.
     with pytest.raises(SystemExit):
         main(["--models", "spike,verilator"])
+
+
+def test_fuzz_cli_replay_rejects_non_reports_and_loads_old_reports(
+    tmp_path, capsys
+):
+    from repro.fuzz.__main__ import main
+
+    # A campaign summary and a bare JSON list are not fuzz reports.
+    for name, data in (("campaign.json", {"cells": [], "total_samples": 0}),
+                       ("list.json", [1, 2])):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as raised:
+            main(["--replay", str(path)])
+        assert raised.value.code == 2
+        assert f"--replay {path}: not a fuzz report" in capsys.readouterr().err
+
+    # A report written before the model subset option went away still
+    # carries "models"; it loads and replays on all three models.
+    vectors = VerificationDatabase(9).generate_mix(2)
+    failure = Reproducer(
+        kind="divergence", description="recorded", vectors=vectors,
+        campaign_seed=9, batch_index=0, solution="method1",
+    ).to_json()
+    failure["models"] = ["spike", "rocket"]
+    path = tmp_path / "old_report.json"
+    path.write_text(json.dumps({"seed": 9, "failures": [failure]}))
+    assert Reproducer.from_json(failure).vectors == vectors
+    assert main(["--replay", str(path)]) == 0
+    assert "no longer fails" in capsys.readouterr().out
 
 
 def test_fuzz_cli_reports_failures_with_exit_code(tmp_path, capsys, monkeypatch):

@@ -190,11 +190,22 @@ MALFORMED_SPECS = [
     ({"seed": [1]}, "seed"),
     ({"classes": ["bogus"]}, "classes"),
     ({"shards_per_cell": "x"}, "shards_per_cell"),
+    ({"verify": "false"}, "verify"),
+    ({"differential": "false"}, "differential"),
+    ({"differential": 1}, "differential"),
+    ({"workload": "telco-billing", "workloads": ["telco-billing"]},
+     "workloads"),
+    ({"cache": "false"}, "cache"),
 ]
+
+#: Fields only the service reads (not ``cells_from_spec``).
+SERVICE_FIELDS = ("shards_per_cell", "cache")
 
 
 class TestCellsFromSpec:
-    @pytest.mark.parametrize("spec,field", MALFORMED_SPECS[:-1])
+    @pytest.mark.parametrize("spec,field", [
+        case for case in MALFORMED_SPECS if case[1] not in SERVICE_FIELDS
+    ])
     def test_malformed_field_rejected(self, spec, field):
         with pytest.raises(ConfigurationError, match=field):
             cells_from_spec(spec)
