@@ -14,7 +14,7 @@ from repro.core import reporting
 def test_table_i_environment(benchmark):
     """Table I equivalent: the components this reproduction substitutes."""
     rows = {
-        "Compiler": "repro.asm (programmatic + textual RV64 assembler)",
+        "Compiler": "repro.asm (programmatic RV64 assembler)",
         "ISA simulator": "repro.sim.spike (functional RV64 simulator)",
         "Cycle-accurate emulator": "repro.rocket (Rocket-like timing model)",
         "ISA": "RV64IM + Zicsr + custom-0..3 (RoCC)",

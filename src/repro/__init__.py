@@ -7,7 +7,7 @@ The package is organised as a stack of substrates (bottom-up):
     RV64IM + Zicsr + RoCC custom-0..3 instruction definitions, encoder and
     decoder.
 ``repro.asm``
-    Programmatic and textual assemblers producing flat RV64 memory images.
+    Programmatic assembler and linker producing flat RV64 memory images.
 ``repro.sim``
     Functional (SPIKE-like) simulation: memory, hart state, executor, HTIF.
 ``repro.rocket``
@@ -30,7 +30,8 @@ The package is organised as a stack of substrates (bottom-up):
 ``repro.verification``
     Verification database (operand classes), golden reference and checker.
 ``repro.gem5``
-    Gem5 AtomicSimpleCPU (SE mode) stand-in.
+    Gem5 AtomicSimpleCPU (SE mode) stand-in: the functional machine at tier 1,
+    one tick per instruction.
 ``repro.core``
     The paper's contribution: the evaluation framework tying everything
     together, plus reporting that regenerates Tables IV-VI.

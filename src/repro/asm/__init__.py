@@ -1,15 +1,10 @@
-"""Assembler layer: from kernels (programmatic or textual) to memory images.
+"""Assembler layer: from kernels to memory images.
 
 This subpackage stands in for the GNU RISC-V cross toolchain of the paper's
-framework (Fig. 2, "GCC RISC-V cross compiler" box).  Two front ends share a
-common back end:
-
-* :class:`~repro.asm.builder.AsmBuilder` — a programmatic assembler used by
-  the kernel generators in :mod:`repro.kernels`;
-* :func:`~repro.asm.parser.assemble_source` — a textual assembler accepting a
-  practical subset of GNU ``as`` syntax.
-
-Both produce a :class:`~repro.asm.program.Program`, which the
+framework (Fig. 2, "GCC RISC-V cross compiler" box).
+:class:`~repro.asm.builder.AsmBuilder`, the programmatic assembler the kernel
+generators in :mod:`repro.kernels` call, produces a
+:class:`~repro.asm.program.Program`, which the
 :class:`~repro.asm.linker.Linker` lays out into a flat
 :class:`~repro.asm.program.Image` ready to be loaded by the simulators.
 """
@@ -17,7 +12,6 @@ Both produce a :class:`~repro.asm.program.Program`, which the
 from repro.asm.program import Image, Program, Section, DEFAULT_TEXT_BASE, DEFAULT_DATA_BASE
 from repro.asm.builder import AsmBuilder
 from repro.asm.linker import Linker
-from repro.asm.parser import assemble_source
 from repro.asm import macros
 
 __all__ = [
@@ -26,7 +20,6 @@ __all__ = [
     "Section",
     "AsmBuilder",
     "Linker",
-    "assemble_source",
     "macros",
     "DEFAULT_TEXT_BASE",
     "DEFAULT_DATA_BASE",

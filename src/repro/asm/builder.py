@@ -1,10 +1,9 @@
 """Programmatic assembler.
 
-:class:`AsmBuilder` is the back end shared by the kernel generators
-(:mod:`repro.kernels`) and the textual assembler (:mod:`repro.asm.parser`).
-It emits real RV64 machine code into a :class:`~repro.asm.program.Program`,
-records label fix-ups, and can link itself into an
-:class:`~repro.asm.program.Image` in one call.
+:class:`AsmBuilder` is the assembler the kernel generators
+(:mod:`repro.kernels`) call.  It emits real RV64 machine code into a
+:class:`~repro.asm.program.Program`, records label fix-ups, and can link
+itself into an :class:`~repro.asm.program.Image` in one call.
 """
 
 from __future__ import annotations

@@ -221,7 +221,7 @@ def run_solution_shard(
         from repro.verification.differential import diff_result_words
 
         started = time.perf_counter()
-        gem5_result = SyscallEmulationRunner(Gem5Config()).run_binary(
+        gem5_result = SyscallEmulationRunner().run_binary(
             program.image, accelerator=solution.make_accelerator(fmt)
         )
         report.sim_wall_seconds += time.perf_counter() - started

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 
+from repro.errors import ConfigurationError
 from repro.fuzz.engine import (
     FuzzCampaign,
     FuzzConfig,
@@ -94,7 +95,13 @@ def _replay_report(path: str, parser) -> int:
             f"--replay {path}: not a fuzz report (expected a JSON object "
             "with a 'failures' list, as --json writes)"
         )
-    reproducers = [Reproducer.from_json(item) for item in data["failures"]]
+    # Check every entry before the first replay runs.
+    reproducers = []
+    for index, item in enumerate(data["failures"]):
+        try:
+            reproducers.append(Reproducer.from_json(item))
+        except ConfigurationError as error:
+            parser.error(f"--replay {path}: failure {index}: {error}")
     if not reproducers:
         print(f"{path}: no recorded failures to replay")
         return 0

@@ -141,6 +141,17 @@ def vector_from_json(data: dict) -> VerificationVector:
     )
 
 
+#: Fields every recorded failure carries, with their JSON types.
+_REQUIRED_FIELDS = {
+    "kind": str,
+    "description": str,
+    "vectors": list,
+    "campaign_seed": int,
+    "batch_index": int,
+    "solution": str,
+}
+
+
 @dataclass
 class Reproducer:
     """A recorded, replayable failure: minimal vectors + campaign context."""
@@ -171,20 +182,89 @@ class Reproducer:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Reproducer":
-        # Older reports also carry a "models" list; it is not read, since
-        # every replay runs all three models.
+    def from_json(cls, data) -> "Reproducer":
+        """Parse one ``failures`` entry of a report, checking every field.
+
+        A malformed entry raises :class:`ConfigurationError` naming the
+        field, so a whole report can be checked before anything replays.
+        Older reports also carry a "models" list; it is not read, since
+        every replay runs all three models.
+        """
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"expected a JSON object, got {type(data).__name__}"
+            )
+        for name, kind in _REQUIRED_FIELDS.items():
+            if name not in data:
+                raise ConfigurationError(f"missing field {name!r}")
+            if not isinstance(data[name], kind) or isinstance(data[name], bool):
+                raise ConfigurationError(
+                    f"field {name!r}: expected {kind.__name__}, "
+                    f"got {data[name]!r}"
+                )
+        if data["solution"] not in SolutionKind.ALL:
+            raise ConfigurationError(
+                f"field 'solution': unknown solution kind "
+                f"{data['solution']!r} (choose from {SolutionKind.ALL})"
+            )
+        from repro.decnumber.operations import (
+            get_operation,
+            resolve_operation_name,
+        )
+        from repro.workloads import get_workload
+
+        try:
+            fmt = resolve_format_name(data.get("fmt", "decimal64"))
+        except DecimalError as error:
+            raise ConfigurationError(f"field 'fmt': {error}") from None
+        try:
+            operation = resolve_operation_name(
+                data.get("operation", "multiply")
+            )
+        except DecimalError as error:
+            raise ConfigurationError(f"field 'operation': {error}") from None
+        if data.get("workload") is not None:
+            try:
+                workload = get_workload(data["workload"])
+            except ConfigurationError as error:
+                raise ConfigurationError(f"field 'workload': {error}") from None
+            if not (workload.supports_format(fmt)
+                    and workload.supports_operation(operation)):
+                raise ConfigurationError(
+                    f"field 'workload': {workload.name!r} does not support "
+                    f"{fmt} {operation}"
+                )
+        if not data["vectors"]:
+            raise ConfigurationError("field 'vectors': no vectors to replay")
+        arity = get_operation(operation).arity
+        vectors = []
+        for index, item in enumerate(data["vectors"]):
+            try:
+                vector = vector_from_json(item)
+            except (AttributeError, DecimalError, KeyError, TypeError,
+                    ValueError) as error:
+                raise ConfigurationError(
+                    f"field 'vectors': vector {index} is malformed "
+                    f"({type(error).__name__}: {error})"
+                ) from None
+            if len(vector.operands) != arity:
+                raise ConfigurationError(
+                    f"field 'vectors': vector {index} carries "
+                    f"{len(vector.operands)} operands but operation "
+                    f"{operation!r} takes {arity}"
+                )
+            vectors.append(vector)
         return cls(
             kind=data["kind"],
             description=data["description"],
-            vectors=[vector_from_json(item) for item in data["vectors"]],
+            vectors=vectors,
             campaign_seed=data["campaign_seed"],
             batch_index=data["batch_index"],
             solution=data["solution"],
             workload=data.get("workload"),
             original_count=data.get("original_count", 0),
-            fmt=data.get("fmt", "decimal64"),
-            operation=data.get("operation", "multiply"),
+            fmt=fmt,
+            operation=operation,
         )
 
 

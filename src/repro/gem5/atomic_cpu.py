@@ -6,93 +6,45 @@ pipeline).  That is deliberately a much coarser model than the Rocket
 emulator — the paper uses it only to show that the *dummy-function* speedup is
 consistent across evaluation environments (Table VI), not to measure the
 accelerator.
+
+At one cycle per instruction the model is Spike's machine with a clock, so
+:class:`AtomicSimpleCPU` is a :class:`~repro.sim.spike.SpikeSimulator` whose
+ticks are its retire count.  It runs tier 1 only: a differential shard then
+compares three engines (tier 2 in Spike, compiled timing spans in Rocket,
+tier 1 here), and a one-shot run spends no time compiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
-from repro.isa import csr as csrdefs
-from repro.sim.executor import Executor
-from repro.sim.hart import DEFAULT_STACK_TOP, Hart
-from repro.sim.htif import Htif
-from repro.sim.memory import SparseMemory
-from repro.sim.spike import DEFAULT_MAX_INSTRUCTIONS, SimulationResult
+from repro.sim.spike import SimulationResult, SpikeSimulator
 
 
 @dataclass
 class AtomicResult(SimulationResult):
     """Functional result plus the atomic model's simulated time."""
 
-    ticks: int = 0
-    simulated_seconds: float = 0.0
     frequency_hz: int = 0
 
+    @property
+    def ticks(self) -> int:
+        """One tick per retired instruction."""
+        return self.instructions_retired
 
-class AtomicSimpleCPU:
+    @property
+    def simulated_seconds(self) -> float:
+        return self.ticks / self.frequency_hz
+
+
+class AtomicSimpleCPU(SpikeSimulator):
     """One-instruction-per-cycle atomic CPU model (SE mode)."""
 
-    def __init__(
-        self,
-        image,
-        frequency_hz: int = 2_000_000_000,
-        accelerator=None,
-        stack_top: int = DEFAULT_STACK_TOP,
-        max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    ) -> None:
-        self.image = image
+    def __init__(self, image, frequency_hz: int = 2_000_000_000,
+                 accelerator=None, **kwargs) -> None:
+        super().__init__(image, accelerator=accelerator, tier2=False, **kwargs)
         self.frequency_hz = frequency_hz
-        self.max_instructions = max_instructions
-
-        self.memory = SparseMemory()
-        self.memory.load_image(image)
-        self.htif = Htif()
-        self.htif.attach(self.memory)
-        self.hart = Hart(pc=image.entry, stack_pointer=stack_top)
-        self.executor = Executor(
-            self.hart,
-            self.memory,
-            csr_provider=self._read_counter,
-            rocc=accelerator,
-        )
-        # Stop a batched Executor.run on the instruction that writes tohost.
-        self.htif.on_exit = self.executor.request_halt
-        self.cycles = 0
-        self.instructions_retired = 0
-
-    def _read_counter(self, address: int) -> int:
-        # The model is exactly 1 CPI, so the live retire count is the cycle
-        # count even mid-batch.
-        if address in (csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME,
-                       csrdefs.INSTRET, csrdefs.MINSTRET):
-            return self.executor.retired
-        return 0
 
     def run(self) -> AtomicResult:
-        """Run to completion; simulated time is cycles / frequency."""
-        executor = self.executor
-        htif = self.htif
-        limit = self.max_instructions
-        # Pure 1-CPI: no per-step timing input, run the threaded-code loop.
-        while not htif.exited and not executor.exit_requested:
-            remaining = limit - executor.retired
-            if remaining <= 0:
-                raise SimulationError(
-                    f"instruction limit exceeded ({limit}); pc={self.hart.pc:#x}"
-                )
-            executor.run(remaining)
-        self.instructions_retired = executor.retired
-        self.cycles = executor.retired
-        exit_code = htif.exit_code if htif.exited else executor.exit_code
-        return AtomicResult(
-            exit_code=exit_code,
-            instructions_retired=self.instructions_retired,
-            console_output=htif.console_output,
-            symbols=dict(self.image.symbols),
-            memory=self.memory,
-            hart=self.hart,
-            ticks=self.cycles,
-            simulated_seconds=self.cycles / self.frequency_hz,
-            frequency_hz=self.frequency_hz,
-        )
+        """Run to completion; simulated time is ticks / frequency."""
+        return self._run_to_exit(AtomicResult, frequency_hz=self.frequency_hz)

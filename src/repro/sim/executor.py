@@ -7,8 +7,8 @@ executor is reused by every simulator in the repository:
   :meth:`Executor.run`, no timing;
 * :class:`repro.rocket.core.RocketEmulator` — wraps each :meth:`Executor.step`
   with the pipeline/cache timing model;
-* :class:`repro.gem5.atomic_cpu.AtomicSimpleCPU` — batched when no memory
-  penalty is configured, per-step otherwise.
+* :class:`repro.gem5.atomic_cpu.AtomicSimpleCPU` — a ``SpikeSimulator`` built
+  with ``tier2=False``: batched tier-1 execution, one tick per instruction.
 
 Architecture (decode-once threaded code)
 ----------------------------------------

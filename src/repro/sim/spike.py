@@ -20,6 +20,12 @@ from repro.sim.memory import SparseMemory
 #: Safety net against runaway programs (misassembled loops and the like).
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 
+#: Counter CSRs that read the retire count (cycles included, at 1 CPI).
+COUNTER_CSRS = (
+    csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME,
+    csrdefs.INSTRET, csrdefs.MINSTRET,
+)
+
 
 @dataclass
 class SimulationResult:
@@ -54,7 +60,11 @@ class SimulationResult:
 
 
 class SpikeSimulator:
-    """Functional RV64 simulator with HTIF exit/console support."""
+    """Functional RV64 simulator with HTIF exit/console support.
+
+    ``tier2=False`` runs the executor's tier 1 only; the gem5 model builds
+    its machine that way.
+    """
 
     def __init__(
         self,
@@ -62,6 +72,7 @@ class SpikeSimulator:
         accelerator=None,
         stack_top: int = DEFAULT_STACK_TOP,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+        tier2: bool = True,
     ) -> None:
         self.image = image
         self.memory = SparseMemory()
@@ -78,24 +89,18 @@ class SpikeSimulator:
             self.memory,
             csr_provider=self._read_counter,
             rocc=accelerator,
+            tier2=tier2,
             # _read_counter returns the retire count for every one of these,
             # so tier-2 may inline rdcycle/rdinstret brackets (see Executor).
-            counter_csrs=(
-                csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME,
-                csrdefs.INSTRET, csrdefs.MINSTRET,
-            ),
+            counter_csrs=COUNTER_CSRS,
         )
         # Stop a batched Executor.run on the instruction that writes tohost.
         self.htif.on_exit = self.executor.request_halt
 
     # ---------------------------------------------------------------- counters
     def _read_counter(self, address: int) -> int:
-        if address in (csrdefs.CYCLE, csrdefs.MCYCLE, csrdefs.TIME):
-            # The functional model has no timing: one cycle per instruction.
-            return self.executor.retired
-        if address in (csrdefs.INSTRET, csrdefs.MINSTRET):
-            return self.executor.retired
-        return 0
+        # The functional model has no timing: one cycle per instruction.
+        return self.executor.retired if address in COUNTER_CSRS else 0
 
     # ------------------------------------------------------------------- reset
     def reset(self) -> None:
@@ -132,6 +137,15 @@ class SpikeSimulator:
     # --------------------------------------------------------------------- run
     def run(self) -> SimulationResult:
         """Run until the program exits (HTIF or exit ecall)."""
+        return self._run_to_exit(SimulationResult)
+
+    def _run_to_exit(self, result_type, **fields):
+        """The run loop behind :meth:`run`; returns a ``result_type``.
+
+        Subclasses with a richer result call this rather than
+        ``SpikeSimulator.run``, which perfbench's tracer times as the spike
+        layer.
+        """
         executor = self.executor
         htif = self.htif
         limit = self.max_instructions
@@ -145,13 +159,14 @@ class SpikeSimulator:
             executor.run(remaining)
         self.instructions_retired = executor.retired
         exit_code = htif.exit_code if htif.exited else executor.exit_code
-        return SimulationResult(
+        return result_type(
             exit_code=exit_code,
             instructions_retired=self.instructions_retired,
             console_output=htif.console_output,
             symbols=dict(self.image.symbols),
             memory=self.memory,
             hart=self.hart,
+            **fields,
         )
 
 

@@ -59,3 +59,23 @@ def run_fragment(body, data=None, accelerator=None, result_dwords=4):
 @pytest.fixture
 def fragment_runner():
     return run_fragment
+
+
+def give_gem5_memory(monkeypatch, memory_class):
+    """Build every gem5 CPU on ``memory_class``; spike and Rocket keep theirs.
+
+    The gem5 CPU is Spike's machine, so the class is swapped into
+    :mod:`repro.sim.spike` only while an ``AtomicSimpleCPU`` is constructed:
+    an injected memory fault then lands in the gem5 leg alone.
+    """
+    import repro.sim.spike as spike_module
+    from repro.gem5.atomic_cpu import AtomicSimpleCPU
+
+    build = AtomicSimpleCPU.__init__
+
+    def build_on_memory_class(self, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(spike_module, "SparseMemory", memory_class)
+            build(self, *args, **kwargs)
+
+    monkeypatch.setattr(AtomicSimpleCPU, "__init__", build_on_memory_class)

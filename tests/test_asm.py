@@ -1,4 +1,4 @@
-"""Tests for the assembler layer: builder, text parser, linker, macros."""
+"""Tests for the assembler layer: builder, linker, macros."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.asm.builder import AsmBuilder
 from repro.asm.linker import Linker, dump_disassembly
 from repro.asm.macros import make_macro, standard_macros, table_iii_rows
-from repro.asm.parser import assemble_source
 from repro.asm.program import DEFAULT_DATA_BASE, DEFAULT_TEXT_BASE, Program, Section
 from repro.errors import AssemblerError, LinkError
 from repro.isa.decoder import decode_instruction
@@ -149,56 +148,6 @@ class TestLinker:
         image = b.link()
         text = dump_disassembly(image)
         assert "_start:" in text and "addi" in text
-
-
-class TestParser:
-    def test_parser_matches_builder(self):
-        source = """
-        .data
-        value: .dword 42
-        .text
-        _start:
-            la a0, value       # address of the constant
-            ld a1, 0(a0)
-            addi a1, a1, 5
-            sd a1, 8(a0)
-            li t0, 0x1234
-            beq a1, t0, _start
-            dec_add a2, a1, a0
-            ret
-        """
-        parsed = assemble_source(source)
-        image = parsed.link()
-        assert "value" in image.symbols and "_start" in image.symbols
-        base, data = image.segments[".text"]
-        words = [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
-        mnemonics = [decode_instruction(word).mnemonic for word in words]
-        assert mnemonics[2] == "ld"
-        assert "rocc" in mnemonics
-        assert mnemonics[-1] == "jalr"
-
-    def test_parser_reports_line_numbers(self):
-        with pytest.raises(AssemblerError) as excinfo:
-            assemble_source("nop\nbogus a0, a1\n")
-        assert "line 2" in str(excinfo.value)
-
-    @pytest.mark.parametrize("source", [
-        ".asciz unquoted",
-        "lw a0, a1",            # missing offset(base)
-        ".unknown 3",
-        "beq a0, a1, 16",       # numeric branch target
-    ])
-    def test_parser_rejects_bad_syntax(self, source):
-        with pytest.raises(AssemblerError):
-            assemble_source(source)
-
-    def test_pseudo_instructions(self):
-        parsed = assemble_source(
-            "_start:\n mv a0, a1\n not a2, a3\n seqz a4, a5\n rdcycle t0\n j _start\n"
-        )
-        image = parsed.link()
-        _base, data = image.segments[".text"]
-        assert len(data) == 5 * 4
 
 
 class TestMacros:

@@ -30,7 +30,6 @@ def _bench_module():
     "tiers.tier1_instructions",
     "tiers.tier2_blocks",
     "tiers.tier2_deopts",
-    "gem5_tiers.tier2_blocks",
 ])
 def test_doctored_count_is_named(tmp_path, field):
     bench = _bench_module()

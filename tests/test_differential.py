@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.gem5.atomic_cpu as atomic_cpu
 from repro.core.campaign import (
     CampaignCell,
     grid_cells,
@@ -33,6 +32,7 @@ from repro.verification.differential import (
     DualCheckReport,
 )
 from repro.workloads import registered_workloads
+from tests.conftest import give_gem5_memory
 
 
 def _differential_cell(kind, vectors, **fields):
@@ -60,7 +60,7 @@ class _BitFlipMemory(SparseMemory):
 
 @pytest.fixture
 def broken_gem5(monkeypatch):
-    monkeypatch.setattr(atomic_cpu, "SparseMemory", _BitFlipMemory)
+    give_gem5_memory(monkeypatch, _BitFlipMemory)
 
 
 # ------------------------------------------------------------------ co-simulation
@@ -195,7 +195,7 @@ def test_run_solution_shard_differential_records_check_failures():
     vectors = _vectors(count=12, seed=21)
     cell = _differential_cell(SolutionKind.METHOD1, vectors)
     with pytest.MonkeyPatch.context() as patcher:
-        patcher.setattr(atomic_cpu, "SparseMemory", _BitFlipMemory)
+        # gem5's CPU is a SpikeSimulator: this patch reaches it too.
         patcher.setattr(spike_module, "SparseMemory", _BitFlipMemory)
         patcher.setattr(rocket_module, "SparseMemory", _BitFlipMemory)
         outcome = run_solution_shard(cell, vectors)

@@ -298,10 +298,40 @@ def test_fuzz_cli_replay_rejects_non_reports_and_loads_old_reports(
     assert "no longer fails" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mangle, named", [
+    (lambda entry: 7, "expected a JSON object"),
+    (lambda entry: {key: value for key, value in entry.items()
+                    if key != "description"}, "field 'description'"),
+    (lambda entry: dict(entry, vectors=[{"x": 1}]), "field 'vectors'"),
+    (lambda entry: dict(entry, solution="quantum"), "field 'solution'"),
+    (lambda entry: dict(entry, vectors=[]), "field 'vectors'"),
+], ids=["not-an-object", "no-description", "malformed-vector",
+        "unknown-solution", "no-vectors"])
+def test_fuzz_cli_replay_checks_every_failure_before_replaying(
+    tmp_path, capsys, mangle, named
+):
+    from repro.fuzz.__main__ import main
+
+    valid = Reproducer(
+        kind="divergence", description="recorded",
+        vectors=VerificationDatabase(9).generate_mix(2),
+        campaign_seed=9, batch_index=0, solution="method1",
+    ).to_json()
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"seed": 9, "failures": [valid, mangle(valid)]}))
+    with pytest.raises(SystemExit) as raised:
+        main(["--replay", str(path)])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--replay {path}: failure 1: " in captured.err
+    assert named in captured.err
+    assert "fails" not in captured.out      # the valid entry never replayed
+
+
 def test_fuzz_cli_reports_failures_with_exit_code(tmp_path, capsys, monkeypatch):
-    import repro.gem5.atomic_cpu as atomic_cpu
     from repro.fuzz.__main__ import main
     from repro.sim.memory import SparseMemory
+    from tests.conftest import give_gem5_memory
 
     class Broken(SparseMemory):
         def write(self, address, size, value):
@@ -309,7 +339,7 @@ def test_fuzz_cli_reports_failures_with_exit_code(tmp_path, capsys, monkeypatch)
                 value ^= 1
             super().write(address, size, value)
 
-    monkeypatch.setattr(atomic_cpu, "SparseMemory", Broken)
+    give_gem5_memory(monkeypatch, Broken)
     out_path = tmp_path / "fuzz.json"
     code = main([
         "--seed", "7", "--budget", "32", "--batch-size", "32",

@@ -10,7 +10,11 @@ from repro.gem5.se_mode import Gem5Config, SyscallEmulationRunner
 from repro.rocc.decimal_accel import DecimalAccelerator
 from repro.rocket.cache import Cache
 from repro.rocket.config import CacheConfig, RocketConfig
+from repro.core.solution import standard_solutions
 from repro.rocket.core import RocketEmulator
+from repro.sim.spike import SpikeSimulator
+from repro.testgen.config import SolutionKind, TestProgramConfig
+from repro.testgen.generator import build_test_program
 
 
 def _program(body):
@@ -184,5 +188,21 @@ class TestGem5Atomic:
         assert result.exit_code == 0 and result.frequency_hz == 10 ** 9
 
     def test_se_runner_rejects_unknown_cpu(self):
-        with pytest.raises(ConfigurationError):
+        # AtomicSimpleCPU is the only model: there is no CPU type to choose.
+        with pytest.raises(TypeError):
             SyscallEmulationRunner(Gem5Config(cpu_type="O3CPU"))
+
+    @pytest.mark.parametrize("kind", SolutionKind.ALL)
+    def test_runs_spikes_machine_at_tier_1(self, kind):
+        solution = standard_solutions()[kind]
+        program = build_test_program(
+            TestProgramConfig(solution=kind, num_samples=24, seed=7)
+        )
+        cpu = AtomicSimpleCPU(program.image,
+                              accelerator=solution.make_accelerator())
+        result = cpu.run()
+        spike = SpikeSimulator(program.image,
+                               accelerator=solution.make_accelerator()).run()
+        assert cpu.executor.tier2_blocks == 0
+        assert result.ticks == spike.instructions_retired
+        assert program.read_results(result) == program.read_results(spike)
