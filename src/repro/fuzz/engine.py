@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.campaign import CampaignCell
 from repro.core.evaluation import ShardRunOutcome, run_solution_shard
 from repro.core.solution import standard_solutions
-from repro.decnumber.formats import resolve_format_name
+from repro.decnumber.formats import get_format, resolve_format_name
 from repro.decnumber.number import DecNumber
 from repro.errors import ConfigurationError, DecimalError
 from repro.fuzz.mutate import choose_mutator, mutators_for_format
@@ -187,6 +187,9 @@ class Reproducer:
 
         A malformed entry raises :class:`ConfigurationError` naming the
         field, so a whole report can be checked before anything replays.
+        That includes an operand the entry's format cannot represent
+        exactly: the kernel would run on its rounded encoding while the
+        oracle checks the value as written.
         Older reports also carry a "models" list; it is not read, since
         every replay runs all three models.
         """
@@ -237,6 +240,7 @@ class Reproducer:
         if not data["vectors"]:
             raise ConfigurationError("field 'vectors': no vectors to replay")
         arity = get_operation(operation).arity
+        spec = get_format(fmt)
         vectors = []
         for index, item in enumerate(data["vectors"]):
             try:
@@ -253,6 +257,23 @@ class Reproducer:
                     f"{len(vector.operands)} operands but operation "
                     f"{operation!r} takes {arity}"
                 )
+            # The round trip is compared as decimal strings, which keep every
+            # digit and the exponent of a finite value and what a special
+            # value carries (sign, kind, NaN payload).
+            for name, operand in zip("xyz", vector.operands):
+                where = f"field 'vectors': vector {index} operand {name}"
+                try:
+                    stored = str(spec.decode(spec.encode(operand)))
+                except (DecimalError, TypeError, ValueError) as error:
+                    raise ConfigurationError(
+                        f"{where} {operand!r} cannot be encoded in {fmt} "
+                        f"({type(error).__name__}: {error})"
+                    ) from None
+                if stored != str(operand):
+                    raise ConfigurationError(
+                        f"{where} {operand} is not representable in {fmt}: "
+                        f"it encodes as {stored}"
+                    )
             vectors.append(vector)
         return cls(
             kind=data["kind"],

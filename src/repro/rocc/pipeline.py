@@ -78,10 +78,15 @@ class AcceleratorPipeline:
         completes ``busy_cycles`` later and frees its slot after segment 0
         of :func:`split_busy_cycles` (the initiation interval).
         """
+        depth = self.depth
+        if busy_cycles < 1 or depth < 1:
+            split_busy_cycles(busy_cycles, depth)  # raises AcceleratorError
+        # Segment 0 is ceil(busy / stages); computed without the tuple.
+        stages = depth if depth < busy_cycles else busy_cycles
         slot_free = self._slot_free
         free = min(slot_free)
         accept = arrival if arrival >= free else free
-        next_issue = accept + split_busy_cycles(busy_cycles, self.depth)[0]
+        next_issue = accept - (-busy_cycles // stages)
         slot_free[slot_free.index(free)] = next_issue
         return accept + busy_cycles, next_issue
 

@@ -61,21 +61,33 @@ class Cache:
                 self._tick += 1
                 self._lru[index][ways.index(tag)] = self._tick
             return 0
-        # Miss: allocate into an invalid way if any, otherwise evict.
         stats.misses += 1
+        if not self._lru_mode:
+            return self.fill(ways, tag)
+        # LRU miss: allocate into an invalid way if any, otherwise evict the
+        # least recently used one.
+        lru = self._lru[index]
+        victim = ways.index(None) if None in ways else lru.index(min(lru))
+        ways[victim] = tag
+        self._tick += 1
+        lru[victim] = self._tick
+        return self.config.miss_penalty_cycles
+
+    def fill(self, ways: list, tag: int) -> int:
+        """Allocate ``tag`` into one set's ``ways`` after a random-policy miss.
+
+        Takes the first invalid way, otherwise evicts a victim drawn from
+        the cache's PRNG, and returns the miss penalty in cycles.  Every
+        random-replacement miss goes through here — :meth:`access`, the
+        interpreted loop of :meth:`repro.rocket.core.RocketEmulator.run` and
+        the compiled timing spans — so all three draw victims in one order.
+        Statistics are the caller's to count.
+        """
         try:
             victim = ways.index(None)
         except ValueError:
-            if self.config.replacement == "random":
-                victim = self.rng.randrange(self.config.ways)
-            else:
-                victim = min(
-                    range(self.config.ways), key=lambda way: self._lru[index][way]
-                )
+            victim = self.rng.randrange(self.config.ways)
         ways[victim] = tag
-        if self._lru_mode:
-            self._tick += 1
-            self._lru[index][victim] = self._tick
         return self.config.miss_penalty_cycles
 
     def flush(self) -> None:

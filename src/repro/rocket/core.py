@@ -137,6 +137,9 @@ class RocketEmulator:
         self.timing_compiled_instructions = 0
         self.timing_interpreted_instructions = 0
         self.timing_compile_seconds = 0.0
+        #: Total length of every compiled span source: what the compiles
+        #: cost, independent of host speed.
+        self.timing_source_chars = 0
         self.timing_deopts = 0
 
     # ------------------------------------------------------------------- CSRs
@@ -164,6 +167,7 @@ class RocketEmulator:
         self._timing_heat.pop(pc, None)
         self.timing_spans += 1
         self.timing_compile_seconds += perf_counter() - started
+        self.timing_source_chars += len(source)
 
     # ------------------------------------------------------------------ reset
     def reset(self) -> None:
@@ -248,28 +252,25 @@ class RocketEmulator:
         jump_penalty = config.jump_penalty_cycles
         branch_penalty = config.branch_penalty_cycles
 
-        # Random-replacement caches (Rocket's policy) are inlined below with
-        # locally accumulated statistics; the LRU variant falls back to the
-        # Cache.access method.  The inline path reproduces Cache.access
-        # exactly, including the PRNG call sequence.
+        # Random-replacement caches (Rocket's policy) probe inline below and
+        # count accesses and misses in locals (every access is a hit or a
+        # miss, so hits are settled as the difference); a miss allocates
+        # through Cache.fill, the one random fill the compiled spans and
+        # Cache.access also use.  The LRU variant calls Cache.access.
         ic_inline = icache.config.replacement == "random"
         ic_tags = icache._tags
         ic_offset_bits = icache._offset_bits
         ic_index_mask = icache._index_mask
         ic_index_bits = icache._index_bits
-        ic_randrange = icache.rng.randrange
-        ic_ways = icache.config.ways
-        ic_miss_penalty = icache.config.miss_penalty_cycles
-        ic_accesses = ic_hits = ic_misses = 0
+        ic_fill = icache.fill
+        ic_accesses = ic_misses = 0
         dc_inline = dcache.config.replacement == "random"
         dc_tags = dcache._tags
         dc_offset_bits = dcache._offset_bits
         dc_index_mask = dcache._index_mask
         dc_index_bits = dcache._index_bits
-        dc_randrange = dcache.rng.randrange
-        dc_ways = dcache.config.ways
-        dc_miss_penalty = dcache.config.miss_penalty_cycles
-        dc_accesses = dc_hits = dc_misses = 0
+        dc_fill = dcache.fill
+        dc_accesses = dc_misses = 0
 
         timing = self.timing_tier
         tblocks_get = executor._tblocks.get
@@ -298,18 +299,26 @@ class RocketEmulator:
                 # guarantees the instruction budget is never overshot, so
                 # limit-hit behaviour is bit-identical to the interpreted
                 # loop.  Spans contain no RoCC/CSR instructions, so every
-                # span cycle is a software-part cycle.
+                # span cycle is a software-part cycle.  Each retired
+                # instruction was one I-cache access; the span returns its
+                # I-cache misses and D-cache accesses and misses.
                 if timing:
                     tb = tblocks_get(pc)
                     if tb is not None:
                         fn, min_fuel = tb
                         if limit - instructions >= min_fuel:
-                            pc, new_cycle, k = fn(cycle, limit - instructions)
+                            pc, new_cycle, k, im, da, dm = fn(
+                                cycle, limit - instructions
+                            )
                             sw_cycles += new_cycle - cycle
                             cycle = new_cycle
                             self.cycle = cycle
                             instructions += k
                             timing_retired += k
+                            ic_accesses += k
+                            ic_misses += im
+                            dc_accesses += da
+                            dc_misses += dm
                             hart.pc = pc
                             # Trace-tree link: a span exit without a
                             # compiled continuation is boosted so a
@@ -339,16 +348,10 @@ class RocketEmulator:
                     ways = ic_tags[line & ic_index_mask]
                     tag = line >> ic_index_bits
                     if tag in ways:
-                        ic_hits += 1
                         fetch_stall = 0
                     else:
                         ic_misses += 1
-                        try:
-                            victim = ways.index(None)
-                        except ValueError:
-                            victim = ic_randrange(ic_ways)
-                        ways[victim] = tag
-                        fetch_stall = ic_miss_penalty
+                        fetch_stall = ic_fill(ways, tag)
                 else:
                     fetch_stall = icache_access(pc)
 
@@ -390,16 +393,9 @@ class RocketEmulator:
                             line = address >> dc_offset_bits
                             ways = dc_tags[line & dc_index_mask]
                             tag = line >> dc_index_bits
-                            if tag in ways:
-                                dc_hits += 1
-                            else:
+                            if tag not in ways:
                                 dc_misses += 1
-                                try:
-                                    victim = ways.index(None)
-                                except ValueError:
-                                    victim = dc_randrange(dc_ways)
-                                ways[victim] = tag
-                                cost += dc_miss_penalty
+                                cost += dc_fill(ways, tag)
                         else:
                             cost += dcache_access(
                                 address, is_write=info.mem_is_store
@@ -465,11 +461,11 @@ class RocketEmulator:
             executor.retired = retired_base + instructions
             ic_stats = icache.stats
             ic_stats.accesses += ic_accesses
-            ic_stats.hits += ic_hits
+            ic_stats.hits += ic_accesses - ic_misses
             ic_stats.misses += ic_misses
             dc_stats = dcache.stats
             dc_stats.accesses += dc_accesses
-            dc_stats.hits += dc_hits
+            dc_stats.hits += dc_accesses - dc_misses
             dc_stats.misses += dc_misses
         exit_code = htif.exit_code if htif.exited else executor.exit_code
         return RocketResult(

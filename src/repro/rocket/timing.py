@@ -27,21 +27,27 @@ Conditional branches become guarded early exits; a backward branch (or
 the back edge so the instruction budget is never overshot.  The generated
 function's contract is::
 
-    _tb(cycle, fuel) -> (next_pc, cycle', retired)
+    _tb(cycle, fuel) -> (next_pc, cycle', retired, im, da, dm)
 
 with ``retired <= fuel`` guaranteed by construction (the caller only enters
-with ``fuel >= min_fuel``, and back edges re-check).
+with ``fuel >= min_fuel``, and back edges re-check).  ``im`` counts the
+span's I-cache misses, ``da`` and ``dm`` its D-cache accesses and misses;
+every retired instruction was one I-cache access.  The span touches no cache
+statistics: :meth:`repro.rocket.core.RocketEmulator.run` adds these counts
+to the ones it settles when it returns.
 
 Exactness is the whole point — cycle counts feed Table IV/VI, so every probe
 and stall below reproduces the interpreted loop bit for bit:
 
 * I-cache probes are batched per run of consecutive fetches from one cache
-  line: the first fetch probes (and on a miss allocates, drawing from the
-  cache's PRNG exactly like ``Cache.access``), the rest are guaranteed hits
-  because nothing else touches the I-cache in between.  Hit/miss/access
-  counters are settled at span exit from the retire count.
-* D-cache probes are emitted inline per memory instruction, PRNG draws
-  included.
+  line: the first fetch probes (and on a miss allocates through
+  :meth:`~repro.rocket.cache.Cache.fill`, the one random-replacement fill
+  the interpreted loop and ``Cache.access`` use too), the rest are
+  guaranteed hits because nothing else touches the I-cache in between.
+* D-cache probes are emitted inline per memory instruction, misses filling
+  through ``Cache.fill``.  The access count is static: one per load or store
+  retired, so each exit returns it as a constant (or, in a loop, a product
+  of the iteration count).
 * Operand stalls (``max(cycle, ready[rs1], ready[rs2])``) are *elided* where
   a register provably became ready: a register is only "not ready" within
   ``load_use``/``mul`` latency of its producer, so once enough instructions
@@ -72,9 +78,10 @@ from repro.isa.semantics import (
     signed,
 )
 
-#: Redirect arrivals at a pc before a timing span is compiled there.  Spans
-#: cost a fraction of a millisecond to build; anything arriving 16 times is
-#: either a loop head or per-sample code that will arrive hundreds more.
+#: Redirect arrivals at a pc before a timing span is compiled there.  A span
+#: costs about 2 ms to build (seed-7 ``op_sweep_diff``, traced on a shared
+#: 2-core VM: 377 spans in 0.79 s); anything arriving 16 times is either a
+#: loop head or per-sample code that will arrive hundreds more.
 PROMOTE_ARRIVALS = 16
 
 #: Heat added when a compiled span *exits* to an uncompiled pc — the timing
@@ -202,16 +209,12 @@ def compile_timing_span(emulator, head):
     div_lat = config.div_latency_cycles
     jump_pen = config.jump_penalty_cycles
     branch_pen = config.branch_penalty_cycles
-    ic_pen = icache.config.miss_penalty_cycles
-    dc_pen = dcache.config.miss_penalty_cycles
     ic_offset = icache._offset_bits
     ic_imask = icache._index_mask
     ic_ibits = icache._index_bits
-    ic_ways = icache.config.ways
     dc_offset = dcache._offset_bits
     dc_imask = dcache._index_mask
     dc_ibits = dcache._index_bits
-    dc_ways = dcache.config.ways
 
     n_items = len(items)
     has_mem = any(kind in ("load", "store") for _, _, kind in items)
@@ -258,10 +261,8 @@ def compile_timing_span(emulator, head):
         "E": executor,
         "EM": emulator,
         "HT": emulator.htif,
-        "IS": icache.stats,
-        "DS": dcache.stats,
-        "IR": icache.rng.randrange,
-        "DR": dcache.rng.randrange,
+        "IF": icache.fill,
+        "DF": dcache.fill,
         "DT": dcache._tags,
         **HELPERS,
     }
@@ -271,7 +272,6 @@ def compile_timing_span(emulator, head):
         emit("n = 0", 1)
     emit("im = 0", 1)
     if has_mem:
-        emit("da = 0", 1)
         emit("dm = 0", 1)
     if loop:
         emit("while 1:", 1)
@@ -286,19 +286,31 @@ def compile_timing_span(emulator, head):
             emit(f"cycle += {acc}", body)
             acc = 0
 
-    def k_expr(pos):
-        return f"n + {pos}" if loop else f"{pos}"
+    # D-cache accesses are static: one per load or store retired, so an
+    # exit after position ``pos`` of a pass (after ``n // n_items`` whole
+    # loop iterations) has made ``n // n_items * mem_n + mem_upto[pos]``.
+    mem_upto = [0]
+    for _, _, kind in items:
+        mem_upto.append(mem_upto[-1] + (kind in ("load", "store")))
+    mem_n = mem_upto[-1]
 
-    def emit_exit(pc_expr, retire_expr, level):
-        emit(f"k = {retire_expr}", level)
-        emit("IS.accesses += k", level)
-        emit("IS.misses += im", level)
-        emit("IS.hits += k - im", level)
-        if has_mem:
-            emit("DS.accesses += da", level)
-            emit("DS.misses += dm", level)
-            emit("DS.hits += da - dm", level)
-        emit(f"return ({pc_expr}, cycle, k)", level)
+    def emit_exit(pc_expr, pos, level):
+        """Return after ``pos`` instructions of the current iteration.
+
+        The span's contract: ``(next_pc, cycle, retired, im, da, dm)``, its
+        I-cache misses and D-cache accesses and misses, which the caller
+        settles into the cache statistics.
+        """
+        if loop:
+            retired = f"n + {pos}" if pos else "n"
+            da = f"n // {n_items} * {mem_n}" if mem_n else "0"
+            if mem_upto[pos]:
+                da += f" + {mem_upto[pos]}"
+        else:
+            retired = f"{pos}"
+            da = f"{mem_upto[pos]}"
+        dm = "dm" if has_mem else "0"
+        emit(f"return ({pc_expr}, cycle, {retired}, im, {da}, {dm})", level)
 
     def emit_cost(pos, srcs, k, need_cycle):
         """Charge `max(cycle, ready...) + k` with redundant checks elided.
@@ -318,18 +330,11 @@ def compile_timing_span(emulator, head):
                 flush_acc()
 
     def emit_dcache_probe():
-        emit("da += 1", body)
-        emit(f"ln = ad >> {dc_offset}", body)
-        emit(f"dw = DT[ln & {dc_imask}]", body)
-        emit(f"dt = ln >> {dc_ibits}", body)
+        emit(f"dw = DT[ad >> {dc_offset} & {dc_imask}]", body)
+        emit(f"dt = ad >> {dc_offset + dc_ibits}", body)
         emit("if dt not in dw:", body)
         emit("dm += 1", body + 1)
-        emit("try:", body + 1)
-        emit("v = dw.index(None)", body + 2)
-        emit("except ValueError:", body + 1)
-        emit(f"v = DR({dc_ways})", body + 2)
-        emit("dw[v] = dt", body + 1)
-        emit(f"cycle += {dc_pen}", body + 1)
+        emit("cycle += DF(dw, dt)", body + 1)
 
     prev_line = None
     for pos, (p, d, kind) in enumerate(items, 1):
@@ -345,12 +350,7 @@ def compile_timing_span(emulator, head):
             namespace[ways_name] = icache._tags[index]
             emit(f"if {tag} not in {ways_name}:", body)
             emit("im += 1", body + 1)
-            emit("try:", body + 1)
-            emit(f"v = {ways_name}.index(None)", body + 2)
-            emit("except ValueError:", body + 1)
-            emit(f"v = IR({ic_ways})", body + 2)
-            emit(f"{ways_name}[v] = {tag}", body + 1)
-            emit(f"cycle += {ic_pen}", body + 1)
+            emit(f"cycle += IF({ways_name}, {tag})", body + 1)
         prev_line = line_addr
 
         m = d.mnemonic
@@ -396,22 +396,22 @@ def compile_timing_span(emulator, head):
             emit(f"if ad < CB[1] and ad + {size} > CB[0]:", body)
             emit(f"E._invalidate(ad, {size})", body + 1)
             emit("EM.timing_deopts += 1", body + 1)
-            emit_exit(f"{p + 4}", k_expr(pos), body + 1)
+            emit_exit(f"{p + 4}", pos, body + 1)
             emit("if HT.exited:", body)
-            emit_exit(f"{p + 4}", k_expr(pos), body + 1)
+            emit_exit(f"{p + 4}", pos, body + 1)
         elif kind == "br":
             taken = (p + d.imm) & MASK64
             emit_cost(pos, srcs, 1, True)
             emit(f"if {_render(p, d, BRANCHES[m].template)}:", body)
             emit(f"cycle += {branch_pen}", body + 1)
-            emit_exit(f"{taken}", k_expr(pos), body + 1)
+            emit_exit(f"{taken}", pos, body + 1)
         elif kind == "loopbr":
             emit_cost(pos, srcs, 1, True)
             emit(f"if {_render(p, d, BRANCHES[m].template)}:", body)
             emit(f"cycle += {branch_pen}", body + 1)
             emit(f"n += {n_items}", body + 1)
             emit(f"if fuel - n < {n_items}:", body + 1)
-            emit_exit(f"{head}", "n", body + 2)
+            emit_exit(f"{head}", 0, body + 2)
             emit("else:", body)
             emit("break", body + 1)
         elif kind == "jal":
@@ -424,21 +424,21 @@ def compile_timing_span(emulator, head):
                 emit(f"R[{d.rd}] = {p + 4}", body)
             emit(f"n += {n_items}", body)
             emit(f"if fuel - n < {n_items}:", body)
-            emit_exit(f"{head}", "n", body + 1)
+            emit_exit(f"{head}", 0, body + 1)
         else:  # jalr
             emit_cost(pos, srcs, 1 + jump_pen, True)
             emit(f"t = (R[{d.rs1}] + {d.imm}) & {MASK64 & ~1}", body)
             if d.rd:
                 emit(f"R[{d.rd}] = {p + 4}", body)
-            emit_exit("t", k_expr(pos), body)
+            emit_exit("t", pos, body)
 
     if tail[0] in ("fall", "jalexit"):
         flush_acc()
-        emit_exit(f"{tail[1]}", k_expr(n_items), body)
+        emit_exit(f"{tail[1]}", n_items, body)
     elif loop and items[-1][2] == "loopbr":
         # Natural loop exit: the bottom branch fell through.
         fall_pc = items[-1][0] + 4
-        emit_exit(f"{fall_pc}", f"n + {n_items}", 1)
+        emit_exit(f"{fall_pc}", n_items, 1)
     # ("jalr",) and loopjal spans emitted their own returns.
 
     source = "\n".join(lines) + "\n"

@@ -69,11 +69,13 @@ superblock: ``fn(fuel) -> (next_pc, instructions_retired)``.
 
 Tier-2 correctness mirrors tier 1 exactly:
 
-* mid-trace exits (taken branches, ``jalr``) write the dirty locals back to
-  the register file and return the precise retire count;
+* every exit past the entry guard — a return, a ``raise`` or a fuel
+  check — leaves through one ``try``/``finally`` epilogue that writes the
+  trace's written registers back to the register file, and returns (or
+  raises with) the precise retire count;
 * stores perform the same compiled-range overlap test and raise
   :class:`_BlockExit` / :class:`_Stopped` — with an explicit retire count,
-  since a trace may be non-contiguous — after writing registers back;
+  since a trace may be non-contiguous;
 * loop back-edges check a ``fuel`` budget so a batched :meth:`run` cannot
   overshoot ``max_instructions`` by more than one superblock;
 * any store into compiled code (and ``fence.i``) drops every tier-2
@@ -85,7 +87,8 @@ Tier-2 correctness mirrors tier 1 exactly:
 Per-superblock retire/compile counters are available opt-in through
 :meth:`Executor.enable_profiling` (see :class:`ExecProfile`); the
 always-cheap aggregate compile counters (``tier2_blocks``,
-``tier2_compile_seconds``) are maintained unconditionally.
+``tier2_compile_seconds``, ``tier2_source_chars``) are maintained
+unconditionally.
 
 See ``docs/simulator.md`` for an extension guide (tier hierarchy, batching,
 multi-hart) and the protocol the timing models rely on.
@@ -462,9 +465,13 @@ class Executor:
     #: superblock head (not executions): a head is promoted once its tier-1
     #: volume crosses this.  Volume-based heat auto-scales — a 2-instruction
     #: loop-control block needs thousands of trips before compiling pays,
-    #: while a 100-instruction kernel body promotes after a few dozen — and
-    #: roughly matches the ~1 ms ``compile()`` cost against the tier-1 time
-    #: the block would otherwise keep burning.
+    #: while a 100-instruction kernel body promotes after a few dozen.  A
+    #: promotion costs about 6 ms (seed-7 ``op_sweep_diff``, traced on a
+    #: shared 2-core VM: 174 compiles in 1.07 s), several times what tier 1
+    #: takes to retire the threshold's 4096 instructions, so a head whose
+    #: volume stops near the threshold does not repay its compile.
+    #: Trace-tree continuations (:meth:`_reheat`) promote on their second
+    #: arrival, whatever their volume.
     PROMOTE_THRESHOLD = 4096
 
     def __init__(self, hart, memory, csr_provider=None, rocc=None, *,
@@ -533,8 +540,11 @@ class Executor:
         )
         #: Always-on aggregate tier-2 counters (cheap: updated at compile time
         #: only).  Per-block detail is opt-in via :meth:`enable_profiling`.
+        #: ``tier2_source_chars`` sums the length of every compiled source,
+        #: a host-independent measure of what the compiles cost.
         self.tier2_blocks = 0
         self.tier2_compile_seconds = 0.0
+        self.tier2_source_chars = 0
         self.tier2_ineligible = 0
         self.tier2_deopts = 0
         # head -> entry-guard failures; past _T2_MAX_DEOPTS the head is
@@ -1222,6 +1232,7 @@ class Executor:
         seconds = perf_counter() - started
         self.tier2_blocks += 1
         self.tier2_compile_seconds += seconds
+        self.tier2_source_chars += len(source)
         if self.profile is not None:
             self.profile.compiled[head] = (length, seconds)
 
@@ -1289,8 +1300,8 @@ class Executor:
         back-edge raises :class:`_Rewalk` unless ``final`` is set.
         """
         touched = set()   # registers held as locals (loaded in the prologue)
-        written = set()   # registers ever written (superset of any WB set)
-        body = []         # (indent, text[, wb_regs]) entries; "§WB§" = writeback
+        written = set()   # registers ever written (stored by the epilogue)
+        body = []         # (indent, text) lines of the trace body
         covered = []      # every pc folded into this function
         visited = set()
         consts = {}       # reg -> statically-known value along the trace
@@ -1312,29 +1323,12 @@ class Executor:
         need_hookgen = [False]  # a compile folded a "no hook here" check
         hook_gen0 = self.memory.hook_gen
         posbox = [0]      # 1-based position of the instruction being emitted
-        # Liveness bookkeeping for prologue/writeback trimming: a register
-        # whose first event is an *unconditional* write emitted before any
-        # writeback slot never needs its prologue load (execution reaches
-        # the write before any exit could read the local), and each exit
-        # only writes back the registers written before it in trace order.
-        first_event = {}  # reg -> ("r" | "w" | "c", emission seq of the event)
-        ev = [0]          # emission sequence counter (writes + WB slots)
-        first_wb = [None]  # emission seq of the first writeback slot
 
         def reg(r):
             if r == 0:
                 return "0"
             touched.add(r)
-            if r not in first_event:
-                first_event[r] = ("r", None)
             return f"x{r}"
-
-        def wb(ind):
-            """Append a writeback slot covering the registers written so far."""
-            if first_wb[0] is None:
-                first_wb[0] = ev[0]
-            ev[0] += 1
-            body.append((ind, "§WB§", tuple(sorted(written))))
 
         def ubget(r):
             """Peek ``r``'s proven upper bound (no commitment), or None.
@@ -1468,26 +1462,22 @@ class Executor:
         M = "0xFFFFFFFFFFFFFFFF"
 
         def setreg(r, expr, ind=0, known=None, record=True, ub=None):
+            # record=False marks guard-diamond emission: the write is
+            # conditional, so it establishes no constant or bound.
             touched.add(r)
             written.add(r)
-            # record=False marks guard-diamond emission: the write is
-            # conditional, so the prologue load stays required.
-            if r not in first_event:
-                first_event[r] = ("w" if record else "c", ev[0])
-            ev[0] += 1
             prefix = f"x{r} = "
             if (
                 record
                 and known is not None
                 and body
-                and len(body[-1]) == 2
                 and body[-1][0] == ind
                 and body[-1][1].startswith(prefix)
                 and body[-1][1][len(prefix):].isdigit()
             ):
                 # The lui+addi idiom: the previous line is an unconditional
-                # constant write to the same register with no line (and no
-                # exit slot) in between, so it is dead — replace it instead
+                # constant write to the same register with no line (so no
+                # exit) in between, so it is dead — replace it instead
                 # of executing both.  The fused-away instruction's position
                 # can no longer become a loop head (its own line is gone),
                 # which ``backedge`` enforces via ``fused_pos``.
@@ -1787,9 +1777,6 @@ class Executor:
                     if not load.sign:
                         touched.add(rd)
                         written.add(rd)
-                        if rd not in first_event:
-                            first_event[rd] = ("w" if record else "c", ev[0])
-                        ev[0] += 1
                         last_write[rd] = posbox[0]
                         consts.pop(rd, None)
                         # Free bound: an unsigned sub-8 load fits its width.
@@ -1871,7 +1858,6 @@ class Executor:
                         ind, f"if {ka} < cb[1] and {ka + size} > cb[0]:"
                     ))
                     body.append((ind + 1, f"wr_({ka}, {size}, {reg(rs2)})"))
-                    wb(ind + 1)
                     body.append((ind + 1, f"E._invalidate({ka}, {size})"))
                     body.append((ind + 1, f"raise _bx({pc + 4}, n + {pos})"))
                     body.append((ind, "else:"))
@@ -1914,7 +1900,6 @@ class Executor:
                         ind + 1,
                         f"if {sav} < cb[1] and {sav} + {size} > cb[0]:",
                     ))
-                    wb(ind + 2)
                     body.append((ind + 2, f"E._invalidate({sav}, {size})"))
                     body.append((
                         ind + 2, f"raise _bx({pc + 4}, n + {pos})"
@@ -1949,11 +1934,9 @@ class Executor:
                     ))
                     body.append((ind + 1, f"wr_({av}, 8, {reg(rs2)})"))
                     body.append((ind + 1, f"if {av} < cb[1] and {av} + 8 > cb[0]:"))
-                    wb(ind + 2)
                     body.append((ind + 2, f"E._invalidate({av}, 8)"))
                     body.append((ind + 2, f"raise _bx({pc + 4}, n + {pos})"))
                     body.append((ind + 1, "if E.stop:"))
-                    wb(ind + 2)
                     body.append((ind + 2, f"raise _st({pc + 4}, n + {pos})"))
                     body.append((ind, "else:"))
                     body.append((
@@ -1963,15 +1946,12 @@ class Executor:
                     ))
                     return True
                 body.append((ind, f"wr_({av}, {size}, {reg(rs2)})"))
-                # Same overlap test as the tier-1 store closures; both exits
-                # write the dirty locals back first because the raise
-                # abandons the compiled function.
+                # Same overlap test as the tier-1 store closures; the raise
+                # leaves through the epilogue, which writes the locals back.
                 body.append((ind, f"if {av} < cb[1] and {av} + {size} > cb[0]:"))
-                wb(ind + 1)
                 body.append((ind + 1, f"E._invalidate({av}, {size})"))
                 body.append((ind + 1, f"raise _bx({pc + 4}, n + {pos})"))
                 body.append((ind, "if E.stop:"))
-                wb(ind + 1)
                 body.append((ind + 1, f"raise _st({pc + 4}, n + {pos})"))
             elif mnemonic == "fence":
                 pass  # memory-ordering no-op on this single-hart model
@@ -2051,7 +2031,6 @@ class Executor:
                 ind += 1
             body.append((ind, f"n += {pos - j + 1}"))
             body.append((ind, "if n >= fuel:"))
-            wb(ind + 1)
             ret = f"n + {j - 1}" if j > 1 else "n"
             body.append((ind + 1, f"return {target}, {ret}"))
             body.append((ind, "continue"))
@@ -2086,7 +2065,6 @@ class Executor:
                 # straight-line runs (back-edges carry their own checks).
                 next_check += self._T2_CHECK
                 body.append((cur, f"if n + {count} >= fuel:"))
-                wb(cur + 1)
                 body.append((cur + 1, f"return {pc}, n + {count}"))
             first_line[pc] = len(body)
             pos_by_pc[pc] = count + 1
@@ -2111,7 +2089,6 @@ class Executor:
                         if backedge(target, count):
                             open_end = False
                             break
-                        wb(cur)
                         body.append((cur, f"return {target}, n + {count}"))
                         open_end = False
                         break
@@ -2145,11 +2122,9 @@ class Executor:
                             guess = None
                 if guess is not None:
                     body.append((cur, f"if t != {guess}:"))
-                    wb(cur + 1)
                     body.append((cur + 1, f"return t, n + {count}"))
                     pc = guess
                     continue
-                wb(cur)
                 body.append((cur, f"return t, n + {count}"))
                 open_end = False
                 break
@@ -2194,7 +2169,6 @@ class Executor:
                     if backedge(target, count):
                         open_end = False
                         break
-                    wb(cur)
                     body.append((cur, f"return {target}, n + {count}"))
                     open_end = False
                     break
@@ -2242,7 +2216,6 @@ class Executor:
                         if backedge(taken, count):
                             open_end = False
                             break
-                        wb(cur)
                         body.append((cur, f"return {taken}, n + {count}"))
                         open_end = False
                         break
@@ -2290,7 +2263,6 @@ class Executor:
                         continue
                 # Taken path exits the trace; fall-through continues it.
                 body.append((cur, f"if {cond}:"))
-                wb(cur + 1)
                 body.append((cur + 1, f"return {taken}, n + {count + 1}"))
                 count += 1
                 pc += 4
@@ -2307,7 +2279,6 @@ class Executor:
         if count == 0:
             return None
         if open_end:
-            wb(cur)
             body.append((cur, f"return {pc}, n + {count}"))
 
         # Environment injection via default arguments: every binding becomes
@@ -2318,26 +2289,15 @@ class Executor:
             " qbc=qbc, rh=rh, wh=wh, mem=mem, E=E, cb=cb,"
             " d64=d64, r64=r64, d32=d32, r32=r32, _bx=_bx, _st=_st, _dg=_dg):"
         ]
-        loads = []
-        for r in sorted(touched):
-            event = first_event.get(r)
-            if (
-                event is not None
-                and event[0] == "w"
-                and (first_wb[0] is None or event[1] < first_wb[0])
-            ):
-                # First event is an unconditional write before any exit slot:
-                # the local is always defined before use; skip its load.
-                continue
-            loads.append(r)
-        full = tuple(sorted(written))
+        loads = sorted(touched)
+        full = sorted(written)
         # Wide traces bind the whole register file in one unpack (a single
         # C-level UNPACK_SEQUENCE) and write it back with one slice-assign;
         # both beat dozens of per-register subscript lines.  Writing back an
         # untouched register is the identity — its local still holds the
         # prologue value, and nothing else mutates R while the function runs.
         all_regs = ", ".join(f"x{r}" for r in range(32))
-        wide = len(loads) >= 8 or len(full) >= 10
+        wide = len(loads) >= 8
         if wide:
             lines.append(f"    {all_regs} = R")
         else:
@@ -2395,26 +2355,28 @@ class Executor:
                     f" or x{r} + {info['sspan']} <= cb[0]"
                 )
         lines.append("    n = 0")
-        for i, entry in enumerate(body):
-            ind, text = entry[0], entry[1]
-            if text == "§WB§":
-                # Straight-line exits write back only the registers written
-                # before the slot in trace order (the snapshot taken when it
-                # was emitted).  A slot inside a loop can execute *after*
-                # later writes in the body (second iteration onwards), so
-                # in-loop slots fall back to the full set.
-                regs = entry[2]
-                if any(s < i <= e for s, e in closed) or any(
-                    wl < i for _, wl in loops
-                ):
-                    regs = full
-                if not regs:
-                    continue
-                if wide and len(regs) >= 10:
-                    text = f"R[:] = ({all_regs})"
-                else:
-                    text = "; ".join(f"R[{r}] = x{r}" for r in regs)
-            lines.append("    " * (1 + ind) + text)
+        # One epilogue for every exit: returns, the ``_bx``/``_st`` raises
+        # and loop fuel exits all leave through the ``finally``, which
+        # writes the written registers back (so does an exception raised
+        # by an MMIO hook, leaving ``R`` as of the faulting access).  Every
+        # written register was loaded above, so a local the trace has not
+        # yet assigned holds its entry value and writes it back unchanged.
+        # The entry guard sits before the ``try``: a deopt leaves ``R``
+        # untouched.
+        indent = "    "
+        if full:
+            lines.append("    try:")
+            indent = "        "
+        for ind, text in body:
+            lines.append(indent + "    " * ind + text)
+        if full:
+            lines.append("    finally:")
+            if wide and len(full) >= 10:
+                lines.append(f"        R[:] = ({all_regs})")
+            else:
+                lines.append(
+                    "        " + "; ".join(f"R[{r}] = x{r}" for r in full)
+                )
         return (
             "\n".join(lines) + "\n",
             count,

@@ -188,6 +188,37 @@ def test_campaign_reaches_full_condition_coverage():
     assert "11/11" in report.describe()
 
 
+@pytest.mark.parametrize("fmt, operation, budget", [
+    ("decimal64", "multiply", 768),
+    ("decimal128", "fma", 128),
+])
+def test_every_drawn_vector_passes_the_replay_check(
+    monkeypatch, fmt, operation, budget
+):
+    """Every vector a seed-2018 campaign draws (the CI fuzz smokes' sizes)
+    round-trips through its format, so ``Reproducer.from_json`` rejects no
+    reproducer the fuzzer can record."""
+    drawn = []
+    co_simulate = FuzzCampaign.co_simulate
+
+    def recording(self, vectors):
+        drawn.extend(vectors)
+        return co_simulate(self, vectors)
+
+    monkeypatch.setattr(FuzzCampaign, "co_simulate", recording)
+    report = run_fuzz_campaign(
+        seed=2018, budget=budget, fmt=fmt, operation=operation
+    )
+    assert report.ok
+    assert len(drawn) == budget
+    entry = Reproducer(
+        kind="divergence", description="every drawn vector", vectors=drawn,
+        campaign_seed=2018, batch_index=0, solution="method1", fmt=fmt,
+        operation=operation,
+    ).to_json()
+    assert Reproducer.from_json(json.loads(json.dumps(entry))).vectors == drawn
+
+
 def test_campaign_workload_corpus():
     report = run_fuzz_campaign(
         seed=5, budget=32, batch_size=32, workload="carry-stress",
@@ -305,8 +336,24 @@ def test_fuzz_cli_replay_rejects_non_reports_and_loads_old_reports(
     (lambda entry: dict(entry, vectors=[{"x": 1}]), "field 'vectors'"),
     (lambda entry: dict(entry, solution="quantum"), "field 'solution'"),
     (lambda entry: dict(entry, vectors=[]), "field 'vectors'"),
+    # Operands decimal64 cannot hold: thirty digits would round, 5E+400
+    # would overflow to Infinity, so the kernel would run on another value;
+    # an exponent written as a string cannot be encoded at all.
+    (lambda entry: dict(entry, vectors=[dict(
+        entry["vectors"][0],
+        x={"sign": 0, "coefficient": "1" * 30, "exponent": 0},
+    )]), "field 'vectors': vector 0 operand x"),
+    (lambda entry: dict(entry, vectors=[dict(
+        entry["vectors"][0],
+        y={"sign": 0, "coefficient": "5", "exponent": 400},
+    )]), "field 'vectors': vector 0 operand y"),
+    (lambda entry: dict(entry, vectors=[dict(
+        entry["vectors"][0],
+        y={"sign": 0, "coefficient": "5", "exponent": "400"},
+    )]), "field 'vectors': vector 0 operand y"),
 ], ids=["not-an-object", "no-description", "malformed-vector",
-        "unknown-solution", "no-vectors"])
+        "unknown-solution", "no-vectors", "unrepresentable-coefficient",
+        "overflowing-exponent", "non-integer-exponent"])
 def test_fuzz_cli_replay_checks_every_failure_before_replaying(
     tmp_path, capsys, mangle, named
 ):
