@@ -6,7 +6,7 @@ import random
 
 from repro.asm.builder import AsmBuilder
 from repro.asm.program import TOHOST_ADDRESS
-from repro.decnumber import DECIMAL64_CONTEXT, DecNumber, decimal64, dpd, multiply
+from repro.decnumber import DECIMAL64, DECIMAL64_CONTEXT, DecNumber, dpd, multiply
 from repro.decnumber.bcd import int_to_bcd
 from repro.hw.bcd_adder import BcdCarryLookaheadAdder
 from repro.isa.decoder import decode_instruction
@@ -37,7 +37,7 @@ def test_decimal64_codec_throughput(benchmark):
         DecNumber(rng.randint(0, 1), rng.randint(0, 10**16 - 1), rng.randint(-398, 369))
         for _ in range(200)
     ]
-    benchmark(lambda: [decimal64.decode(decimal64.encode(n)) for n in numbers])
+    benchmark(lambda: [DECIMAL64.decode(DECIMAL64.encode(n)) for n in numbers])
 
 
 def test_decnumber_multiply_throughput(benchmark):

@@ -3,10 +3,11 @@
 Measures retired instructions per host second on the paper's software-multiply
 kernel (the Table IV "Software" row) across all three simulator front ends:
 
-* functional (``SpikeSimulator``; the headline ``functional`` number is the
-  batch-mode steady state — one warm executor rerun over the vectors after
-  tier-2 promotion settles, exactly what a campaign worker sees — with the
-  cold-start single run recorded alongside as ``functional_cold``),
+* functional (``SpikeSimulator``; the headline ``functional`` number is a
+  warm rerun — one simulator ``reset()`` and run again over the same image,
+  its decoded closures and superblocks kept, exactly what a campaign
+  worker's ``BatchRunner`` hands out on a hit — with the cold-start single
+  run recorded alongside as ``functional_cold``),
 * cycle-accurate (``RocketEmulator``; the headline ``rocket`` number is the
   warm steady state — ``reset()`` restores cold caches and zeroed cycle
   state while the compiled timing spans stay warm, exactly what
@@ -15,20 +16,17 @@ kernel (the Table IV "Software" row) across all three simulator front ends:
   run's result digest *and* total cycle count are asserted equal to the
   cold run's, and the cold run's cycles to a ``timing_tier=False``
   interpreted run's),
-* gem5-style atomic (``AtomicSimpleCPU``, the functional machine at tier 1
-  only and 1 CPI; every run is asserted to compile no tier-2 block),
+* gem5-style atomic (``AtomicSimpleCPU``, the functional machine at 1 CPI),
 
 and appends the run to ``BENCH_sim.json`` at the repository root so future
 PRs can track the throughput trajectory.  The recorded speedups are relative
 to the seed string-dispatch interpreter's reference throughput (measured on
 the reference machine before the threaded-code engine landed).
 
-Each record also carries the tier-2 engine's own counters for the steady
-run (``tiers``: per-tier retired instructions and rate contributions,
-promoted block count, compile seconds, deopts — from the opt-in
-:class:`~repro.sim.executor.ExecProfile`) and a SHA-256 digest of the
-result buffer, asserted identical between the cold and every warm run
-before anything is recorded: the speedup must never change a single bit.
+Each record also carries the Rocket timing tier's counters
+(``rocket_tiers``) and a SHA-256 digest of the result buffer, asserted
+identical between the cold and every warm run before anything is
+recorded: the speedup must never change a single bit.
 
 Usage::
 
@@ -72,9 +70,6 @@ DETERMINISTIC_COUNTS = (
     "rocket_tiers.cycles",
     "rocket_tiers.timing_spans",
     "rocket_tiers.compiled_instructions",
-    "tiers.tier1_instructions",
-    "tiers.tier2_blocks",
-    "tiers.tier2_deopts",
 )
 
 
@@ -98,27 +93,16 @@ def _result_digest(program, result) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _measure_batch_steady(program, repeats: int, cold_digest: str) -> tuple:
-    """Warm batch-mode steady state: ``(best_instr_per_s, tiers_dict)``.
+def _measure_warm(program, repeats: int, cold_digest: str) -> float:
+    """Best warm-rerun rate: one simulator, ``reset()`` between runs.
 
-    One simulator is rerun over the same image until tier-2 promotion
-    settles (what a campaign worker's :class:`~repro.sim.batch.BatchRunner`
-    reaches after a few shards), then timed.  Every warm run's result
-    digest is asserted equal to the cold run's before anything is recorded.
+    Every warm run's result digest is asserted equal to the cold run's
+    before anything is recorded.
     """
     simulator = SpikeSimulator(program.image)
-    executor = simulator.executor
     result = simulator.run()
     assert _result_digest(program, result) == cold_digest, \
-        "warm-up run diverged from cold run"
-    previous, stable, rounds = -1, 0, 0
-    while stable < 3 and rounds < 50:
-        simulator.reset()
-        simulator.run()
-        rounds += 1
-        stable = stable + 1 if executor.tier2_blocks == previous else 0
-        previous = executor.tier2_blocks
-
+        "first run diverged from cold run"
     best = 0.0
     for _ in range(max(repeats, 3)):
         simulator.reset()
@@ -126,31 +110,9 @@ def _measure_batch_steady(program, repeats: int, cold_digest: str) -> tuple:
         result = simulator.run()
         elapsed = time.perf_counter() - start
         best = max(best, result.instructions_retired / elapsed)
-    assert _result_digest(program, result) == cold_digest, \
-        "steady-state run diverged from cold run"
-
-    # One extra (untimed) profiled run for the per-tier split; profiling
-    # hooks cost enough that the headline run stays unprofiled.
-    profile = executor.enable_profiling()
-    simulator.reset()
-    start = time.perf_counter()
-    result = simulator.run()
-    profiled_elapsed = time.perf_counter() - start
-    assert _result_digest(program, result) == cold_digest, \
-        "profiled run diverged from cold run"
-    tier1 = profile.tier1_instructions
-    tier2 = profile.tier2_instructions
-    tiers = {
-        "tier1_instructions": tier1,
-        "tier2_instructions": tier2,
-        "tier1_instr_per_s": round(tier1 / profiled_elapsed),
-        "tier2_instr_per_s": round(tier2 / profiled_elapsed),
-        "tier2_blocks": executor.tier2_blocks,
-        "tier2_compile_seconds": round(executor.tier2_compile_seconds, 4),
-        "tier2_deopts": executor.tier2_deopts,
-        "promotion_rounds_to_steady": rounds,
-    }
-    return best, tiers, profile
+        assert _result_digest(program, result) == cold_digest, \
+            "warm run diverged from cold run"
+    return best
 
 
 def _measure_rocket(image, program, repeats: int, cold_digest: str) -> tuple:
@@ -212,8 +174,8 @@ def _measure_rocket(image, program, repeats: int, cold_digest: str) -> tuple:
     return cold, warm, tiers
 
 
-def run_benchmark(samples: int, repeats: int) -> tuple:
-    """``(profile, record)``: the steady-state ExecProfile and the JSON record."""
+def run_benchmark(samples: int, repeats: int) -> dict:
+    """The JSON record of one benchmark run."""
     config = TestProgramConfig(
         solution=SolutionKind.SOFTWARE, num_samples=samples, seed=2018
     )
@@ -228,13 +190,13 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
 
     instructions, functional_cold = _best_of(repeats, _cold_run)
     digest = _result_digest(program, cold_result[0])
-    functional, tiers, profile = _measure_batch_steady(program, repeats, digest)
+    functional = _measure_warm(program, repeats, digest)
     rocket_cold, rocket, rocket_tiers = _measure_rocket(
         image, program, repeats, digest
     )
 
     # The gem5 model is measured on a directly-held CPU, as the SE-mode
-    # runner builds it, so its executor can be checked to stay at tier 1.
+    # runner builds it.
     gem5 = 0.0
     for _ in range(repeats):
         gem5_cpu = AtomicSimpleCPU(image)
@@ -244,10 +206,8 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
         gem5 = max(gem5, gem5_result.instructions_retired / elapsed)
         assert _result_digest(program, gem5_result) == digest, \
             "gem5 atomic run diverged from functional result"
-        assert gem5_cpu.executor.tier2_blocks == 0, \
-            "gem5 atomic run compiled tier-2 blocks"
 
-    return profile, {
+    return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "kernel": "software_mul",
         "samples": samples,
@@ -260,7 +220,6 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
             "rocket_cold": round(rocket_cold),
             "gem5_atomic": round(gem5),
         },
-        "tiers": tiers,
         "rocket_tiers": rocket_tiers,
         "results_sha256": digest,
         "batch_bit_identical": True,  # asserted above, run by run
@@ -392,14 +351,9 @@ def main(argv=None) -> int:
         help="allowed fractional throughput drop for --check-regression "
              "(default 0.1 = 10%%)",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print the steady-state execution profile (per-tier totals and "
-             "the hot side-exit table the trace-tree extender targets)",
-    )
     args = parser.parse_args(argv)
 
-    profile, record = run_benchmark(args.samples, args.repeats)
+    record = run_benchmark(args.samples, args.repeats)
     if args.check_regression is not None:
         failures = check_regression(record, args.check_regression, args.tolerance)
         rates = record["instr_per_s"]
@@ -419,11 +373,10 @@ def main(argv=None) -> int:
 
     rates = record["instr_per_s"]
     speedups = record["speedup_vs_seed"]
-    tiers = record["tiers"]
     rocket_tiers = record["rocket_tiers"]
     print(f"software-multiply kernel, {args.samples} samples "
           f"({record['instructions']} instructions/run)")
-    print(f"  functional batch/warm:{rates['functional']:>12,} instr/s  "
+    print(f"  functional warm:      {rates['functional']:>12,} instr/s  "
           f"({speedups['functional']:.2f}x vs seed interpreter)")
     print(f"  functional cold:      {rates['functional_cold']:>12,} instr/s  "
           f"({speedups['functional_cold']:.2f}x vs seed interpreter)")
@@ -431,13 +384,7 @@ def main(argv=None) -> int:
           f"({speedups['rocket']:.2f}x vs seed interpreter)")
     print(f"  cycle-accurate cold:  {rates['rocket_cold']:>12,} instr/s  "
           f"({speedups['rocket_cold']:.2f}x vs seed interpreter)")
-    print(f"  gem5 atomic (tier 1): {rates['gem5_atomic']:>12,} instr/s")
-    print(f"  tier split (profiled run): "
-          f"tier-2 {tiers['tier2_instructions']:,} instrs "
-          f"across {tiers['tier2_blocks']} blocks "
-          f"(compiled in {tiers['tier2_compile_seconds']}s, "
-          f"{tiers['tier2_deopts']} deopts) / "
-          f"tier-1 {tiers['tier1_instructions']:,} instrs")
+    print(f"  gem5 atomic:          {rates['gem5_atomic']:>12,} instr/s")
     print(f"  rocket timing tier: "
           f"{rocket_tiers['compiled_instructions']:,} compiled / "
           f"{rocket_tiers['interpreted_instructions']:,} interpreted instrs "
@@ -448,8 +395,6 @@ def main(argv=None) -> int:
           f"cold == warm == interpreted, asserted)")
     print(f"  results sha256: {record['results_sha256'][:16]}… "
           f"(cold == warm, asserted)")
-    if args.profile:
-        print(profile.summary())
     print(f"history -> {os.path.abspath(args.out)}")
     return 0
 

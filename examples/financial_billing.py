@@ -21,7 +21,7 @@ import sys
 
 from repro.core import EvaluationFramework
 from repro.core.method1 import FunctionalHardware, Method1HostModel
-from repro.decnumber import DecNumber, decimal64
+from repro.decnumber import DECIMAL64, DecNumber
 from repro.testgen.config import SolutionKind
 from repro.verification.database import VerificationVector
 
@@ -53,7 +53,7 @@ def main() -> None:
         charge = rater.multiply(record.x, record.y)
         total = add(total, charge, DECIMAL64_CONTEXT())
     print(f"Rated {num_records} call records; total charge: {total} USD")
-    print(f"(encoded as decimal64: 0x{decimal64.encode(total):016x})")
+    print(f"(encoded as decimal64: 0x{DECIMAL64.encode(total):016x})")
 
     # Capacity planning: cycles per rating operation on the embedded core.
     framework = EvaluationFramework(num_samples=num_records, seed=7)

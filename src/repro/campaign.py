@@ -96,6 +96,19 @@ def _parse_names(flag: str, noun: str, resolve):
     return parse
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` for a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_positive_ints(flag: str):
     def parse(text: str):
         values = []
@@ -153,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0],
     )
     parser.add_argument(
-        "--samples", type=int,
+        "--samples", type=positive_int,
         default=int(os.environ.get("REPRO_BENCH_SAMPLES", 200)),
         help="samples per cell (default 200; paper scale 8000)",
     )
@@ -162,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: CPU count; 1 = serial in-process)",
     )
     parser.add_argument(
-        "--shards-per-cell", type=int, default=1,
+        "--shards-per-cell", type=positive_int, default=1,
         help="contiguous shards per cell (1 = bit-identical to serial)",
     )
-    parser.add_argument("--repetitions", type=int, default=1,
+    parser.add_argument("--repetitions", type=positive_int, default=1,
                         help="kernel repetitions per sample")
     parser.add_argument("--seed", type=int, default=2018,
                         help="operand-database seed")

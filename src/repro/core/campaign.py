@@ -355,8 +355,8 @@ def operation_cells(
 #: Per-process warm runner (see :mod:`repro.sim.batch`).  Pool workers live
 #: across many shard tasks, so shards sharing a program shape (same solution
 #: x format x operation x shard size) reuse one linked program and its warm
-#: models — tier-2 compiled superblocks, promotion heat and compiled timing
-#: spans carry over instead of being rebuilt per shard.  Warm reuse is
+#: models — decoded closures, superblocks and compiled timing spans carry
+#: over instead of being rebuilt per shard.  Warm reuse is
 #: bit-identical to a fresh runner, so the engine's determinism guarantees
 #: are unchanged.
 _SHARD_RUNNER = None

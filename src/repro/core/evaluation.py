@@ -121,7 +121,7 @@ def run_solution_shard(
     default functional checker.
 
     A warm runner links each program shape once and keeps its models warm
-    between shards (tier-2 code and promotion state for the functional run,
+    between shards (decoded closures and superblocks for the functional run,
     the timing compiler for the Rocket run); that reuse is bit-identical to
     a fresh runner (same image bytes, results, retire and cycle counts).
 

@@ -14,8 +14,8 @@ Python.  It serves three purposes:
 
 from __future__ import annotations
 
-from repro.decnumber import decimal64
 from repro.decnumber.bcd import bcd_to_int, int_to_bcd
+from repro.decnumber.formats import DECIMAL64
 from repro.decnumber.number import DecNumber
 
 _ETINY = -398
@@ -177,5 +177,5 @@ class Method1HostModel:
 
     def multiply_words(self, x_word: int, y_word: int) -> int:
         """decimal64-bit-pattern convenience wrapper (used by host timing)."""
-        result = self.multiply(decimal64.decode(x_word), decimal64.decode(y_word))
-        return decimal64.encode(result)
+        result = self.multiply(DECIMAL64.decode(x_word), DECIMAL64.decode(y_word))
+        return DECIMAL64.encode(result)

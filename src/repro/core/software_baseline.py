@@ -11,9 +11,9 @@ the Method-1 host model is meaningful, never the absolute time.
 
 from __future__ import annotations
 
-from repro.decnumber import decimal64
 from repro.decnumber.arith import finalize, multiply
 from repro.decnumber.context import Context
+from repro.decnumber.formats import DECIMAL64
 from repro.decnumber.number import DecNumber
 
 _UNITS = 6          # 16 digits -> six 3-digit units (DECDPUN = 3)
@@ -26,7 +26,7 @@ class SoftwareBaseline:
     name = "software"
 
     def __init__(self) -> None:
-        self._context_template = decimal64.context()
+        self._context_template = DECIMAL64.context()
 
     def _context(self) -> Context:
         return Context(
@@ -41,10 +41,10 @@ class SoftwareBaseline:
 
     def multiply_words(self, x_word: int, y_word: int) -> int:
         """Full library path: unpack, unit-wise multiply, round, repack."""
-        x = decimal64.decode(x_word)
-        y = decimal64.decode(y_word)
+        x = DECIMAL64.decode(x_word)
+        y = DECIMAL64.decode(y_word)
         if x.is_special or y.is_special or x.coefficient == 0 or y.coefficient == 0:
-            return decimal64.encode(self.multiply(x, y))
+            return DECIMAL64.encode(self.multiply(x, y))
 
         # decNumber-style coefficient multiplication on 3-digit units.
         x_units = [(x.coefficient // 1000 ** k) % 1000 for k in range(_UNITS)]
@@ -64,4 +64,4 @@ class SoftwareBaseline:
 
         ctx = self._context()
         result = finalize(x.sign ^ y.sign, coefficient, x.exponent + y.exponent, ctx)
-        return decimal64.encode(result, ctx.copy())
+        return DECIMAL64.encode(result, ctx.copy())

@@ -15,8 +15,9 @@ Public surface:
 * :mod:`~repro.decnumber.operations` — the :class:`Operation` registry
   (mul/add/sub/fma) the evaluation stack dispatches on
 * :mod:`~repro.decnumber.dpd` — densely-packed-decimal declet codec
-* :mod:`~repro.decnumber.decimal64` / :mod:`~repro.decnumber.decimal128` —
-  interchange-format pack/unpack
+* :data:`~repro.decnumber.formats.DECIMAL64` /
+  :data:`~repro.decnumber.formats.DECIMAL128` — interchange-format
+  pack/unpack (:class:`~repro.decnumber.formats.FormatSpec`)
 """
 
 from repro.decnumber.context import (
@@ -50,7 +51,7 @@ from repro.decnumber.formats import (
     get_format,
     resolve_format_name,
 )
-from repro.decnumber import dpd, bcd, decimal64, decimal128
+from repro.decnumber import dpd, bcd
 
 __all__ = [
     "DECIMAL64",
@@ -84,6 +85,4 @@ __all__ = [
     "compare",
     "dpd",
     "bcd",
-    "decimal64",
-    "decimal128",
 ]

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 
+from repro.campaign import positive_int
 from repro.errors import ConfigurationError
 from repro.fuzz.engine import (
     FuzzCampaign,
@@ -43,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=2018,
                         help="campaign seed (the whole run is a pure function of it)")
-    parser.add_argument("--budget", type=int, default=512,
+    parser.add_argument("--budget", type=positive_int, default=512,
                         help="total vectors to simulate (default 512)")
-    parser.add_argument("--batch-size", type=int, default=64,
+    parser.add_argument("--batch-size", type=positive_int, default=64,
                         help="vectors per generated test program (default 64)")
     parser.add_argument(
         "--solution", default=SolutionKind.METHOD1,
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--time-limit", type=float, default=None,
                         help="wall-clock cap in seconds (checked between batches)")
-    parser.add_argument("--max-failures", type=int, default=3,
+    parser.add_argument("--max-failures", type=positive_int, default=3,
                         help="stop after this many distinct failures (default 3)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="record failing batches without shrinking them")

@@ -9,9 +9,10 @@ accelerator.
 
 At one cycle per instruction the model is Spike's machine with a clock, so
 :class:`AtomicSimpleCPU` is a :class:`~repro.sim.spike.SpikeSimulator` whose
-ticks are its retire count.  It runs tier 1 only: a differential shard then
-compares three engines (tier 2 in Spike, compiled timing spans in Rocket,
-tier 1 here), and a one-shot run spends no time compiling.
+ticks are its retire count.  A differential shard runs the one functional
+engine twice — warm and restored by a :class:`~repro.sim.batch.BatchRunner`
+in Spike, fresh here — beside Rocket's per-step loop and compiled timing
+spans.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class AtomicSimpleCPU(SpikeSimulator):
 
     def __init__(self, image, frequency_hz: int = 2_000_000_000,
                  accelerator=None, **kwargs) -> None:
-        super().__init__(image, accelerator=accelerator, tier2=False, **kwargs)
+        super().__init__(image, accelerator=accelerator, **kwargs)
         self.frequency_hz = frequency_hz
 
     def run(self) -> AtomicResult:

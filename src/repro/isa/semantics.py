@@ -1,15 +1,13 @@
-"""RV64IM value semantics: one table that every execution tier renders.
+"""RV64IM value semantics: one table that every execution engine renders.
 
 Each register-writing instruction is a Python expression template over
 named operands, each branch a condition template, each load a size and sign
-bit, each store a size.  The three tiers generate their code from these
+bit, each store a size.  Both engines generate their code from these
 entries instead of writing the instructions out themselves:
 
-* tier 1 (:meth:`repro.sim.executor.Executor._build`) exec-compiles one
-  closure factory per mnemonic, operands bound as closure cells;
-* tier 2 (the superblock emitter in :mod:`repro.sim.executor`) renders the
-  templates over its register locals, keeping its own code only where it
-  folds constants or uses range bounds;
+* the threaded-code executor (:meth:`repro.sim.executor.Executor._build`)
+  exec-compiles one closure factory per mnemonic, operands bound as closure
+  cells;
 * the Rocket timing tier (:mod:`repro.rocket.timing`) renders them over the
   register file.
 
@@ -32,7 +30,6 @@ every renderer binds those names in the namespace its code runs in.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -128,39 +125,11 @@ def _w32(expr: str) -> str:
     return f"({_s32(f'({expr})')}) & 0xFFFFFFFFFFFFFFFF"
 
 
-#: Placeholder values that evaluate a template over the plain names ``a``,
-#: ``b``, ``imm`` and ``pc`` (see :attr:`Op.value`).
-_EVAL_OPERANDS = {
-    "a": "a",
-    "b": "b",
-    "sa": signed("a"),
-    "sb": signed("b"),
-    "imm": "imm",
-    "uimm": "(imm & 0xFFFFFFFFFFFFFFFF)",
-    "pcimm": "((pc + imm) & 0xFFFFFFFFFFFFFFFF)",
-}
+class Op(NamedTuple):
+    """One table entry: an expression template and its timing class."""
 
-class Op:
-    """One table entry: an expression template and its timing class.
-
-    :attr:`constant` is true when the template reads no register
-    (``lui``/``auipc``).
-    """
-
-    def __init__(self, template: str, timing_class: int = TC_OTHER) -> None:
-        self.template = template
-        self.timing_class = timing_class
-        self.constant = not any(
-            f"{{{name}}}" in template for name in ("a", "b", "sa", "sb")
-        )
-
-    @cached_property
-    def value(self):
-        """The template as a function of concrete operands,
-        ``value(a, b, imm, pc)``; tier 2 uses it to fold constants and
-        decide branches at compile time.  Compiled on first use."""
-        source = self.template.format_map(_EVAL_OPERANDS)
-        return eval(f"lambda a, b, imm, pc: {source}", dict(HELPERS))
+    template: str
+    timing_class: int = TC_OTHER
 
 
 class Load(NamedTuple):

@@ -7,7 +7,7 @@ default ``DECDPUN=3`` representation — one unit per declet), multiplied with a
 generic unit-by-unit schoolbook loop into a memory accumulator, carry
 normalised by division, rounded to 16 digits with round-half-even, and
 re-encoded to DPD.  The result is bit-for-bit the same as
-:func:`repro.decnumber.arith.multiply` + ``decimal64.encode``, so the
+:func:`repro.decnumber.arith.multiply` + ``DECIMAL64.encode``, so the
 simulated output is checked against the golden library.
 
 Register allocation (callee-saved across the whole kernel):

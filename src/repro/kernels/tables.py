@@ -8,6 +8,10 @@ digit counting and rounding.
 
 from __future__ import annotations
 
+import functools
+import struct
+
+from repro.asm.builder import DATA
 from repro.decnumber import dpd
 
 #: Symbol names of the embedded tables (shared between testgen and kernels).
@@ -20,13 +24,30 @@ TABLE_SYMBOLS = {
 }
 
 
-def _emit_halfword_table(builder, label: str, values) -> None:
-    builder.align(8)
-    builder.label(label)
-    for value in values:
-        builder.current_section.append_bytes(
-            int(value & 0xFFFF).to_bytes(2, "little")
-        )
+@functools.cache
+def _table_blob() -> tuple:
+    """``(blob, ((symbol, offset), ...))``: every table, laid out once.
+
+    Offsets are relative to an 8-byte-aligned start; each table begins on an
+    8-byte boundary.  Built once per process: every test program embeds the
+    same bytes.
+    """
+    halfword_tables = (
+        ("dpd2bin", [dpd.decode_declet(declet) for declet in range(1024)]),
+        ("dpd2bcd", dpd.declet_table_bcd()),
+        ("bin2dpd", [dpd.encode_declet(value) for value in range(1000)]),
+        ("bcd2dpd", dpd.bcd_to_declet_table()),
+    )
+    blob = bytearray()
+    symbols = []
+    for key, values in halfword_tables:
+        blob.extend(bytes(-len(blob) % 8))
+        symbols.append((TABLE_SYMBOLS[key], len(blob)))
+        blob.extend(struct.pack(f"<{len(values)}H", *values))
+    blob.extend(bytes(-len(blob) % 8))
+    symbols.append((TABLE_SYMBOLS["pow10"], len(blob)))
+    blob.extend(struct.pack("<20Q", *(10 ** k for k in range(20))))
+    return bytes(blob), tuple(symbols)
 
 
 def emit_tables(builder) -> None:
@@ -35,22 +56,9 @@ def emit_tables(builder) -> None:
     The builder's current section is switched to ``.data`` and left there.
     """
     builder.data()
-    _emit_halfword_table(
-        builder,
-        TABLE_SYMBOLS["dpd2bin"],
-        (dpd.decode_declet(declet) for declet in range(1024)),
-    )
-    _emit_halfword_table(
-        builder, TABLE_SYMBOLS["dpd2bcd"], dpd.declet_table_bcd()
-    )
-    _emit_halfword_table(
-        builder,
-        TABLE_SYMBOLS["bin2dpd"],
-        (dpd.encode_declet(value) for value in range(1000)),
-    )
-    _emit_halfword_table(
-        builder, TABLE_SYMBOLS["bcd2dpd"], dpd.bcd_to_declet_table()
-    )
     builder.align(8)
-    builder.label(TABLE_SYMBOLS["pow10"])
-    builder.dword(*[10 ** k for k in range(20)])
+    base = builder.here()
+    blob, symbols = _table_blob()
+    for symbol, offset in symbols:
+        builder.program.define_symbol(symbol, DATA, base + offset)
+    builder.current_section.append_bytes(blob)

@@ -5,9 +5,8 @@ so that the pipeline model can charge fetch stalls, operand stalls and
 redirect penalties per retired instruction.  Almost all of that arithmetic is
 *static*: the timing class, the source registers, the cache line of the fetch
 and the branch targets are all fixed by the instruction word, so a hot span
-of code can be compiled — exactly like the functional tier-2 engine compiles
-architectural state into Python locals — into one function that accumulates
-``cycle`` in a local and touches shared state only at its exits.
+of code can be compiled into one function that accumulates ``cycle`` in a
+local and touches shared state only at its exits.
 
 A *timing span* starts at a redirect target or right after a RoCC command
 (the interpreted loop counts arrivals at branch/jump destinations and at the
@@ -447,7 +446,7 @@ def compile_timing_span(emulator, head):
 
     # Compiled spans embed decoded semantics for every covered pc — stores
     # into the span must invalidate, so the covered range joins the
-    # executor's code bounds exactly like tier-1/2 promotion does.
+    # executor's code bounds exactly like tier-1 compilation does.
     lo = min(p for p, _, _ in items)
     hi = max(p for p, _, _ in items) + 4
     bounds = executor._code_bounds

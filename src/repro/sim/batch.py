@@ -1,7 +1,7 @@
 """Batch-vector execution: one linked program and warm models per shape.
 
 Building a test program (assemble + link), constructing a simulator and
-re-decoding/re-promoting its hot loops costs far more than actually running
+re-decoding its code costs far more than actually running
 a small vector shard — at campaign scale this per-shard cold start would
 dominate host time.  ``BatchRunner`` keeps one LRU entry per *program
 shape* (solution x format x operation x sample count x repetitions:
@@ -22,22 +22,20 @@ use, so a shard that never runs the functional model never builds one.
   reuse the bound program as it is.
 
 A model that has already run is restored before it is handed out again: the
-bound image's operand and result window is written into its memory (page-view
-aliasing keeps tier-2 compiled memory lanes coherent, since pages are
-mutated in place, never replaced) and ``reset()`` rewinds it.  The
-simulator's reset keeps everything its executor learned (decoded
-instructions, superblocks, tier-2 code, promotion heat, speculation bans);
-the emulator's reset also restores cold caches and reseeded replacement
-PRNGs — cold caches are part of the paper's measurement — so only its timing
+bound image's operand and result window is written into its memory and
+``reset()`` rewinds it.  The simulator's reset keeps everything its
+executor learned (decoded instructions, their closures, superblocks); the
+emulator's reset also restores cold caches and reseeded replacement PRNGs —
+cold caches are part of the paper's measurement — so only its timing
 compiler (decoded code, compiled spans) stays warm.
 
 Bit-identity with a cold run is a hard invariant, not a best effort: the
 bound image is byte-identical to a fresh build over the same vectors, a
-restored model's memory matches a fresh load of that image, and the tier-2
-engine's correctness protocol (entry guards + deopt) makes compiled-state
-reuse architecturally invisible.  A fresh ``BatchRunner`` *is* the cold
-path, and ``tests/test_tier2.py`` and ``tests/test_timing_tier.py`` lock
-warm reuse down against it sample by sample.
+restored model's memory matches a fresh load of that image, and the warm
+closures read registers and memory only when they run, so reusing them is
+architecturally invisible.  A fresh ``BatchRunner`` *is* the cold path, and
+``tests/test_batch.py`` and ``tests/test_timing_tier.py`` lock warm reuse
+down against it sample by sample.
 """
 
 from __future__ import annotations
@@ -55,13 +53,12 @@ DEFAULT_MAX_ENTRIES = 8
 class _Shape:
     """One program shape's cached state: the bound program and its models."""
 
-    __slots__ = ("program", "simulator", "emulators", "heads")
+    __slots__ = ("program", "simulator", "emulators")
 
-    def __init__(self, program, heads) -> None:
+    def __init__(self, program) -> None:
         self.program = program          # bound to the latest vector set
         self.simulator = None           # SpikeSimulator, made on first use
         self.emulators = {}             # RocketConfig -> RocketEmulator
-        self.heads = heads              # promoted heads of an evicted copy
 
 
 def _restore(model, program) -> None:
@@ -95,10 +92,6 @@ class BatchRunner:
                 f"BatchRunner max_entries must be at least 1, got {max_entries}"
             )
         self._entries = {}
-        # Promoted tier-2 heads of up to ``max_entries`` evicted shapes: a
-        # rebuild of the shape seeds promotion from them (Executor.preheat)
-        # instead of re-earning every head's heat organically.
-        self._promoted = {}
         self.max_entries = max_entries
         #: Model statistics (exposed for benchmarks and tests): functional
         #: simulators reused/created, and the same for Rocket emulators.
@@ -113,7 +106,7 @@ class BatchRunner:
         # construction.  ``config.workload``, ``config.operand_classes`` and
         # ``config.seed`` are deliberately absent: they only select *which
         # vectors are drawn*, never the emitted kernel/harness, and vectors
-        # are always rebound on a hit — tests/test_tier2.py
+        # are always rebound on a hit — tests/test_batch.py
         # (``test_key_omits_vector_provenance_safely``) pins that a warm hit
         # across different workloads/seeds still yields an image
         # byte-identical to a cold build.  Anything persisted across
@@ -136,20 +129,13 @@ class BatchRunner:
         key = self._key(solution, config)
         shape = self._entries.pop(key, None)
         if shape is None:
-            shape = _Shape(build_test_program(config, vectors=vectors),
-                           self._promoted.pop(key, None))
+            shape = _Shape(build_test_program(config, vectors=vectors))
         elif shape.program.vectors != vectors:
             shape.program = shape.program.rebind(vectors)
-        # Reinsert (LRU: dicts iterate in insertion order) and evict,
-        # remembering each victim's promoted heads for a future rebuild.
+        # Reinsert (LRU: dicts iterate in insertion order) and evict.
         self._entries[key] = shape
         while len(self._entries) > self.max_entries:
-            victim_key = next(iter(self._entries))
-            victim = self._entries.pop(victim_key).simulator
-            if victim is not None:
-                self._promoted[victim_key] = frozenset(victim.executor._tier2)
-                if len(self._promoted) > self.max_entries:
-                    del self._promoted[next(iter(self._promoted))]
+            del self._entries[next(iter(self._entries))]
         return shape
 
     def acquire(self, solution, config, vectors) -> tuple:
@@ -166,13 +152,6 @@ class BatchRunner:
             simulator = shape.simulator = SpikeSimulator(
                 program.image, accelerator=solution.make_accelerator(config.fmt)
             )
-            # Rebuild of a previously evicted shape: arm the known-hot
-            # heads so the first execution of each promotes immediately
-            # (with live-register speculation) instead of re-earning
-            # thousands of instructions of heat.
-            if shape.heads:
-                simulator.executor.preheat(shape.heads)
-            shape.heads = None
         else:
             self.hits += 1
             _restore(simulator, program)
@@ -225,7 +204,6 @@ class BatchRunner:
         dropping the warm models.
         """
         self._entries.clear()
-        self._promoted.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:

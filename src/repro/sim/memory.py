@@ -12,31 +12,17 @@ hit text while stores hit the stack) avoids the page-dictionary lookup for
 consecutive same-page accesses, and page bytes are converted with
 preconverted :mod:`struct` codecs instead of slice-allocating
 ``int.from_bytes`` / ``int.to_bytes`` round trips.
-
-For the tier-2 compiled superblocks there is a still faster lane:
-:attr:`SparseMemory.u64_views` caches a ``memoryview(page).cast("Q")`` per
-page, turning an aligned 64-bit access into a single C-level index.  The
-views alias the page bytearrays, so scalar writes, ``write_bytes`` and
-image loads stay coherent with view reads (and vice versa) without any
-invalidation protocol; pages are never resized or replaced, so a view can
-never go stale.  The cast is only byte-order-correct on little-endian
-hosts — callers must gate on :data:`HOST_IS_LITTLE_ENDIAN`.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 
 from repro.errors import MemoryError_
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
-
-#: Cast-'Q' page views read the host's native byte order; the simulated
-#: machine is little-endian, so the view fast lane is only sound here.
-HOST_IS_LITTLE_ENDIAN = sys.byteorder == "little"
 
 # Preconverted little-endian scalar codecs for the hot path.
 _U16_FROM = struct.Struct("<H").unpack_from
@@ -58,20 +44,12 @@ class SparseMemory:
         "_read_page",
         "_write_page_number",
         "_write_page",
-        "u64_views",
-        "u32_views",
-        "u16_views",
-        "hook_gen",
     )
 
     def __init__(self) -> None:
         self._pages = {}
         self._write_hooks = {}
         self._read_hooks = {}
-        #: Bumped on every hook registration.  Compiled code that folded a
-        #: "no hook at this address" check at compile time guards on this
-        #: generation and deoptimizes if the hook set changed since.
-        self.hook_gen = 0
         # Last-page caches (page number -> page bytes); pages are never
         # deleted, and only existing pages are cached, so entries can't go
         # stale.
@@ -79,23 +57,15 @@ class SparseMemory:
         self._read_page = None
         self._write_page_number = None
         self._write_page = None
-        #: page number -> ``memoryview(page).cast("Q")``; see module docs.
-        self.u64_views = {}
-        #: narrower cast lanes for the compiled loads of lwu/lw and lhu/lh
-        #: (same aliasing/coherence argument as :attr:`u64_views`).
-        self.u32_views = {}
-        self.u16_views = {}
 
     # ------------------------------------------------------------------- MMIO
     def add_write_hook(self, address: int, callback) -> None:
         """Call ``callback(value, size)`` instead of storing at ``address``."""
         self._write_hooks[address] = callback
-        self.hook_gen += 1
 
     def add_read_hook(self, address: int, callback) -> None:
         """Call ``callback(size) -> int`` instead of loading from ``address``."""
         self._read_hooks[address] = callback
-        self.hook_gen += 1
 
     # ------------------------------------------------------------------ pages
     def _page(self, page_number: int) -> bytearray:
@@ -104,71 +74,6 @@ class SparseMemory:
             page = bytearray(PAGE_SIZE)
             self._pages[page_number] = page
         return page
-
-    def u64_view(self, page_number: int):
-        """Cast-'Q' view of an existing page, or ``None`` (never allocates).
-
-        The load fast lane: a missing page reads as zero, so callers fall
-        back to 0 (or :meth:`read`) on ``None`` instead of allocating.
-        """
-        view = self.u64_views.get(page_number)
-        if view is None:
-            page = self._pages.get(page_number)
-            if page is None:
-                return None
-            view = memoryview(page).cast("Q")
-            self.u64_views[page_number] = view
-        return view
-
-    def u32_view(self, page_number: int):
-        """Cast-'I' view of an existing page, or ``None`` (never allocates)."""
-        view = self.u32_views.get(page_number)
-        if view is None:
-            page = self._pages.get(page_number)
-            if page is None:
-                return None
-            view = memoryview(page).cast("I")
-            self.u32_views[page_number] = view
-        return view
-
-    def u16_view(self, page_number: int):
-        """Cast-'H' view of an existing page, or ``None`` (never allocates)."""
-        view = self.u16_views.get(page_number)
-        if view is None:
-            page = self._pages.get(page_number)
-            if page is None:
-                return None
-            view = memoryview(page).cast("H")
-            self.u16_views[page_number] = view
-        return view
-
-    def u64_view_create(self, page_number: int):
-        """Cast-'Q' view of a page, allocating the page if needed (stores)."""
-        view = self.u64_views.get(page_number)
-        if view is None:
-            view = memoryview(self._page(page_number)).cast("Q")
-            self.u64_views[page_number] = view
-        return view
-
-    def u32_view_create(self, page_number: int):
-        """Cast-'I' view of a page, allocating the page if needed (stores)."""
-        view = self.u32_views.get(page_number)
-        if view is None:
-            view = memoryview(self._page(page_number)).cast("I")
-            self.u32_views[page_number] = view
-        return view
-
-    def u16_view_create(self, page_number: int):
-        """Cast-'H' view of a page, allocating the page if needed (stores)."""
-        view = self.u16_views.get(page_number)
-        if view is None:
-            view = memoryview(self._page(page_number)).cast("H")
-            self.u16_views[page_number] = view
-        return view
-
-    def page_create(self, page_number: int):
-        """The raw page bytearray, allocating if needed (byte-lane access)."""
-        return self._page(page_number)
 
     # ------------------------------------------------------------------ bytes
     def write_bytes(self, address: int, data: bytes) -> None:

@@ -60,11 +60,7 @@ class SimulationResult:
 
 
 class SpikeSimulator:
-    """Functional RV64 simulator with HTIF exit/console support.
-
-    ``tier2=False`` runs the executor's tier 1 only; the gem5 model builds
-    its machine that way.
-    """
+    """Functional RV64 simulator with HTIF exit/console support."""
 
     def __init__(
         self,
@@ -72,7 +68,6 @@ class SpikeSimulator:
         accelerator=None,
         stack_top: int = DEFAULT_STACK_TOP,
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-        tier2: bool = True,
     ) -> None:
         self.image = image
         self.memory = SparseMemory()
@@ -89,10 +84,6 @@ class SpikeSimulator:
             self.memory,
             csr_provider=self._read_counter,
             rocc=accelerator,
-            tier2=tier2,
-            # _read_counter returns the retire count for every one of these,
-            # so tier-2 may inline rdcycle/rdinstret brackets (see Executor).
-            counter_csrs=COUNTER_CSRS,
         )
         # Stop a batched Executor.run on the instruction that writes tohost.
         self.htif.on_exit = self.executor.request_halt
@@ -107,12 +98,11 @@ class SpikeSimulator:
         """Rewind architectural state for another run, keeping the engine warm.
 
         Everything the executor *learned* survives: decoded instructions,
-        tier-1 superblocks, tier-2 compiled code, promotion heat and the
-        speculation bans accumulated by deopts.  Everything architectural is
-        rewound to construction state: registers (mutated in place — the
-        compiled code binds the register list by object identity), pc, HTIF
-        exit/console state, the executor's halt flags and retire counter,
-        and the accelerator's architectural state.
+        their closures and the superblocks threading them.  Everything
+        architectural is rewound to construction state: registers (mutated
+        in place — the closures bind the register list by object
+        identity), pc, HTIF exit/console state, the executor's halt flags
+        and retire counter, and the accelerator's architectural state.
 
         Memory contents are *not* touched; callers running new operand
         vectors must rewrite the operand region and zero the result buffers

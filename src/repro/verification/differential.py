@@ -32,7 +32,7 @@ import decimal as _pydecimal
 
 from dataclasses import dataclass, field
 
-from repro.decnumber import decimal64
+from repro.decnumber.formats import DECIMAL64
 from repro.decnumber.number import DecNumber
 from repro.errors import ConfigurationError
 from repro.verification.checker import CheckReport, ResultChecker
@@ -294,7 +294,7 @@ def diff_result_words(vectors, words_by_model, decode=None,
     on which any two models disagree.
     """
     if decode is None:
-        decode = decimal64.decode
+        decode = DECIMAL64.decode
     divergences = []
     for position, vector in enumerate(vectors):
         words = {

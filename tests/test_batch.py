@@ -1,16 +1,15 @@
-"""Tier-2 compiled-superblock engine and batch-vector execution tests.
+"""Batch-vector execution tests: warm reuse must equal the cold path.
 
-Locks down the contract of the exec-compiled tier (see docs/simulator.md):
+Locks down the contract of :class:`~repro.sim.batch.BatchRunner` and the
+engine behaviours it relies on (see docs/simulator.md):
 
-* tier-2 execution is bit-identical to the tier-1 threaded-code engine on
-  RV64IM edge semantics (lockstep runs over the same programs),
-* speculation (exact-value, range, pinned-base, hook-set) deoptimizes
-  safely — entry-guard failure falls back to tier 1, pruning lets the head
-  re-promote against the live values, and results never change,
-* self-modifying code de-promotes compiled superblocks,
-* ``run``/``step`` and cold/warm (batch-mode) execution agree exactly,
-* :class:`~repro.sim.batch.BatchRunner` and the campaign engine's warm
-  workers reproduce the cold path sample for sample.
+* ``run`` (fast closures, batched into superblocks) and ``step`` (info
+  closures) agree exactly, on plain RV64IM loops and on programs that
+  interleave RoCC commands;
+* a store into a loop's cached superblocks drops them, so the rewritten
+  loop runs its new code;
+* a warm ``BatchRunner`` entry, a rebuilt evicted one and the campaign
+  engine's warm workers reproduce the cold path sample for sample.
 """
 
 from __future__ import annotations
@@ -25,21 +24,19 @@ from repro.sim.hart import Hart
 from repro.sim.memory import SparseMemory
 from repro.sim.spike import SpikeSimulator
 
-MASK64 = 0xFFFFFFFFFFFFFFFF
 BASE = 0x1000
 DATA = 0x8000
-INT64_MIN = 1 << 63
 
 
-def make_executor(words, regs=None, threshold=64, **kwargs):
+def make_executor(words, regs=None):
     """Encoded words at ``BASE``; returns (executor, hart, memory)."""
     memory = SparseMemory()
     for index, word in enumerate(words):
         memory.write(BASE + 4 * index, 4, word)
     hart = Hart(pc=BASE)
     for reg, value in (regs or {}).items():
-        hart.regs[reg] = value & MASK64
-    return Executor(hart, memory, promote_threshold=threshold, **kwargs), hart, memory
+        hart.regs[reg] = value
+    return Executor(hart, memory), hart, memory
 
 
 def run_to_trap(executor, budget=1_000_000):
@@ -49,287 +46,24 @@ def run_to_trap(executor, budget=1_000_000):
     return executor.retired
 
 
-def final_state(words, regs, threshold, data=None, data_words=16, **kwargs):
-    """Run to the trap and return (regs, retired, data words) for comparison."""
-    executor, hart, memory = make_executor(
-        words, regs=regs, threshold=threshold, **kwargs
-    )
-    for offset, value in (data or {}).items():
-        memory.write(DATA + offset, 8, value)
-    run_to_trap(executor)
-    return (
-        list(hart.regs),
-        executor.retired,
-        [memory.read(DATA + 8 * i, 8) for i in range(data_words)],
-        executor,
-    )
-
-
-def assert_lockstep(words, regs, data=None):
-    """Tier-1-only and tier-2-forced runs must agree bit for bit."""
-    r1, n1, m1, ex1 = final_state(words, regs, threshold=0, data=data, tier2=False)
-    r2, n2, m2, ex2 = final_state(words, regs, threshold=32, data=data)
-    assert ex1.tier2_blocks == 0
-    assert ex2.tier2_blocks > 0, "tier 2 never engaged — test is vacuous"
-    assert r1 == r2
-    assert n1 == n2
-    assert m1 == m2
-
-
-class TestTierLockstep:
-    def test_rv64im_edge_alu_loop(self):
-        # A hot loop over RV64IM edge semantics: shift-amount masking,
-        # signed-overflow division, remainder by zero, 32-bit op sign
-        # extension — accumulated so any divergence sticks.
-        words = [
-            encode_instruction("sll", 6, 20, 21),    # shamt 0x43 -> 3
-            encode_instruction("sra", 7, 22, 21),    # arithmetic on INT64_MIN
-            encode_instruction("div", 8, 22, 23),    # INT64_MIN / -1 overflow
-            encode_instruction("rem", 9, 20, 0),     # remainder by zero -> rs1
-            encode_instruction("mulw", 10, 22, 24),  # 32-bit product, sext
-            encode_instruction("sraw", 11, 24, 21),  # 32-bit shift, masked
-            encode_instruction("add", 28, 28, 6),
-            encode_instruction("add", 28, 28, 7),
-            encode_instruction("add", 28, 28, 8),
-            encode_instruction("add", 28, 28, 9),
-            encode_instruction("add", 28, 28, 10),
-            encode_instruction("add", 28, 28, 11),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -52),
-            encode_instruction("ebreak"),
-        ]
-        regs = {5: 300, 20: 0xABCD, 21: 0x43, 22: INT64_MIN,
-                23: MASK64, 24: 0x80000001}
-        assert_lockstep(words, regs)
-
-    def test_mask_elision_bounds(self):
-        # Values hovering at the 2^63 / 2^64 wrap: the compiled trace elides
-        # 64-bit masks only where a bound proof holds, so accumulate sums
-        # that cross both boundaries every iteration.
-        words = [
-            encode_instruction("add", 6, 20, 21),     # wraps past 2^64
-            encode_instruction("addi", 7, 6, 2047),
-            encode_instruction("sub", 8, 0, 7),       # negation wrap
-            encode_instruction("add", 28, 28, 8),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -16),
-            encode_instruction("ebreak"),
-        ]
-        regs = {5: 300, 20: MASK64 - 3, 21: (1 << 63) + 5}
-        assert_lockstep(words, regs)
-
-    def test_memory_lanes_all_widths(self):
-        # Loads/stores of every width through a loop-invariant base: the
-        # compiled page-view lanes (8/4/2/1 bytes, signed and unsigned
-        # loads) must match the scalar memory path exactly.
-        words = [
-            encode_instruction("ld", 6, 21, 0),
-            encode_instruction("lw", 7, 21, 8),      # sign-extends
-            encode_instruction("lwu", 8, 21, 8),
-            encode_instruction("lh", 9, 21, 16),
-            encode_instruction("lhu", 10, 21, 16),
-            encode_instruction("lb", 11, 21, 24),
-            encode_instruction("lbu", 12, 21, 24),
-            encode_instruction("add", 13, 6, 7),
-            encode_instruction("add", 13, 13, 9),
-            encode_instruction("add", 13, 13, 11),
-            encode_instruction("sd", 13, 21, 32),
-            encode_instruction("sw", 13, 21, 40),
-            encode_instruction("sh", 13, 21, 48),
-            encode_instruction("sb", 13, 21, 56),
-            encode_instruction("add", 28, 28, 13),
-            encode_instruction("add", 28, 28, 8),
-            encode_instruction("add", 28, 28, 10),
-            encode_instruction("add", 28, 28, 12),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -76),
-            encode_instruction("ebreak"),
-        ]
-        regs = {5: 300, 21: DATA}
-        data = {0: 0x8000_0000_0000_0001, 8: 0xFFFF_FFFF_8000_0001,
-                16: 0x8001, 24: 0x81}
-        assert_lockstep(words, regs, data=data)
-
-    def test_page_crossing_base_walk(self):
-        # The base register walks across a page boundary, so the compiled
-        # pinned-base lane must take its page-crossing slow path mid-run.
-        words = [
-            encode_instruction("ld", 6, 21, 0),
-            encode_instruction("add", 28, 28, 6),
-            encode_instruction("sd", 28, 21, 8),
-            encode_instruction("addi", 21, 21, 64),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -20),
-            encode_instruction("ebreak"),
-        ]
-        # 300 iterations x 64 bytes ~ 19 KiB: crosses several 4 KiB pages.
-        regs = {5: 300, 21: DATA}
-        assert_lockstep(words, regs, data={0: 12345})
-
-    def test_jalr_target_changes_between_iterations(self):
-        # jalr alternates between two targets each iteration (held in x30
-        # and x31 — addi immediates cannot encode absolute addresses);
-        # tier-2 jalr target speculation must check the live value.
-        words = [
-            encode_instruction("jalr", 1, 20, 0),       # 0x00 computed jump
-            encode_instruction("ebreak"),               # 0x04
-            encode_instruction("addi", 28, 28, 1),      # 0x08 target A
-            encode_instruction("addi", 20, 31, 0),      # 0x0c next -> B
-            encode_instruction("addi", 5, 5, -1),       # 0x10
-            encode_instruction("bne", 5, 0, -20),       # 0x14 -> 0x00
-            encode_instruction("ebreak"),               # 0x18
-            encode_instruction("addi", 28, 28, 100),    # 0x1c target B
-            encode_instruction("addi", 20, 30, 0),      # 0x20 next -> A
-            encode_instruction("addi", 5, 5, -1),       # 0x24
-            encode_instruction("bne", 5, 0, -40),       # 0x28 -> 0x00
-            encode_instruction("ebreak"),               # 0x2c
-        ]
-        regs = {5: 400, 20: BASE + 0x08, 30: BASE + 0x08, 31: BASE + 0x1C}
-        assert_lockstep(words, regs)
-
-    def test_counter_csr_inlined_brackets(self):
-        # rdcycle-style brackets (csrrs rd, 0xC00, x0) inside a hot loop:
-        # with the counter-CSR contract the tier-2 trace inlines them as
-        # retire-count arithmetic; deltas must equal the tier-1 engine's.
-        words = [
-            encode_instruction("csrrs", 6, 0xC02, 0),   # instret, pure read
-            encode_instruction("add", 8, 20, 21),
-            encode_instruction("add", 8, 8, 8),
-            encode_instruction("csrrs", 7, 0xC02, 0),
-            encode_instruction("sub", 9, 7, 6),          # bracket delta
-            encode_instruction("add", 28, 28, 9),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -24),
-            encode_instruction("ebreak"),
-        ]
-        regs = {5: 300, 20: 7, 21: 9}
-        results = []
-        for threshold, tier2 in ((0, False), (32, True)):
-            memory = SparseMemory()
-            for index, word in enumerate(words):
-                memory.write(BASE + 4 * index, 4, word)
-            hart = Hart(pc=BASE)
-            for reg, value in regs.items():
-                hart.regs[reg] = value
-            executor = Executor(
-                hart, memory, promote_threshold=threshold, tier2=tier2,
-                counter_csrs=(0xC00, 0xC02),
-            )
-            executor.csr_provider = lambda addr, e=executor: e.retired
-            run_to_trap(executor)
-            results.append((list(hart.regs), executor.retired))
-            if tier2:
-                assert executor.tier2_blocks > 0
-        assert results[0] == results[1]
-
-
-class TestDeopt:
-    #: countdown loop whose body folds x20 (never written) and loads
-    #: through x21 — promotion speculates on both.
-    WORDS = [
-        encode_instruction("addi", 6, 20, 1),
-        encode_instruction("ld", 7, 21, 0),
-        encode_instruction("add", 8, 6, 7),
-        encode_instruction("sd", 8, 21, 8),
-        encode_instruction("addi", 5, 5, -1),
-        encode_instruction("bne", 5, 0, -20),
-        encode_instruction("ebreak"),
-    ]
-
-    def _promoted(self):
-        executor, hart, memory = make_executor(
-            self.WORDS, regs={5: 400, 20: 0x123, 21: DATA}, threshold=64
-        )
-        memory.write(DATA, 8, 777)
-        run_to_trap(executor)
-        assert executor.tier2_blocks > 0
-        assert executor._t2_spec, "promotion did not speculate — vacuous"
-        return executor, hart, memory
-
-    def test_exact_value_deopt_prunes_and_stays_correct(self):
-        executor, hart, memory = self._promoted()
-        deopts_before = executor.tier2_deopts
-        hart.pc = BASE
-        hart.regs[5] = 400
-        hart.regs[20] = 0x999          # violates the pinned exact value
-        run_to_trap(executor)
-        assert executor.tier2_deopts > deopts_before
-        assert 20 in executor._t2_nospec.get(BASE, set())
-        assert hart.regs[8] == 0x999 + 1 + 777
-        assert memory.read(DATA + 8, 8) == 0x999 + 1 + 777
-
-    def test_repromotion_after_pruning_converges(self):
-        executor, hart, memory = self._promoted()
-        # Alternate the speculated value; after pruning, re-promotion must
-        # stop guarding on x20 and the deopt count must stop growing.
-        for value in (0x999, 0x123, 0x999, 0x123, 0x999, 0x123):
-            hart.pc = BASE
-            hart.regs[5] = 400
-            hart.regs[20] = value
-            run_to_trap(executor)
-            assert hart.regs[8] == value + 1 + 777
-        settled = executor.tier2_deopts
-        for value in (0x123, 0x999, 0x123):
-            hart.pc = BASE
-            hart.regs[5] = 400
-            hart.regs[20] = value
-            run_to_trap(executor)
-        assert executor.tier2_deopts == settled, \
-            "deopts kept firing: pruning did not converge"
-
-    def test_hook_registration_deopts_compiled_lanes(self):
-        executor, hart, memory = self._promoted()
-        deopts_before = executor.tier2_deopts
-        # A new MMIO hook anywhere invalidates the compile-time "no hook at
-        # this address" proof; the hook-generation entry guard must fire.
-        seen = []
-        memory.add_read_hook(0x4000_1000, lambda size: seen.append(size) or 0)
-        hart.pc = BASE
-        hart.regs[5] = 400
-        run_to_trap(executor)
-        assert executor.tier2_deopts > deopts_before
-        assert hart.regs[8] == 0x123 + 1 + 777
-
-    def test_tier1_fallback_result_is_exact_on_guard_failure(self):
-        # The deopt must happen *before* any state change: a run entered
-        # with violating values retires exactly as many instructions as a
-        # fresh executor would.
-        executor, hart, memory = self._promoted()
-        hart.pc = BASE
-        hart.regs[5] = 400
-        hart.regs[20] = 0x999
-        base_retired = executor.retired
-        run_to_trap(executor)
-        warm_retired = executor.retired - base_retired
-
-        fresh, fresh_hart, fresh_memory = make_executor(
-            self.WORDS, regs={5: 400, 20: 0x999, 21: DATA}, threshold=64
-        )
-        fresh_memory.write(DATA, 8, 777)
-        run_to_trap(fresh)
-        assert warm_retired == fresh.retired
-        assert list(hart.regs) == list(fresh_hart.regs)
-
-
 class TestSelfModifyingCode:
-    def test_store_into_promoted_block_depromotes(self):
-        # Loop stores a new opcode into its own body mid-run: the compiled
-        # superblock must be dropped and the new semantics take effect.
-        addi_x28_1 = encode_instruction("addi", 28, 28, 1)
-        addi_x28_7 = encode_instruction("addi", 28, 28, 7)
+    def test_store_into_hot_loop_takes_effect(self):
+        # A loop runs long enough to be threaded into cached superblocks;
+        # then a store rewrites its body and the loop runs again: the
+        # cached blocks must be dropped and the new semantics take effect.
         words = [
-            addi_x28_1,                                # patched mid-run
+            encode_instruction("addi", 28, 28, 1),     # patched below
             encode_instruction("addi", 5, 5, -1),
             encode_instruction("bne", 5, 0, -8),
             encode_instruction("ebreak"),
         ]
         executor, hart, memory = make_executor(
-            words, regs={5: 300, 20: addi_x28_7, 21: BASE}, threshold=64
+            words, regs={5: 300, 20: encode_instruction("addi", 28, 28, 7),
+                         21: BASE}
         )
         run_to_trap(executor)
-        assert executor.tier2_blocks > 0
         assert hart.regs[28] == 300
-        # Second phase: a store rewrites the loop body, then reruns it.
+        assert BASE in executor._blocks
         patch = [
             encode_instruction("sw", 20, 21, 0),       # code store
             encode_instruction("jalr", 0, 22, 0),      # jump back to loop
@@ -341,42 +75,11 @@ class TestSelfModifyingCode:
         hart.regs[22] = BASE
         hart.regs[28] = 0
         run_to_trap(executor)
-        assert not executor._tier2, "stale compiled superblock survived SMC"
         assert hart.regs[28] == 70  # 10 iterations of the *new* body
-
-    def test_smc_then_reheat_repromotes_new_code(self):
-        words = [
-            encode_instruction("addi", 28, 28, 1),
-            encode_instruction("addi", 5, 5, -1),
-            encode_instruction("bne", 5, 0, -8),
-            encode_instruction("ebreak"),
-        ]
-        executor, hart, memory = make_executor(
-            words, regs={5: 300}, threshold=64
-        )
-        run_to_trap(executor)
-        assert executor.tier2_blocks > 0
-        blocks_before = executor.tier2_blocks
-        patch = [
-            encode_instruction("sw", 20, 21, 0),
-            encode_instruction("jalr", 0, 22, 0),
-        ]
-        for index, word in enumerate(patch):
-            memory.write(BASE + 0x100 + 4 * index, 4, word)
-        hart.pc = BASE + 0x100
-        hart.regs[5] = 300
-        hart.regs[20] = encode_instruction("addi", 28, 28, 2)
-        hart.regs[21] = BASE
-        hart.regs[22] = BASE
-        hart.regs[28] = 0
-        run_to_trap(executor)
-        assert hart.regs[28] == 600
-        assert executor.tier2_blocks > blocks_before, \
-            "rewritten loop never re-promoted"
 
 
 class TestRunStepEquivalence:
-    def test_run_matches_step_with_tier2(self):
+    def test_run_matches_step(self):
         words = [
             encode_instruction("add", 6, 20, 21),
             encode_instruction("sll", 7, 6, 22),
@@ -389,11 +92,10 @@ class TestRunStepEquivalence:
         ]
         regs = {5: 200, 20: 5, 21: 9, 22: 3, 23: DATA}
 
-        run_ex, run_hart, _ = make_executor(words, regs=regs, threshold=32)
+        run_ex, run_hart, _ = make_executor(words, regs=regs)
         run_to_trap(run_ex)
-        assert run_ex.tier2_blocks > 0
 
-        step_ex, step_hart, _ = make_executor(words, regs=regs, threshold=32)
+        step_ex, step_hart, _ = make_executor(words, regs=regs)
         with pytest.raises(TrapError):
             while True:
                 step_ex.step()
@@ -575,7 +277,6 @@ class TestBatchRunner:
         assert (BatchRunner._key(solution, mix_config)
                 != BatchRunner._key(solution, other))
 
-
     def test_shape_links_once_and_encodes_once(self, monkeypatch):
         # acquire and acquire_timed share one bind step: a shape is built
         # and linked once for both models, and a new same-shape vector set
@@ -632,31 +333,32 @@ class TestBatchRunner:
         assert runner.hits == runner.misses == 0
         assert runner.timed_misses == 1
 
-    def test_promoted_heads_are_bounded(self):
-        # Evicted shapes leave their promoted tier-2 heads behind for a
-        # rebuild; the runner keeps those of at most ``max_entries`` shapes.
+    def test_rebuild_after_eviction_is_identical(self):
+        """A shape evicted and rebuilt runs bit-identically to its first
+        build."""
         from repro.core.solution import standard_solutions
-        from repro.testgen.config import SolutionKind
-        from repro.testgen.generator import draw_vectors
+        from repro.testgen.config import SolutionKind, TestProgramConfig
+        from repro.verification.database import VerificationDatabase
 
+        vectors = VerificationDatabase(11).generate_mix(8)
         solution = standard_solutions()[SolutionKind.SOFTWARE]
-
-        def cycle(runner, sample_counts):
-            for samples in sample_counts:
-                vectors = draw_vectors(samples, 2018)
-                config, _ = _build(SolutionKind.SOFTWARE, samples, 2018,
-                                   vectors=vectors)
-                runner.run_functional(solution, config, vectors)
-            return config
-
+        other = standard_solutions()[SolutionKind.METHOD1]
         runner = BatchRunner(max_entries=1)
-        cycle(runner, (3, 4, 5, 6))
-        assert len(runner._promoted) <= 1
-        # A rebuild consumes its shape's heads.
-        runner = BatchRunner(max_entries=2)
-        config = cycle(runner, (3, 4, 5, 3))
-        assert BatchRunner._key(solution, config) not in runner._promoted
-        assert len(runner._promoted) == 1
+        config = TestProgramConfig(
+            solution=SolutionKind.SOFTWARE, num_samples=len(vectors),
+            seed=2018,
+        )
+        other_config = TestProgramConfig(
+            solution=SolutionKind.METHOD1, num_samples=len(vectors),
+            seed=2018,
+        )
+        program, first = runner.run_functional(solution, config, vectors)
+        reference = program.read_results(first)
+        runner.run_functional(other, other_config, vectors)   # evicts
+        program, again = runner.run_functional(solution, config, vectors)
+        assert runner.misses == 3
+        assert program.read_results(again) == reference
+        assert again.instructions_retired == first.instructions_retired
 
 
 class TestCampaignWarmWorkers:
@@ -707,44 +409,47 @@ class TestCampaignWarmWorkers:
 
 
 # --------------------------------------------------------------------------
-# RoCC lockstep: the compiled tier must stay bit-identical when the
-# instruction stream interleaves accelerator commands with different funct
-# codes.  ``rocc`` is a tier-2 trace stopper, so every superblock ends at
-# the next accelerator command and re-enters tier 1 for the command itself;
-# these tests pin down that the hand-off preserves response values, the
-# status carry/borrow chain and the accelerator's architectural state.
+# RoCC lockstep: batched ``run`` (fast closures) and per-instruction ``step``
+# (info closures) must stay bit-identical when the instruction stream
+# interleaves accelerator commands with different funct codes, and so must a
+# warm rerun after ``reset``; these tests pin response values, the status
+# carry/borrow chain and the accelerator's architectural state.
 
 BCD_A = 0x0123456789012345
 BCD_B = 0x0864197532086419
 
 
-def _run_rocc_image(image, threshold):
-    """Run ``image`` with a fresh accelerator; return (observable state, executor)."""
-    from repro.rocc.decimal_accel import DecimalAccelerator
-
-    accelerator = DecimalAccelerator()
-    simulator = SpikeSimulator(image, accelerator=accelerator)
-    simulator.executor.promote_threshold = threshold
-    result = simulator.run()
-    state = (
-        result.read_dwords("out", 8),
-        result.instructions_retired,
+def _rocc_state(simulator, accelerator):
+    """Observable state after a run: results, retire count, accelerator."""
+    out = simulator.image.symbol("out")
+    return (
+        [simulator.memory.read(out + 8 * i, 8) for i in range(8)],
+        simulator.executor.retired,
         accelerator.accumulator,
         accelerator.status,
         [accelerator.regfile.read(i)
          for i in range(accelerator.config.num_registers)],
     )
-    return state, simulator.executor
 
 
 def _assert_rocc_lockstep(image):
-    """Tier-1-only vs tier-2-forced runs of a RoCC program agree exactly."""
-    state1, ex1 = _run_rocc_image(image, threshold=0)
-    state2, ex2 = _run_rocc_image(image, threshold=16)
-    assert ex1.tier2_blocks == 0
-    assert ex2.tier2_blocks > 0, "tier 2 never engaged — test is vacuous"
-    assert state1 == state2
-    return state1
+    """Batched, warm-rerun and stepped runs of a RoCC program agree exactly."""
+    from repro.rocc.decimal_accel import DecimalAccelerator
+
+    accelerator = DecimalAccelerator()
+    simulator = SpikeSimulator(image, accelerator=accelerator)
+    simulator.run()
+    batched = _rocc_state(simulator, accelerator)
+    simulator.reset()
+    simulator.run()
+    warm = _rocc_state(simulator, accelerator)
+
+    accelerator = DecimalAccelerator()
+    stepped = SpikeSimulator(image, accelerator=accelerator)
+    while not stepped.htif.exited:
+        stepped.executor.step()
+    assert batched == warm == _rocc_state(stepped, accelerator)
+    return batched
 
 
 class TestRoccLockstep:
@@ -814,9 +519,8 @@ class TestRoccLockstep:
     def test_chunked_carry_chain_matches_bigint(self):
         # The kernels' wadd/wsub shape: stream a 4-word BCD number through
         # DEC_ADDC word by word with the carry living in status bit 0, in a
-        # hot loop so the surrounding load/store blocks compile to tier 2.
-        # Besides lockstep, check the chained result against a big-integer
-        # decimal model of the same words.
+        # hot loop.  Besides lockstep, check the chained result against a
+        # big-integer decimal model of the same words.
         from repro.asm.builder import AsmBuilder
 
         x_words = [0x9999999999999999, 0x0000000000000001,

@@ -27,9 +27,6 @@ def _bench_module():
     "rocket_tiers.cycles",
     "rocket_tiers.timing_spans",
     "rocket_tiers.compiled_instructions",
-    "tiers.tier1_instructions",
-    "tiers.tier2_blocks",
-    "tiers.tier2_deopts",
 ])
 def test_doctored_count_is_named(tmp_path, field):
     bench = _bench_module()

@@ -350,3 +350,24 @@ class TestOperationDifferentialSmoke:
     def test_per_operation_tables(self, mixed_op_result):
         tables = mixed_op_result.group(("op", "fmt", "workload"))
         assert {key[0] for key in tables} == {"multiply", "add", "fma"}
+
+
+@pytest.mark.parametrize("cli,flag", [
+    ("repro.campaign", "--samples"),
+    ("repro.campaign", "--shards-per-cell"),
+    ("repro.campaign", "--repetitions"),
+    ("repro.fuzz.__main__", "--budget"),
+    ("repro.fuzz.__main__", "--batch-size"),
+    ("repro.fuzz.__main__", "--max-failures"),
+])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_count_flag_below_one_exits_2_naming_the_flag(cli, flag, value, capsys):
+    # Exit 1 means "divergence found" for --differential and the fuzzer, so
+    # a bad count must be a usage error (argparse's exit 2), not a traceback.
+    import importlib
+
+    main = importlib.import_module(cli).main
+    with pytest.raises(SystemExit) as raised:
+        main([flag, value])
+    assert raised.value.code == 2
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from repro.core.reporting import (
 from repro.core.results import SolutionCycleReport
 from repro.core.software_baseline import SoftwareBaseline
 from repro.core.solution import standard_solutions
-from repro.decnumber import decimal64
+from repro.decnumber.formats import DECIMAL64
 from repro.decnumber.number import DecNumber
 from repro.rocc.decimal_accel import DecimalAcceleratorConfig
 from repro.testgen.config import SolutionKind
@@ -53,9 +53,9 @@ class TestHostModels:
 
     def test_method1_word_interface(self):
         model = Method1HostModel()
-        x = decimal64.encode(DecNumber.from_int(25))
-        y = decimal64.encode(DecNumber.from_int(4))
-        assert decimal64.decode(model.multiply_words(x, y)) == DecNumber(0, 100, 0)
+        x = DECIMAL64.encode(DecNumber.from_int(25))
+        y = DECIMAL64.encode(DecNumber.from_int(4))
+        assert DECIMAL64.decode(model.multiply_words(x, y)) == DecNumber(0, 100, 0)
 
     def test_dummy_hardware_gives_wrong_but_finite_results(self):
         model = Method1HostModel(hardware=DummyHardware())

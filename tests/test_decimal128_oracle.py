@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.decnumber import decimal128
+from repro.decnumber.formats import DECIMAL128
 from repro.decnumber.arith import multiply
 from repro.decnumber.number import DecNumber
 from repro.verification.database import OperandClass, VerificationDatabase
@@ -24,18 +24,18 @@ from repro.verification.differential import (
 )
 from repro.verification.reference import GoldenReference
 
-ETINY = decimal128.ETINY          # -6176
-ETOP = decimal128.ETOP            # 6111
-PRECISION = decimal128.PRECISION  # 34
+ETINY = DECIMAL128.etiny          # -6176
+ETOP = DECIMAL128.etop            # 6111
+PRECISION = DECIMAL128.precision  # 34
 
 
 def _stdlib_multiply(x: DecNumber, y: DecNumber) -> DecNumber:
-    ctx = decimal128.context().to_python_context()
+    ctx = DECIMAL128.context().to_python_context()
     return DecNumber.from_decimal(ctx.multiply(x.to_decimal(), y.to_decimal()))
 
 
 def _decnumber_multiply(x: DecNumber, y: DecNumber) -> DecNumber:
-    return multiply(x, y, decimal128.context())
+    return multiply(x, y, DECIMAL128.context())
 
 
 def _assert_same(x: DecNumber, y: DecNumber) -> None:

@@ -20,8 +20,6 @@ from repro.decnumber import (
     add,
     bcd,
     compare,
-    decimal64,
-    decimal128,
     dpd,
     fma,
     multiply,
@@ -431,8 +429,9 @@ class TestSpecialsAndMisc:
 # Interchange formats
 # ---------------------------------------------------------------------------
 class TestFormats:
-    @pytest.mark.parametrize("module,fmt", [(decimal64, DECIMAL64), (decimal128, DECIMAL128)])
-    def test_roundtrip_random(self, module, fmt):
+    @pytest.mark.parametrize("fmt", [DECIMAL64, DECIMAL128],
+                             ids=lambda fmt: fmt.name)
+    def test_roundtrip_random(self, fmt):
         rng = random.Random(fmt.precision)
         for _ in range(300):
             number = DecNumber(
@@ -440,13 +439,13 @@ class TestFormats:
                 rng.randint(0, fmt.max_coefficient),
                 rng.randint(fmt.etiny, fmt.etop),
             )
-            decoded = module.decode(module.encode(number))
+            decoded = fmt.decode(fmt.encode(number))
             assert decoded == number or decoded.numerically_equal(number)
 
     def test_known_encoding_one(self):
         # 1 = +1E+0: biased exponent 398 -> 0b01 10001110, MSD 0, declets 0...01.
-        word = decimal64.encode(DecNumber(0, 1, 0))
-        assert decimal64.decode(word) == DecNumber(0, 1, 0)
+        word = DECIMAL64.encode(DecNumber(0, 1, 0))
+        assert DECIMAL64.decode(word) == DecNumber(0, 1, 0)
         assert word >> 63 == 0
 
     def test_specials_roundtrip(self):
@@ -454,29 +453,29 @@ class TestFormats:
             DecNumber.infinity(0), DecNumber.infinity(1),
             DecNumber.qnan(42), DecNumber.snan(7, sign=1),
         ):
-            decoded = decimal64.decode(decimal64.encode(number))
+            decoded = DECIMAL64.decode(DECIMAL64.encode(number))
             assert decoded.kind == number.kind and decoded.sign == number.sign
 
     def test_components_and_bcd(self):
-        word = decimal64.encode(DecNumber(1, 987654321, -5))
-        sign, biased, coefficient = decimal64.components(word)
+        word = DECIMAL64.encode(DecNumber(1, 987654321, -5))
+        sign, biased, coefficient = DECIMAL64.components(word)
         assert (sign, coefficient) == (1, 987654321)
-        assert biased == -5 + decimal64.BIAS
-        assert decimal64.coefficient_bcd(word) == 0x987654321
+        assert biased == -5 + DECIMAL64.bias
+        assert DECIMAL64.coefficient_bcd(word) == 0x987654321
 
     def test_components_rejects_specials(self):
         with pytest.raises(DecimalError):
-            decimal64.components(decimal64.encode(DecNumber.infinity()))
-        assert decimal64.is_special(decimal64.encode(DecNumber.qnan()))
+            DECIMAL64.components(DECIMAL64.encode(DecNumber.infinity()))
+        assert DECIMAL64.is_special(DECIMAL64.encode(DecNumber.qnan()))
 
     def test_rounding_on_encode_flags(self):
-        ctx = decimal64.context()
-        decimal64.encode(DecNumber(0, 10 ** 17 + 1, 0), ctx)
+        ctx = DECIMAL64.context()
+        DECIMAL64.encode(DecNumber(0, 10 ** 17 + 1, 0), ctx)
         assert ctx.flags.rounded and ctx.flags.inexact
 
     def test_decimal128_parameters(self):
-        assert decimal128.PRECISION == 34
-        assert decimal128.EMAX == 6144
+        assert DECIMAL128.precision == 34
+        assert DECIMAL128.emax == 6144
         assert DECIMAL128.coefficient_continuation_bits == 110
 
     @settings(max_examples=150, deadline=None)
@@ -487,7 +486,7 @@ class TestFormats:
     )
     def test_decimal64_roundtrip_property(self, sign, coefficient, exponent):
         number = DecNumber(sign, coefficient, exponent)
-        assert decimal64.decode(decimal64.encode(number)).numerically_equal(number) or (
+        assert DECIMAL64.decode(DECIMAL64.encode(number)).numerically_equal(number) or (
             coefficient == 0
         )
 
@@ -498,5 +497,5 @@ class TestFormats:
         for _ in range(100):
             number = DecNumber(rng.randint(0, 1), rng.randint(0, 10 ** 16 - 1),
                                rng.randint(-398, 369))
-            decoded = decimal64.decode(decimal64.encode(number))
+            decoded = DECIMAL64.decode(DECIMAL64.encode(number))
             assert decoded.to_decimal() == pyctx.plus(number.to_decimal())

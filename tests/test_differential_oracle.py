@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.decnumber import decimal64
+from repro.decnumber.formats import DECIMAL64
 from repro.decnumber.arith import multiply
 from repro.decnumber.number import DecNumber
 from repro.errors import VerificationError
@@ -30,12 +30,12 @@ from repro.verification.reference import GoldenReference
 
 
 def _stdlib_multiply(x: DecNumber, y: DecNumber) -> DecNumber:
-    ctx = decimal64.context().to_python_context()
+    ctx = DECIMAL64.context().to_python_context()
     return DecNumber.from_decimal(ctx.multiply(x.to_decimal(), y.to_decimal()))
 
 
 def _decnumber_multiply(x: DecNumber, y: DecNumber) -> DecNumber:
-    return multiply(x, y, decimal64.context())
+    return multiply(x, y, DECIMAL64.context())
 
 
 def _assert_same(x: DecNumber, y: DecNumber) -> None:

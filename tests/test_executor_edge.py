@@ -8,10 +8,10 @@ threaded-code engine (batched ``run``, per-PC ``ExecInfo`` reuse, and
 self-modifying-code invalidation).
 
 ``TestSemanticsOracle`` checks every RV64IM value instruction against
-expected values written from the RISC-V spec, on tier-1 ``step()``, in a
-tier-2-promoted loop and in a compiled Rocket timing span.  All three tiers
-render one semantics table, so their lockstep suites cannot catch a wrong
-expression in it; this oracle can.
+expected values written from the RISC-V spec, on the executor's ``step()``
+and in a compiled Rocket timing span.  Both render one semantics table, so
+their lockstep suites cannot catch a wrong expression in it; this oracle
+can.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.isa.encoder import encode_instruction
 from repro.sim.executor import Executor, TC_BRANCH, TC_JUMP, TC_MEM
 from repro.sim.hart import Hart
 from repro.sim.memory import SparseMemory
-from repro.sim.spike import SpikeSimulator
 from tests.test_timing_tier import _assert_identical
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -604,21 +603,12 @@ def _step_results(mnemonic):
 
 
 class TestSemanticsOracle:
-    """Every RV64IM value instruction against the spec, on every tier."""
+    """Every RV64IM value instruction against the spec, on both engines."""
 
     @pytest.mark.parametrize("mnemonic", ORACLE_MNEMONICS)
     def test_tier1_step(self, mnemonic):
         got, expected = _step_results(mnemonic)
         assert got == expected
-
-    @pytest.mark.parametrize("mnemonic", ORACLE_MNEMONICS)
-    def test_tier2_loop(self, mnemonic):
-        image, expected = _oracle_program(mnemonic)
-        simulator = SpikeSimulator(image)
-        simulator.executor.promote_threshold = 32
-        result = simulator.run()
-        assert simulator.executor.tier2_blocks > 0
-        assert result.read_dwords("out", len(expected)) == expected
 
     @pytest.mark.parametrize("mnemonic", ORACLE_MNEMONICS)
     def test_timing_span(self, mnemonic):

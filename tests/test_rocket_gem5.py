@@ -203,6 +203,5 @@ class TestGem5Atomic:
         result = cpu.run()
         spike = SpikeSimulator(program.image,
                                accelerator=solution.make_accelerator()).run()
-        assert cpu.executor.tier2_blocks == 0
         assert result.ticks == spike.instructions_retired
         assert program.read_results(result) == program.read_results(spike)

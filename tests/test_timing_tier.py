@@ -8,10 +8,9 @@ under every configuration, including mid-run instruction-limit exhaustion and
 self-modifying-code deoptimisation.  These tests run the two models over the
 same image and compare everything.
 
-Also covered here: the executor-level warm-start knobs that ride along with
-the tier (``Executor.preheat`` seeding promotion from a prior profile, and
-``BatchRunner.acquire_timed`` reusing a warm timing compiler across runs),
-both pinned bit-identical to their cold/organic counterparts.
+Also covered here: the warm start that rides along with the tier
+(``RocketEmulator.reset`` and ``BatchRunner.acquire_timed`` reusing a warm
+timing compiler across runs), pinned bit-identical to a cold build.
 """
 
 import pytest
@@ -23,7 +22,6 @@ from repro.errors import SimulationError
 from repro.rocket.config import CacheConfig, RocketConfig
 from repro.rocket.core import RocketEmulator
 from repro.sim.batch import BatchRunner
-from repro.sim.spike import SpikeSimulator
 from repro.testgen.config import SolutionKind, TestProgramConfig
 from repro.testgen.generator import build_test_program
 from tests.test_pipeline_accel import _accelerator, _all_funct_program
@@ -361,91 +359,3 @@ class TestWarmStart:
             assert program.read_results(warm) == \
                 cold_program.read_results(cold)
         assert runner.timed_misses == 1 and runner.timed_hits == 1
-
-    def test_preheat_matches_organic_promotion(self):
-        """Warm-started promotion (Executor.preheat from a prior profile)
-        must produce exactly the organic run's results and retire counts."""
-        config = TestProgramConfig(
-            solution=SolutionKind.SOFTWARE, num_samples=16, seed=2018
-        )
-        program = build_test_program(config)
-
-        organic = SpikeSimulator(program.image)
-        profile = organic.executor.enable_profiling()
-        organic_result = organic.run()
-        # Steady the organic simulator so the profile records every head
-        # that matters.
-        organic.reset()
-        organic.run()
-
-        warm = SpikeSimulator(program.image)
-        armed = warm.executor.preheat(profile)
-        assert armed > 0
-        warm_result = warm.run()
-        assert warm_result.instructions_retired == \
-            organic_result.instructions_retired
-        assert program.read_results(warm_result) == \
-            program.read_results(organic_result)
-        # The armed heads promoted on sight: steady state in round one.
-        assert warm.executor.tier2_blocks >= len(profile.compiled)
-
-    def test_batch_runner_reseeds_promotion_after_eviction(self):
-        """An evicted shape's promoted heads survive in the runner and are
-        re-armed when the shape is rebuilt; results stay bit-identical."""
-        from repro.verification.database import VerificationDatabase
-
-        vectors = VerificationDatabase(11).generate_mix(8)
-        solution = standard_solutions()[SolutionKind.SOFTWARE]
-        other = standard_solutions()[SolutionKind.METHOD1]
-        runner = BatchRunner(max_entries=1)
-        config = TestProgramConfig(
-            solution=SolutionKind.SOFTWARE, num_samples=len(vectors),
-            seed=2018,
-        )
-        other_config = TestProgramConfig(
-            solution=SolutionKind.METHOD1, num_samples=len(vectors),
-            seed=2018,
-        )
-        program, first = runner.run_functional(solution, config, vectors)
-        reference = program.read_results(first)
-        runner.run_functional(other, other_config, vectors)   # evicts
-        program, again = runner.run_functional(solution, config, vectors)
-        assert program.read_results(again) == reference
-        assert again.instructions_retired == first.instructions_retired
-
-
-class TestProfileSummary:
-    def test_summary_renders_hot_side_exits(self):
-        from repro.sim.executor import ExecProfile
-
-        profile = ExecProfile()
-        assert "hot side exits: none" in profile.summary()
-        profile._exit(0x10000028, 0x100004d4)
-        profile._exit(0x10000028, 0x100004d4)
-        profile._exit(0x10000050, 0x10000100)
-        text = profile.summary()
-        assert "0x10000028" in text and "0x100004d4" in text
-        assert text.index("0x100004d4") < text.index("0x10000100")
-        snapshot = profile.snapshot()
-        assert snapshot["hot_side_exits"][0]["count"] == 2
-
-    def test_trace_trees_shrink_steady_state_tier1_residue(self):
-        """After a few warm rounds every recurring side exit owns a compiled
-        continuation: the steady-state tier-1 residue is (near) zero."""
-        config = TestProgramConfig(
-            solution=SolutionKind.SOFTWARE, num_samples=40, seed=2018
-        )
-        program = build_test_program(config)
-        simulator = SpikeSimulator(program.image)
-        simulator.run()
-        for _ in range(6):
-            simulator.reset()
-            simulator.run()
-        profile = simulator.executor.enable_profiling()
-        simulator.reset()
-        result = simulator.run()
-        assert profile.tier1_instructions <= 64, (
-            f"steady-state tier-1 residue {profile.tier1_instructions} "
-            f"instructions (of {result.instructions_retired}) — trace-tree "
-            "continuations should have absorbed the hot side exits"
-        )
