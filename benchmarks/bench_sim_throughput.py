@@ -12,10 +12,10 @@ kernel (the Table IV "Software" row) across all three simulator front ends:
   warm steady state — ``reset()`` restores cold caches and zeroed cycle
   state while the compiled timing spans stay warm, exactly what
   ``BatchRunner.acquire_timed`` gives a campaign worker — with the
-  cold-start single run recorded alongside as ``rocket_cold``; every warm
-  run's result digest *and* total cycle count are asserted equal to the
-  cold run's, and the cold run's cycles to a ``timing_tier=False``
-  interpreted run's),
+  cold-start single run recorded alongside as ``rocket_cold`` and a
+  ``timing_tier=False`` interpreted run as ``rocket_interpreted``; every
+  warm run's result digest *and* total cycle count are asserted equal to
+  the cold run's, and the cold run's cycles to the interpreted run's),
 * gem5-style atomic (``AtomicSimpleCPU``, the functional machine at 1 CPI),
 
 and appends the run to ``BENCH_sim.json`` at the repository root so future
@@ -60,6 +60,16 @@ from repro.testgen.generator import build_test_program  # noqa: E402
 SEED_BASELINE = {"functional": 365_000, "rocket": 152_000}
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sim.json")
+
+#: Same-run throughput ratios ``--check-regression`` requires, as
+#: ``(faster, slower, factor)`` over ``instr_per_s``: warm compiled timing
+#: spans must beat the interpreted Rocket loop, and a warm emulator its own
+#: cold start, by ``factor``.  Both rates come from one run on one host, so
+#: the gate does not depend on how fast the host is.
+RATE_RATIOS = (
+    ("rocket", "rocket_interpreted", 2.0),
+    ("rocket", "rocket_cold", 2.0),
+)
 
 #: Record fields (dotted paths) that repeat exactly on any host for a given
 #: sample count: ``--check-regression`` requires them to equal the latest
@@ -116,9 +126,10 @@ def _measure_warm(program, repeats: int, cold_digest: str) -> float:
 
 
 def _measure_rocket(image, program, repeats: int, cold_digest: str) -> tuple:
-    """Cycle-accurate cold + warm rates: ``(cold, warm, rocket_tiers)``.
+    """Cycle-accurate rates: ``(interpreted, cold, warm, rocket_tiers)``.
 
-    The cold number is a fresh-emulator single run (decode and timing-span
+    The interpreted number is one fresh ``timing_tier=False`` run.  The
+    cold number is a fresh-emulator single run (decode and timing-span
     compilation on the clock), repeated ``repeats`` times best-of.  The warm
     number reruns one emulator through :meth:`RocketEmulator.reset` — cold
     caches, reseeded replacement PRNGs, zeroed cycle state, warm timing
@@ -130,7 +141,12 @@ def _measure_rocket(image, program, repeats: int, cold_digest: str) -> tuple:
     run's — the compiled timing tier must be bit-invisible.
     """
     interpreted = RocketEmulator(image, timing_tier=False)
+    start = time.perf_counter()
     interpreted_result = interpreted.run()
+    interpreted_rate = (
+        interpreted_result.instructions_retired
+        / (time.perf_counter() - start)
+    )
     assert _result_digest(program, interpreted_result) == cold_digest, \
         "interpreted rocket run diverged from functional result"
 
@@ -171,7 +187,7 @@ def _measure_rocket(image, program, repeats: int, cold_digest: str) -> tuple:
         "timing_compile_seconds": round(emulator.timing_compile_seconds, 4),
         "timing_deopts": emulator.timing_deopts,
     }
-    return cold, warm, tiers
+    return interpreted_rate, cold, warm, tiers
 
 
 def run_benchmark(samples: int, repeats: int) -> dict:
@@ -191,7 +207,7 @@ def run_benchmark(samples: int, repeats: int) -> dict:
     instructions, functional_cold = _best_of(repeats, _cold_run)
     digest = _result_digest(program, cold_result[0])
     functional = _measure_warm(program, repeats, digest)
-    rocket_cold, rocket, rocket_tiers = _measure_rocket(
+    rocket_interpreted, rocket_cold, rocket, rocket_tiers = _measure_rocket(
         image, program, repeats, digest
     )
 
@@ -218,6 +234,7 @@ def run_benchmark(samples: int, repeats: int) -> dict:
             "functional_cold": round(functional_cold),
             "rocket": round(rocket),
             "rocket_cold": round(rocket_cold),
+            "rocket_interpreted": round(rocket_interpreted),
             "gem5_atomic": round(gem5),
         },
         "rocket_tiers": rocket_tiers,
@@ -261,29 +278,32 @@ def _field(entry: dict, path: str):
     return entry
 
 
-def check_regression(record: dict, baseline_path: str, tolerance: float) -> list:
-    """Compare a fresh record against the recorded throughput history.
+def check_regression(record: dict, baseline_path: str) -> list:
+    """Gate a fresh record: same-run rate ratios and exact counts.
 
-    Returns a list of human-readable failures for every front end whose
-    throughput dropped more than ``tolerance`` (a fraction, e.g. 0.1 for
-    10%) below the *slowest* recorded run of that front end, and for every
-    :data:`DETERMINISTIC_COUNTS` field that differs from the latest entry
-    recorded at the same sample count (fields that entry lacks are skipped).  Using the
-    history minimum rather than the latest entry makes the floor the
-    demonstrated worst case across recorded machines/loads — ordinary
-    run-to-run and runner-to-runner noise stays inside the recorded
-    envelope, while a real engine regression (these are typically
-    multiples, not percents) still trips the gate.  A missing or
-    malformed baseline is not a failure (first run / fresh checkout).
-
-    Only history entries measured at the *same sample count* are compared
-    when any exist (falling back to the whole history otherwise): per-run
-    rates scale with run length — cold-start decode/compile and process
-    setup amortize over more instructions at higher sample counts — so a
-    40-sample CI check against an 8000-sample record would compare
-    different quantities.  All recorded front ends are gated, including
-    ``rocket`` and ``gem5_atomic``.
+    Returns a list of human-readable failures: one for every
+    :data:`RATE_RATIOS` entry the record's own rates miss, and one for
+    every :data:`DETERMINISTIC_COUNTS` field that differs from the latest
+    entry of the ``baseline_path`` history recorded at the same sample
+    count (fields that entry lacks are skipped; a missing or malformed
+    baseline, or one with no entry at this sample count, gates the ratios
+    only).  No absolute instr/s rate is compared: a host's speed drifts,
+    and other hosts' entries would say more about those hosts than about
+    the engine, while a ratio of two rates measured in the same run does
+    not.  A record that lacks one of a ratio's rates (an entry written
+    before ``rocket_interpreted`` was recorded) skips that ratio.
     """
+    failures = []
+    rates = record.get("instr_per_s", {})
+    for faster, slower, factor in RATE_RATIOS:
+        fast, slow = rates.get(faster), rates.get(slower)
+        if fast is None or not slow:
+            continue
+        if fast < factor * slow:
+            failures.append(
+                f"{faster}/{slower}: {fast:,.0f} / {slow:,.0f} instr/s is "
+                f"{fast / slow:.2f}x, below the required {factor:.1f}x"
+            )
     try:
         with open(baseline_path) as handle:
             history = json.load(handle)["history"]
@@ -291,25 +311,8 @@ def check_regression(record: dict, baseline_path: str, tolerance: float) -> list
             entry for entry in history
             if entry.get("samples") == record.get("samples")
         ]
-        comparable = same_samples or history
-        baseline = {}
-        for entry in comparable:
-            for front_end, rate in entry.get("instr_per_s", {}).items():
-                if rate and (front_end not in baseline or rate < baseline[front_end]):
-                    baseline[front_end] = rate
     except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError):
-        return []
-    failures = []
-    for front_end, reference in baseline.items():
-        measured = record["instr_per_s"].get(front_end)
-        if measured is None or not reference:
-            continue
-        floor = reference * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"{front_end}: {measured:,.0f} instr/s is more than "
-                f"{tolerance:.0%} below the slowest recorded {reference:,.0f}"
-            )
+        same_samples = []
     if same_samples:
         latest = same_samples[-1]
         for name in DETERMINISTIC_COUNTS:
@@ -340,28 +343,23 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-regression", metavar="BASELINE", default=None,
-        help="compare against a recorded BENCH_sim.json and exit non-zero "
-             "on a throughput regression beyond --tolerance or on any "
-             "deterministic count differing from the latest entry at the "
-             "same sample count (the fresh run is NOT appended to the "
-             "baseline file in this mode)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.1,
-        help="allowed fractional throughput drop for --check-regression "
-             "(default 0.1 = 10%%)",
+        help="exit non-zero if warm Rocket spans run less than 2x the "
+             "interpreted or the cold Rocket rate of the same run, or if "
+             "any deterministic count differs from the latest entry of "
+             "this BENCH_sim.json at the same sample count (the fresh run "
+             "is NOT appended to the baseline file in this mode)",
     )
     args = parser.parse_args(argv)
 
     record = run_benchmark(args.samples, args.repeats)
     if args.check_regression is not None:
-        failures = check_regression(record, args.check_regression, args.tolerance)
+        failures = check_regression(record, args.check_regression)
         rates = record["instr_per_s"]
-        print(f"regression check vs {args.check_regression} "
-              f"(tolerance {args.tolerance:.0%}):")
+        print(f"regression check vs {args.check_regression}:")
         print(f"  functional {rates['functional']:,} / "
               f"rocket warm {rates['rocket']:,} "
-              f"(cold {rates['rocket_cold']:,}) / "
+              f"(cold {rates['rocket_cold']:,}, "
+              f"interpreted {rates['rocket_interpreted']:,}) / "
               f"gem5 {rates['gem5_atomic']:,} instr/s")
         for failure in failures:
             print(f"  REGRESSION {failure}")
@@ -384,6 +382,7 @@ def main(argv=None) -> int:
           f"({speedups['rocket']:.2f}x vs seed interpreter)")
     print(f"  cycle-accurate cold:  {rates['rocket_cold']:>12,} instr/s  "
           f"({speedups['rocket_cold']:.2f}x vs seed interpreter)")
+    print(f"  rocket interpreted:   {rates['rocket_interpreted']:>12,} instr/s")
     print(f"  gem5 atomic:          {rates['gem5_atomic']:>12,} instr/s")
     print(f"  rocket timing tier: "
           f"{rocket_tiers['compiled_instructions']:,} compiled / "

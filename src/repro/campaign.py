@@ -166,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__.splitlines()[0],
     )
     parser.add_argument(
-        "--samples", type=positive_int,
-        default=int(os.environ.get("REPRO_BENCH_SAMPLES", 200)),
-        help="samples per cell (default 200; paper scale 8000)",
+        "--samples", type=positive_int, default=None,
+        help="samples per cell (default: $REPRO_BENCH_SAMPLES, else 200; "
+             "paper scale 8000)",
     )
     parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
+        "--workers", type=positive_int, default=os.cpu_count() or 1,
         help="worker processes (default: CPU count; 1 = serial in-process)",
     )
     parser.add_argument(
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--no-verify", action="store_true",
-                        help="skip the functional verification pass")
+                        help="skip the golden check of the measured run")
     parser.add_argument(
         "--mp-start-method", default=None,
         choices=("fork", "spawn", "forkserver"),
@@ -345,23 +345,33 @@ def _grouping(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.samples is None:
+        # The environment default: a bad value is a usage error naming the
+        # variable, as a bad flag is one naming the flag.
+        try:
+            args.samples = positive_int(
+                os.environ.get("REPRO_BENCH_SAMPLES", "200")
+            )
+        except argparse.ArgumentTypeError as error:
+            parser.error(f"REPRO_BENCH_SAMPLES: {error}")
     if args.list_workloads:
         for name, workload in sorted(registered_workloads().items()):
             print(f"{name:<16s} {workload.description}")
         return 0
     if args.workload and args.classes is not None:
-        build_parser().error(
+        parser.error(
             "--classes and --workload are mutually exclusive: a workload "
             "defines its own operand distribution"
         )
     if args.pipeline_sweep and args.workload:
-        build_parser().error(
+        parser.error(
             "--pipeline-sweep and --workload are mutually exclusive: the "
             "sweep measures the Table IV operand mix per design point"
         )
     if args.pipeline_sweep and args.kinds:
-        build_parser().error(
+        parser.error(
             "--pipeline-sweep and --kinds are mutually exclusive: the sweep "
             "defines its own design points (Method-1 variants + baseline)"
         )

@@ -5,10 +5,13 @@ accelerator, decimal library, kernels).  :class:`EvaluationFramework` wires
 them together into the paper's flow (Fig. 2):
 
 1. the test-program generator builds a RISC-V binary for a co-design solution,
-2. the SPIKE-like functional simulator verifies it against the golden decimal
-   library and the verification database,
-3. the Rocket-like emulator with the RoCC decimal accelerator measures cycles
-   (split into software part and hardware part, as in Table IV),
+2. the Rocket-like emulator with the RoCC decimal accelerator measures cycles
+   (split into software part and hardware part, as in Table IV), and the
+   result words of that measured run are checked against the golden decimal
+   library and the verification database (the paper checks on Spike because
+   its Rocket is RTL; this Rocket runs Spike's tier-1 machine plus timing),
+3. differential campaigns also run the SPIKE-like functional simulator and
+   diff its words against Rocket's and gem5's,
 4. the Gem5 AtomicSimpleCPU model and host wall-clock runs provide the
    cross-checks of Tables V and VI,
 5. the reporting module renders the paper's tables from the measurements, and

@@ -14,8 +14,9 @@ over worker processes:
 * each cell's shared vector set is generated once from the seed
   (bit-identical to the serial framework's) and **sharded** into contiguous
   slices; a shard is the unit of work: the worker builds and links the
-  shard's test program once, runs SPIKE-style verification and the Rocket
-  measurement, and returns a picklable :class:`ShardCycleReport`;
+  shard's test program once, runs the Rocket measurement, golden-checks
+  that run's result words, and returns a picklable
+  :class:`ShardCycleReport`;
 * shards are merged (order-independently, keyed by sample range) through
   :func:`repro.core.results.merge_shard_reports` — the same accounting the
   serial path uses.

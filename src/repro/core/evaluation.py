@@ -7,13 +7,15 @@
     table_iv = framework.evaluate_table_iv()
     print(reporting.render_table_iv(table_iv))
 
-All three solutions are evaluated over the *same* operand vectors, results of
-verifiable solutions are checked against the golden library on the functional
-simulator first, and the cycle measurements come from the Rocket-like emulator
-with the decimal accelerator attached.
+All three solutions are evaluated over the *same* operand vectors, the cycle
+measurements come from the Rocket-like emulator with the decimal accelerator
+attached, and for verifiable solutions the result words of that same run are
+checked against the golden library.  The paper checks on Spike because its
+Rocket is RTL; here Rocket runs the functional simulator's tier-1 machine
+plus timing, so checking its words checks the run whose cycles are reported.
 
 The measurement primitive is :func:`run_solution_shard`: one campaign cell's
-spike + Rocket (+ gem5 when differential) pass over a contiguous slice of
+Rocket (+ spike and gem5 when differential) pass over a contiguous slice of
 vectors, acquired through a :class:`~repro.sim.batch.BatchRunner` that links
 the cell's program once for every model.  Every evaluation is made of such
 shards: the framework measures each solution as one shard over its own
@@ -111,14 +113,15 @@ def run_solution_shard(
 
     This is the single unit of work of every evaluation: the shard's
     program is acquired through ``runner`` (a fresh :class:`~repro.sim.
-    batch.BatchRunner` when omitted — the cold reference), run on the
-    SPIKE-style functional simulator when the ``cell`` checks its solution
-    or is differential (golden-checked when the solution is verifiable),
-    then measured on the Rocket-like emulator under the cell's
-    :class:`~repro.rocket.config.RocketConfig`.  ``start``/``shard_index``
-    only label the shard inside a larger campaign; a serial run passes the
-    full vector set with ``start=0``.  ``checker`` overrides the cell's
-    default functional checker.
+    batch.BatchRunner` when omitted — the cold reference) and measured on
+    the Rocket-like emulator under the cell's :class:`~repro.rocket.config.
+    RocketConfig`.  When the ``cell`` checks a verifiable solution, the
+    result words of that Rocket run — the run whose cycles are reported —
+    are golden-checked; a failure raises :class:`~repro.errors.
+    VerificationError` naming the samples.  ``start``/``shard_index`` only
+    label the shard inside a larger campaign; a serial run passes the full
+    vector set with ``start=0``.  ``checker`` overrides the cell's default
+    functional checker.
 
     A warm runner links each program shape once and keeps its models warm
     between shards (decoded closures and superblocks for the functional run,
@@ -127,9 +130,10 @@ def run_solution_shard(
 
     A differential cell becomes a cross-model shard — the one
     co-simulation path, which the fuzz engine (:mod:`repro.fuzz`) drives
-    too: the functional check uses the **dual-oracle** checker (decnumber +
-    stdlib ``decimal``), the program additionally runs on the gem5 atomic
-    model, and the spike/rocket/gem5 result buffers are diffed
+    too, and the only one that runs the SPIKE-style functional simulator:
+    the check uses the **dual-oracle** checker (decnumber + stdlib
+    ``decimal``), the program additionally runs on Spike and on the gem5
+    atomic model, and the spike/rocket/gem5 result buffers are diffed
     vector-by-vector.  Divergences, oracle disagreements and check failures
     are *recorded* (instead of raising): counts in the shard report, so a
     sharded campaign can merge and render them, and the live divergences
@@ -160,39 +164,13 @@ def run_solution_shard(
     verify = cell.verify_functionally and solution.verifiable
 
     spike_words = None
-    if verify or differential:
+    if differential:
         program, simulator = runner.acquire(solution, config, vectors)
         started = time.perf_counter()
         functional = simulator.run()
         report.sim_wall_seconds += time.perf_counter() - started
         outcome.functional_result = functional
         spike_words = program.read_results(functional)
-
-    if verify:
-        if checker is None:
-            if differential:
-                from repro.verification.differential import (
-                    dual_checker_for_workload,
-                )
-
-                checker = dual_checker_for_workload(cell.workload, fmt, operation)
-            else:
-                checker = checker_for_workload(cell.workload, fmt, operation)
-        outcome.check_report = checker.check_run(vectors, spike_words)
-        report.verified = True
-        report.check_total = outcome.check_report.total
-        report.check_failed = outcome.check_report.failed
-        report.oracle_disagreements = len(
-            getattr(outcome.check_report, "oracle_disagreements", ())
-        )
-        if not differential and not outcome.check_report.all_passed:
-            # Differential cells record failures for the campaign report
-            # instead of aborting the whole run on the first bad shard.
-            raise VerificationError(
-                f"{solution.name}: functional verification failed "
-                f"({outcome.check_report.failed}/{outcome.check_report.total}) "
-                f"on samples [{start}:{start + len(vectors)})"
-            )
 
     program, emulator = runner.acquire_timed(
         solution, config, vectors, rocket_config=cell.rocket_config
@@ -215,6 +193,35 @@ def run_solution_shard(
     report.dcache_hits = timed.dcache_stats.hits
     report.dcache_misses = timed.dcache_stats.misses
     report.rocc_commands = timed.rocc_commands
+    rocket_words = (
+        program.read_results(timed) if verify or differential else None
+    )
+
+    if verify:
+        if checker is None:
+            if differential:
+                from repro.verification.differential import (
+                    dual_checker_for_workload,
+                )
+
+                checker = dual_checker_for_workload(cell.workload, fmt, operation)
+            else:
+                checker = checker_for_workload(cell.workload, fmt, operation)
+        outcome.check_report = checker.check_run(vectors, rocket_words)
+        report.verified = True
+        report.check_total = outcome.check_report.total
+        report.check_failed = outcome.check_report.failed
+        report.oracle_disagreements = len(
+            getattr(outcome.check_report, "oracle_disagreements", ())
+        )
+        if not differential and not outcome.check_report.all_passed:
+            # Differential cells record failures for the campaign report
+            # instead of aborting the whole run on the first bad shard.
+            raise VerificationError(
+                f"{solution.name}: functional verification failed "
+                f"({outcome.check_report.failed}/{outcome.check_report.total}) "
+                f"on samples [{start}:{start + len(vectors)})"
+            )
 
     if differential:
         from repro.verification.coverage import CoverageTracker
@@ -229,7 +236,7 @@ def run_solution_shard(
 
         words_by_model = {
             "spike": spike_words,
-            "rocket": program.read_results(timed),
+            "rocket": rocket_words,
             "gem5": program.read_results(gem5_result),
         }
         report.models = tuple(words_by_model)
@@ -338,7 +345,7 @@ class EvaluationFramework:
         )
 
     def run_cycle_accurate(self, kind: str) -> SolutionCycleReport:
-        """Full pipeline for one solution kind: verify functionally, then measure."""
+        """Measure one solution kind and golden-check the measured run."""
         return self.measure(self.solutions[kind])
 
     # -------------------------------------------------------------- experiments

@@ -26,6 +26,8 @@ import sys
 import tempfile
 import time
 
+from repro.campaign import positive_int
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -40,10 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=".repro-cache",
         help="content-addressed result store directory (default .repro-cache)",
     )
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=positive_int, default=1,
                         help="shard worker pool size (default 1; >1 uses "
                              "a process pool)")
-    parser.add_argument("--shards-per-cell", type=int, default=1,
+    parser.add_argument("--shards-per-cell", type=positive_int, default=1,
                         help="default shard plan per cell (default 1)")
     parser.add_argument(
         "--mp-start-method", default=None,
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
              "throwaway server+cache and assert a 100%% warm hit rate with "
              "a bit-identical summary",
     )
-    parser.add_argument("--samples", type=int, default=50,
+    parser.add_argument("--samples", type=positive_int, default=50,
                         help="samples per cell in --smoke mode (default 50)")
     return parser
 

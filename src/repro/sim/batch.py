@@ -8,7 +8,8 @@ shape* (solution x format x operation x sample count x repetitions:
 everything that determines the generated text).  An entry holds the shape's
 linked program, its SPIKE-style simulator and one Rocket emulator per
 :class:`~repro.rocket.config.RocketConfig`, each model created on first
-use, so a shard that never runs the functional model never builds one.
+use, so a shard that never runs the functional model (every
+non-differential one) never builds one.
 
 :meth:`~BatchRunner.acquire` (functional) and
 :meth:`~BatchRunner.acquire_timed` (cycle-accurate) share one bind step:
@@ -18,8 +19,8 @@ use, so a shard that never runs the functional model never builds one.
 * a vector set that differs (by value) from the entry's current one is
   re-encoded once and patched into the program's image
   (:meth:`~repro.testgen.generator.GeneratedProgram.rebind`); the same
-  vectors acquired again (the functional then the timed run of one shard)
-  reuse the bound program as it is.
+  vectors acquired again (a differential shard's functional then timed
+  run) reuse the bound program as it is.
 
 A model that has already run is restored before it is handed out again: the
 bound image's operand and result window is written into its memory and

@@ -320,18 +320,22 @@ class TestBatchRunner:
         assert (runner.timed_misses, runner.timed_hits) == (1, 1)
 
     def test_unchecked_shard_builds_no_functional_simulator(self):
-        # A non-differential dummy cell is never run on the functional
-        # model, so its shard must not construct one.
+        # A non-differential cell is never run on the functional model, so
+        # its shard must not construct one: neither an unchecked dummy cell
+        # nor a checked Method-1 cell, whose Rocket words are checked.
         from repro.core.campaign import table_iv_cells
         from repro.core.evaluation import run_solution_shard
 
-        cell, = table_iv_cells(num_samples=6, kinds=("method1_dummy",))
-        runner = BatchRunner()
-        outcome = run_solution_shard(cell, cell.generate_vectors(),
-                                     runner=runner)
-        assert outcome.functional_result is None
-        assert runner.hits == runner.misses == 0
-        assert runner.timed_misses == 1
+        for kind in ("method1_dummy", "method1"):
+            cell, = table_iv_cells(num_samples=6, kinds=(kind,))
+            runner = BatchRunner()
+            outcome = run_solution_shard(cell, cell.generate_vectors(),
+                                         runner=runner)
+            assert outcome.functional_result is None
+            assert runner.hits == runner.misses == 0
+            assert runner.timed_misses == 1
+        assert outcome.check_report.total == 6
+        assert outcome.check_report.all_passed
 
     def test_rebuild_after_eviction_is_identical(self):
         """A shape evicted and rebuilt runs bit-identically to its first
@@ -402,8 +406,11 @@ class TestCampaignWarmWorkers:
                          workers=1, shards_per_cell=2)
             runner = campaign_mod._SHARD_RUNNER
             assert runner is not None
-            assert runner.hits + runner.misses == 2
-            assert runner.hits >= 1, "same-shape shards did not reuse the cache"
+            # A checked, non-differential cell runs Rocket only.
+            assert runner.hits == runner.misses == 0
+            assert runner.timed_hits + runner.timed_misses == 2
+            assert runner.timed_hits >= 1, \
+                "same-shape shards did not reuse the cache"
         finally:
             campaign_mod._SHARD_RUNNER = None
 

@@ -1,5 +1,6 @@
 """Campaign engine: shard-merge correctness, determinism, accounting fixes."""
 
+import json
 import random
 
 import pytest
@@ -354,6 +355,7 @@ class TestOperationDifferentialSmoke:
 
 @pytest.mark.parametrize("cli,flag", [
     ("repro.campaign", "--samples"),
+    ("repro.campaign", "--workers"),
     ("repro.campaign", "--shards-per-cell"),
     ("repro.campaign", "--repetitions"),
     ("repro.fuzz.__main__", "--budget"),
@@ -371,3 +373,41 @@ def test_count_flag_below_one_exits_2_naming_the_flag(cli, flag, value, capsys):
         main([flag, value])
     assert raised.value.code == 2
     assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--workers", "--shards-per-cell"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_serve_count_flag_below_one_exits_2_naming_the_flag(flag, value,
+                                                            capsys):
+    # --smoke, so that a value the parser let through runs one throwaway
+    # server and returns instead of serving forever.
+    from repro.serve import main
+
+    with pytest.raises(SystemExit) as raised:
+        main(["--smoke", flag, value])
+    assert raised.value.code == 2
+    assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "ten"])
+def test_bad_samples_environment_default_exits_2_naming_it(value, monkeypatch,
+                                                           capsys):
+    from repro.campaign import main
+
+    monkeypatch.setenv("REPRO_BENCH_SAMPLES", value)
+    with pytest.raises(SystemExit) as raised:
+        main(["--kinds", "software"])
+    assert raised.value.code == 2
+    assert "error: REPRO_BENCH_SAMPLES: must be" in capsys.readouterr().err
+
+
+def test_samples_environment_default_sets_the_cell_size(monkeypatch,
+                                                        tmp_path):
+    from repro.campaign import main
+
+    monkeypatch.setenv("REPRO_BENCH_SAMPLES", "3")
+    summary = tmp_path / "summary.json"
+    assert main(["--kinds", "method1_dummy", "--workers", "1",
+                 "--json", str(summary)]) == 0
+    cell, = json.loads(summary.read_text())["cells"]
+    assert cell["samples"] == 3

@@ -101,6 +101,32 @@ class TestEvaluationFramework:
         assert outcome.check_report.total == small_framework.num_samples
         assert outcome.check_report.all_passed
 
+    @pytest.mark.parametrize("kind", [SolutionKind.SOFTWARE,
+                                      SolutionKind.METHOD1])
+    def test_span_fault_fails_checked_cell(self, kind, monkeypatch):
+        """A compiled timing span that mis-executes must fail a default,
+        non-differential cell: its Rocket words are the ones checked."""
+        from repro.core.campaign import table_iv_cells
+        from repro.core.evaluation import run_solution_shard
+        from repro.errors import VerificationError
+        from repro.rocket import timing
+        from repro.sim.batch import BatchRunner
+
+        render = timing._render
+
+        def faulty_render(pc, d, template):
+            # Flip bit 0 of every xor result computed inside a span.
+            rendered = render(pc, d, template)
+            return f"({rendered}) ^ 1" if d.mnemonic == "xor" else rendered
+
+        monkeypatch.setattr(timing, "_render", faulty_render)
+        cell, = table_iv_cells(num_samples=32, kinds=(kind,))
+        assert not cell.differential
+        with pytest.raises(VerificationError,
+                           match=r"failed \(\d+/32\) on samples \[0:32\)"):
+            run_solution_shard(cell, cell.generate_vectors(),
+                               runner=BatchRunner())
+
     def test_table_iv_shape(self, table_iv):
         """The paper's qualitative result: the co-design solution is fastest,
         the dummy estimate is slower than the real accelerator but still
