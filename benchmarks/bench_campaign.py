@@ -48,6 +48,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.campaign import positive_int, samples_from_env  # noqa: E402
 from repro.core.campaign import (  # noqa: E402
     grid_cells,
     operation_cells,
@@ -226,16 +227,16 @@ def persist(record: dict, path: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--samples", type=int,
-        default=int(os.environ.get("REPRO_BENCH_SAMPLES", 800)),
-        help="samples per cell (default 800; paper scale 8000)",
+        "--samples", type=positive_int, default=None,
+        help="samples per cell (default: $REPRO_BENCH_SAMPLES, else 800; "
+             "paper scale 8000)",
     )
     parser.add_argument(
-        "--workers", type=int, default=min(4, os.cpu_count() or 1),
+        "--workers", type=positive_int, default=min(4, os.cpu_count() or 1),
         help="worker processes for the parallel run (default: min(4, cores))",
     )
     parser.add_argument(
-        "--shards-per-cell", type=int, default=None,
+        "--shards-per-cell", type=positive_int, default=None,
         help="shards per cell (default: same as --workers)",
     )
     parser.add_argument(
@@ -263,11 +264,13 @@ def main(argv=None) -> int:
         "--out", default=DEFAULT_OUT, help="benchmark history JSON path"
     )
     args = parser.parse_args(argv)
+    if args.samples is None:
+        args.samples = samples_from_env(parser, 800)
     if args.pipeline_sweep and args.workload:
         parser.error("--pipeline-sweep and --workload are mutually exclusive")
     if args.service and (args.pipeline_sweep or args.workload or args.operations):
         parser.error("--service benchmarks the Table IV campaign only")
-    shards = args.shards_per_cell if args.shards_per_cell else max(1, args.workers)
+    shards = args.shards_per_cell or args.workers
 
     if args.service:
         record = run_service_benchmark(args.samples, args.workers, shards)

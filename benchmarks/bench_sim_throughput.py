@@ -48,6 +48,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.campaign import positive_int, samples_from_env  # noqa: E402
 from repro.gem5.atomic_cpu import AtomicSimpleCPU  # noqa: E402
 from repro.rocket.core import RocketEmulator  # noqa: E402
 from repro.sim.spike import SpikeSimulator  # noqa: E402
@@ -330,12 +331,12 @@ def check_regression(record: dict, baseline_path: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--samples", type=int,
-        default=int(os.environ.get("REPRO_BENCH_SAMPLES", 40)),
-        help="operand samples in the kernel run (default 40; paper scale 8000)",
+        "--samples", type=positive_int, default=None,
+        help="operand samples in the kernel run (default: "
+             "$REPRO_BENCH_SAMPLES, else 40; paper scale 8000)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=positive_int, default=3,
         help="timing repetitions; best run is recorded (default 3)",
     )
     parser.add_argument(
@@ -350,6 +351,8 @@ def main(argv=None) -> int:
              "is NOT appended to the baseline file in this mode)",
     )
     args = parser.parse_args(argv)
+    if args.samples is None:
+        args.samples = samples_from_env(parser, 40)
 
     record = run_benchmark(args.samples, args.repeats)
     if args.check_regression is not None:

@@ -109,6 +109,18 @@ def positive_int(text: str) -> int:
     return value
 
 
+def samples_from_env(parser: argparse.ArgumentParser, default: int) -> int:
+    """The sample count in ``$REPRO_BENCH_SAMPLES``, else ``default``.
+
+    A bad value is a usage error naming the variable, as a bad flag is one
+    naming the flag.
+    """
+    try:
+        return positive_int(os.environ.get("REPRO_BENCH_SAMPLES", str(default)))
+    except argparse.ArgumentTypeError as error:
+        parser.error(f"REPRO_BENCH_SAMPLES: {error}")
+
+
 def _parse_positive_ints(flag: str):
     def parse(text: str):
         values = []
@@ -348,14 +360,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.samples is None:
-        # The environment default: a bad value is a usage error naming the
-        # variable, as a bad flag is one naming the flag.
-        try:
-            args.samples = positive_int(
-                os.environ.get("REPRO_BENCH_SAMPLES", "200")
-            )
-        except argparse.ArgumentTypeError as error:
-            parser.error(f"REPRO_BENCH_SAMPLES: {error}")
+        args.samples = samples_from_env(parser, 200)
     if args.list_workloads:
         for name, workload in sorted(registered_workloads().items()):
             print(f"{name:<16s} {workload.description}")

@@ -6,8 +6,8 @@ bit, each store a size.  Both engines generate their code from these
 entries instead of writing the instructions out themselves:
 
 * the threaded-code executor (:meth:`repro.sim.executor.Executor._build`)
-  exec-compiles one closure factory per mnemonic, operands bound as closure
-  cells;
+  exec-compiles one closure factory per mnemonic and closure (fast or
+  info op), operands bound as closure cells;
 * the Rocket timing tier (:mod:`repro.rocket.timing`) renders them over the
   register file.
 

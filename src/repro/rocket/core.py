@@ -238,7 +238,7 @@ class RocketEmulator:
         icache_access = icache.access
         dcache_access = dcache.access
         timed_get = executor._timed.get
-        compile_ = executor._compile
+        timed_entry = executor._timed_entry
         ready = self._reg_ready
         load_use_latency = config.load_use_latency_cycles
         mul_latency = config.mul_latency_cycles
@@ -336,8 +336,7 @@ class RocketEmulator:
 
                 entry = timed_get(pc)
                 if entry is None:
-                    compile_(pc)
-                    entry = timed_get(pc)
+                    entry = timed_entry(pc)
                 op, info, direct = entry
                 decoded = info.decoded
 

@@ -19,7 +19,11 @@ synchronized state:
 * RoCC custom instructions (:class:`~repro.rocc.pipeline.AcceleratorPipeline`
   occupancy and the accelerator's architectural effects must stay bit-exact,
   so they stay interpreted),
-* anything the emitter does not model (defensive: unknown mnemonics).
+* anything the emitter does not model (defensive: unknown mnemonics),
+
+or until it reaches the head of a span that is already compiled: the new
+span exits there and the interpreted loop enters that span next, so its code
+is not compiled a second time.
 
 Conditional branches become guarded early exits; a backward branch (or
 ``jal``) to the span head closes a native ``while`` loop with a fuel check at
@@ -78,9 +82,9 @@ from repro.isa.semantics import (
 )
 
 #: Redirect arrivals at a pc before a timing span is compiled there.  A span
-#: costs about 2 ms to build (seed-7 ``op_sweep_diff``, traced on a shared
-#: 2-core VM: 377 spans in 0.79 s); anything arriving 16 times is either a
-#: loop head or per-sample code that will arrive hundreds more.
+#: costs about 1.2 ms to build (seed-7 ``op_sweep_diff``, traced on a shared
+#: 2-core VM: 339 spans in 0.37-0.49 s); anything arriving 16 times is
+#: either a loop head or per-sample code that will arrive hundreds more.
 PROMOTE_ARRIVALS = 16
 
 #: Heat added when a compiled span *exits* to an uncompiled pc — the timing
@@ -116,17 +120,27 @@ def _walk(executor, head):
     Returns ``(items, tail)`` where ``items`` is a list of
     ``(pc, decoded, kind)`` and ``tail`` describes how the span ends:
 
-    ``("fall", pc)``     span falls through to ``pc`` (stopper / cap / rejoin)
+    ``("fall", pc)``     span falls through to ``pc`` (stopper / cap / rejoin
+                         / the head of a compiled span)
     ``("jalexit", pc)``  last item is a ``jal`` whose target was already
                          traced — exit to the target instead of re-inlining
     ``("jalr",)``        last item is an indirect jump (dynamic exit)
     ``("loop",)``        last item closes a native loop back to ``head``
+
+    A pc other than ``head`` that already heads a compiled span ends the
+    walk: the new span exits into that span through the interpreted loop
+    instead of compiling the same code a second time.
     """
     items = []
     visited = set()
+    compiled = executor._tblocks
     p = head
     while True:
-        if len(items) >= MAX_SPAN or p in visited:
+        if (
+            len(items) >= MAX_SPAN
+            or p in visited
+            or (p in compiled and p != head)
+        ):
             return items, ("fall", p)
         try:
             d = executor.fetch_decode(p)

@@ -18,28 +18,38 @@ Instead of re-decoding and re-dispatching on a mnemonic string for every
 retired instruction, the engine *compiles* each static instruction the first
 time it is executed:
 
-* :meth:`Executor._compile` decodes the word at ``pc`` once and builds a
-  **specialized closure** with every operand pre-bound — register indices,
+* :meth:`Executor._compile` decodes the word at ``pc`` once and records its
+  *static facts*: the decoded word, an :class:`ExecInfo` holding the
+  compile-time fields (timing class, memory size, jump target), its
+  superblock kind and whether it is *direct* (its fast op gives a timing
+  model everything it needs).
+* From those facts each model builds only the **specialized closure** it
+  dispatches through, with every operand pre-bound — register indices,
   sign-extended and pre-masked immediates, branch targets, ``pc + 4`` — so
   executing the instruction is a single closure call with no decode, no
-  dispatch and no dead work.
-* Closures are stored in a **PC-indexed dispatch table** (``_ops``), so the
-  hot loop never even re-fetches the instruction word from memory.
+  dispatch and no dead work:
+
+  - :meth:`run` builds a **fast op** that returns only the next PC;
+  - :meth:`step` builds an **info op** that also sets ``hart.pc`` and fills
+    the pc's ``ExecInfo`` for the timing models;
+  - the Rocket loop builds a ``_timed`` entry: the fast op of a direct
+    instruction, the info op otherwise.
+
+  The functional path therefore builds no info op (bar its slow ops, below)
+  and never fills an ``ExecInfo``'s dynamic fields.
+* Closures are stored in **PC-indexed dispatch tables** (``_ops``,
+  ``_info_ops``, ``_timed``), so the hot loop never even re-fetches the
+  instruction word from memory.
 * ALU ops, branches and loads take their semantics from the table in
   :mod:`repro.isa.semantics`: their closures come from factories rendered
-  from it and exec-compiled once per (shape, mnemonic) per process, so a
-  warm process builds a new program's closures without calling
-  ``compile()``.
-* Every instruction gets *two* closures: a **fast op** used by
-  :meth:`run` that returns only the next PC, and an **info op** used by
-  :meth:`step` that additionally maintains an :class:`ExecInfo` record for
-  the timing models.  ``ExecInfo`` materialization is therefore *opt-in*:
-  the functional path never allocates or fills one.
-* The per-PC ``ExecInfo`` object is created at compile time and **reused**
-  across executions of that instruction; only the dynamic fields (memory
-  address, branch outcome, RoCC response) are rewritten per step.  Timing
-  models must consume the record before their next ``step()`` call (all
-  in-tree models do).
+  from it and exec-compiled once per (shape, mnemonic, closure) per
+  process, so a warm process builds a new program's closures without
+  calling ``compile()``.
+* The per-PC ``ExecInfo`` object is created once and **reused** across
+  executions of that instruction, whichever closure reads it; only the
+  dynamic fields (memory address, branch outcome, RoCC response) are
+  rewritten per step.  Timing models must consume the record before their
+  next ``step()`` call (all in-tree models do).
 * :meth:`run` threads straight-line runs of fast ops into superblocks
   (``_blocks``), so its dispatch loop pays one table lookup per block.
 
@@ -49,7 +59,7 @@ Correctness safeguards:
   entries, so self-modifying code behaves exactly as under the old
   fetch-every-step interpreter; ``fence.i`` flushes the whole table.
 * Rare instructions that need up-to-date counter state (CSR reads, ``ecall``,
-  ``ebreak``) compile to a closure that raises the :data:`_SLOW` sentinel;
+  ``ebreak``) compile to a fast op that raises :class:`_SlowPath`;
   :meth:`run` catches it, synchronizes ``retired``/``hart.pc`` and executes
   the instruction through the exact info-op path.
 * The HTIF host interface requests a halt through :meth:`request_halt`
@@ -89,12 +99,10 @@ class _SlowPath(Exception):
     """Internal: the fast table defers this PC to the info-op path."""
 
 
-#: Preallocated sentinel raised by slow fast-ops (CSR/ecall/ebreak).
-_SLOW = _SlowPath()
-
-
 def _raise_slow():
-    raise _SLOW
+    # A fresh instance each time: a reused one would keep every traceback
+    # it was raised through, and with their frames every executor run.
+    raise _SlowPath()
 
 
 class _Stopped(Exception):
@@ -156,26 +164,37 @@ class ExecInfo:
 
 
 # ---------------------------------------------------- tier-1 closure factories
-#: Source of the tier-1 closure factories, one per shape, rendered from the
-#: semantics table and exec-compiled once per (shape, mnemonic).  Operands
-#: arrive as factory arguments, so each is a closure cell exactly as in a
-#: hand-written closure, and the 64-bit mask is a constant.
+#: Source of the tier-1 closure factories, one per (shape, closure), rendered
+#: from the semantics table and exec-compiled once per (shape, mnemonic,
+#: closure).  Operands arrive as factory arguments, so each one the closure
+#: reads is a closure cell exactly as in a hand-written closure (the others
+#: stay plain locals), and the 64-bit mask is a constant.  ``fast`` closures
+#: return the next pc; ``info`` closures set ``hart.pc`` and return the
+#: pc's :class:`ExecInfo`.
 _T1_SOURCES = {
-    "alu": (
+    ("alu", "fast"): (
         "def factory(regs, rd, rs1, rs2, imm, uimm, pcimm, info, hart, next_pc):\n"
         "    def fast():\n"
         "        regs[rd] = {value}\n"
         "        return next_pc\n"
+        "    return fast\n"
+    ),
+    ("alu", "info"): (
+        "def factory(regs, rd, rs1, rs2, imm, uimm, pcimm, info, hart, next_pc):\n"
         "    def info_op():\n"
         "        regs[rd] = {value}\n"
         "        hart.pc = next_pc\n"
         "        return info\n"
-        "    return fast, info_op\n"
+        "    return info_op\n"
     ),
-    "branch": (
+    ("branch", "fast"): (
         "def factory(regs, rs1, rs2, taken_pc, info, hart, next_pc):\n"
         "    def fast():\n"
         "        return taken_pc if {value} else next_pc\n"
+        "    return fast\n"
+    ),
+    ("branch", "info"): (
+        "def factory(regs, rs1, rs2, taken_pc, info, hart, next_pc):\n"
         "    def info_op():\n"
         "        if {value}:\n"
         "            info.branch_taken = True\n"
@@ -186,20 +205,24 @@ _T1_SOURCES = {
         "            info.next_pc = next_pc\n"
         "            hart.pc = next_pc\n"
         "        return info\n"
-        "    return fast, info_op\n"
+        "    return info_op\n"
     ),
-    "load": (
+    ("load", "fast"): (
         "def factory(regs, rd, rs1, imm, read, info, hart, next_pc):\n"
         "    def fast():\n"
-        "        {fast}\n"
+        "        {access}\n"
         "        return next_pc\n"
+        "    return fast\n"
+    ),
+    ("load", "info"): (
+        "def factory(regs, rd, rs1, imm, read, info, hart, next_pc):\n"
         "    def info_op():\n"
         "        address = (regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF\n"
-        "        {info}\n"
+        "        {access}\n"
         "        info.mem_addr = address\n"
         "        hart.pc = next_pc\n"
         "        return info\n"
-        "    return fast, info_op\n"
+        "    return info_op\n"
     ),
 }
 
@@ -215,28 +238,83 @@ _T1_OPERANDS = {
 
 
 @functools.cache
-def _t1_factory(shape: str, mnemonic: str):
-    """The tier-1 closure factory for ``mnemonic`` in ``shape``.
+def _t1_factory(shape: str, mnemonic: str, closure: str):
+    """The factory of ``mnemonic``'s ``closure`` (``fast`` or ``info``).
 
     Shapes: ``alu`` (``rd != x0``), ``branch``, ``load`` and ``load_x0``.
     """
     if shape in ("alu", "branch"):
         op = ALU[mnemonic] if shape == "alu" else BRANCHES[mnemonic]
-        source = _T1_SOURCES[shape].format(
+        source = _T1_SOURCES[shape, closure].format(
             value=op.template.format_map(_T1_OPERANDS)
         )
     else:
         load = LOADS[mnemonic]
-        fast = f"read((regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF, {load.size})"
-        info = f"read(address, {load.size})"
+        address = (
+            "address" if closure == "info"
+            else "(regs[rs1] + imm) & 0xFFFFFFFFFFFFFFFF"
+        )
+        access = f"read({address}, {load.size})"
         if shape == "load":
-            fast = f"regs[rd] = {load.extend(fast)}"
-            info = f"regs[rd] = {load.extend(info)}"
+            access = f"regs[rd] = {load.extend(access)}"
         # else: x0 loads still perform the access (MMIO side effects).
-        source = _T1_SOURCES["load"].format(fast=fast, info=info)
+        source = _T1_SOURCES["load", closure].format(access=access)
     namespace = dict(HELPERS)
-    exec(compile(source, f"<tier1:{shape}:{mnemonic}>", "exec"), namespace)
+    exec(compile(source, f"<tier1:{shape}:{mnemonic}:{closure}>", "exec"),
+         namespace)
     return namespace["factory"]
+
+
+_CSR_MNEMONICS = ("csrrs", "csrrw", "csrrc", "csrrsi", "csrrwi", "csrrci")
+
+#: Block kinds of the instructions outside the semantics table that are
+#: neither jumps nor RoCC commands (see :func:`_classify`).
+_SYSTEM_KINDS = {
+    "fence": _KIND_SEQ,
+    "fence.i": _KIND_TERM,
+    "ecall": _KIND_SLOW,
+    "ebreak": _KIND_SLOW,
+    **dict.fromkeys(_CSR_MNEMONICS, _KIND_SLOW),
+}
+
+
+def _classify(decoded, info) -> int:
+    """Fill ``info``'s static fields for ``decoded``; return its block kind."""
+    mnemonic = decoded.mnemonic
+    alu = ALU.get(mnemonic)
+    if alu is not None:
+        info.timing_class = alu.timing_class
+        return _KIND_SEQ
+    load = LOADS.get(mnemonic)
+    if load is not None:
+        info.mem_size = load.size
+        info.timing_class = TC_MEM
+        return _KIND_SEQ
+    size = STORES.get(mnemonic)
+    if size is not None:
+        info.mem_size = size
+        info.mem_is_store = True
+        info.timing_class = TC_MEM
+        return _KIND_SEQ
+    branch = BRANCHES.get(mnemonic)
+    if branch is not None:
+        info.timing_class = branch.timing_class
+        return _KIND_TERM
+    if mnemonic in ("jal", "jalr"):
+        info.branch_taken = True
+        info.timing_class = TC_JUMP
+        if mnemonic == "jal":
+            info.next_pc = (info.pc + decoded.imm) & MASK64
+        return _KIND_TERM
+    if mnemonic == "rocc":
+        info.timing_class = TC_ROCC
+        return _KIND_SEQ
+    kind = _SYSTEM_KINDS.get(mnemonic)
+    if kind is None:  # pragma: no cover - decoder and classifier in sync
+        raise SimulationError(
+            f"unimplemented instruction {mnemonic!r} at {info.pc:#x}"
+        )
+    return kind
 
 
 class Executor:
@@ -261,14 +339,18 @@ class Executor:
         self.stop = False
         #: Total instructions retired by this executor (run() and step()).
         self.retired = 0
-        # PC-indexed dispatch tables.
+        # PC-indexed static facts, recorded once per instruction by
+        # _compile: (decoded, info, kind, direct).  Every closure of a pc is
+        # built from its entry, so all of them share its one ExecInfo.
+        self._static = {}
+        self._decoded_at = {}
+        # PC-indexed closures, each table filled only by the model that
+        # dispatches through it: fast ops (run's superblocks), info ops
+        # (step) and the Rocket loop's (op, info, direct) entries, which
+        # give a timing model the static ExecInfo (for pre-issue hazard
+        # checks) and the op in one lookup.
         self._ops = {}
         self._info_ops = {}
-        self._decoded_at = {}
-        self._kinds = {}
-        # PC-indexed (info_op, info) pairs: lets a timing model fetch the
-        # static ExecInfo (for pre-issue hazard checks) and execute with a
-        # single table lookup.
         self._timed = {}
         # PC-indexed superblocks: straight-line runs of fast ops threaded into
         # a list so the dispatch loop pays one table lookup per block.
@@ -290,27 +372,23 @@ class Executor:
 
     def flush(self) -> None:
         """Drop every compiled instruction (``fence.i``, external cache control)."""
+        self._static.clear()
+        self._decoded_at.clear()
         self._ops.clear()
         self._info_ops.clear()
-        self._decoded_at.clear()
-        self._kinds.clear()
         self._timed.clear()
         self._blocks.clear()
         self._tblocks.clear()
 
     def _invalidate(self, address: int, size: int) -> None:
         """A store hit the compiled range: drop any overlapping instructions."""
-        ops = self._ops
-        info_ops = self._info_ops
-        decoded_at = self._decoded_at
-        kinds = self._kinds
-        timed = self._timed
+        tables = (
+            self._static, self._decoded_at, self._ops, self._info_ops,
+            self._timed,
+        )
         for pc in range(address - 3, address + size):
-            ops.pop(pc, None)
-            info_ops.pop(pc, None)
-            decoded_at.pop(pc, None)
-            kinds.pop(pc, None)
-            timed.pop(pc, None)
+            for table in tables:
+                table.pop(pc, None)
         # Superblocks and timing spans embed closure references and decoded
         # semantics spanning many PCs, so any code write drops them all
         # (rare: only stores into the compiled range get here).
@@ -390,8 +468,8 @@ class Executor:
         pc = self.hart.pc
         op = self._info_ops.get(pc)
         if op is None:
-            self._compile(pc)
-            op = self._info_ops[pc]
+            decoded, info, _, _ = self._static.get(pc) or self._compile(pc)
+            op = self._info_ops[pc] = self._build(pc, decoded, info, True)
         info = op()
         self.retired += 1
         return info
@@ -403,14 +481,15 @@ class Executor:
         raise TrapError(f"access to unimplemented CSR {address:#x}")
 
     # --------------------------------------------------------------- compiler
-    def _compile(self, pc: int):
-        """Decode the instruction at ``pc`` into its two specialized closures."""
+    def _compile(self, pc: int) -> tuple:
+        """Record the static facts of the instruction at ``pc``.
+
+        Returns ``(decoded, info, kind, direct)``, the entry every closure
+        of ``pc`` is built from; it builds no closure itself.
+        """
         decoded = self.fetch_decode(pc)
         info = ExecInfo(decoded, pc, pc + 4)
-        fast, info_op, kind = self._build(pc, decoded, info)
-        self._ops[pc] = fast
-        self._info_ops[pc] = info_op
-        self._kinds[pc] = kind
+        kind = _classify(decoded, info)
         # An op is "direct" when its fast closure already provides everything
         # a timing model needs (no dynamic ExecInfo fields): plain ALU /
         # mul / div ops, fences and unconditional jumps.  Loads/stores
@@ -421,13 +500,25 @@ class Executor:
         direct = (
             kind == _KIND_SEQ and timing_class in (TC_OTHER, TC_MUL, TC_DIV)
         ) or (kind == _KIND_TERM and timing_class in (TC_JUMP, TC_OTHER))
-        self._timed[pc] = (fast if direct else info_op, info, direct)
+        entry = self._static[pc] = (decoded, info, kind, direct)
         bounds = self._code_bounds
         if pc < bounds[0]:
             bounds[0] = pc
         if pc + 4 > bounds[1]:
             bounds[1] = pc + 4
-        return fast
+        return entry
+
+    def _timed_entry(self, pc: int) -> tuple:
+        """The Rocket loop's ``(op, info, direct)`` entry for ``pc``.
+
+        ``op`` is the fast op when the instruction is direct, the info op
+        otherwise; only that one closure is built.
+        """
+        decoded, info, _, direct = self._static.get(pc) or self._compile(pc)
+        entry = self._timed[pc] = (
+            self._build(pc, decoded, info, not direct), info, direct
+        )
+        return entry
 
     #: Upper bound on superblock length; bounds both compile-ahead work and
     #: how far a batch may overshoot its instruction budget.
@@ -436,14 +527,14 @@ class Executor:
     def _compile_block(self, pc: int):
         """Thread the straight-line run starting at ``pc`` into one op list."""
         ops = []
-        kinds = self._kinds
+        static = self._static
         table = self._ops
         p = pc
         while len(ops) < self._MAX_BLOCK:
-            op = table.get(p)
-            if op is None:
+            entry = static.get(p)
+            if entry is None:
                 try:
-                    op = self._compile(p)
+                    entry = self._compile(p)
                 except (DecodingError, SimulationError) as error:
                     # Block building decodes ahead of execution; a bad word
                     # must only raise if control actually reaches it.
@@ -452,22 +543,56 @@ class Executor:
                             raise error
                         ops.append(op)
                     break
-            kind = kinds[p]
-            if kind == _KIND_SLOW:
-                if not ops:
-                    ops.append(op)
-                break
+            decoded, info, kind, _ = entry
+            if kind == _KIND_SLOW and ops:
+                break  # a slow op is a block of its own
+            op = table.get(p)
+            if op is None:
+                op = table[p] = self._build(p, decoded, info, False)
             ops.append(op)
-            if kind == _KIND_TERM:
+            if kind != _KIND_SEQ:
                 break
             p += 4
         self._blocks[pc] = ops
         return ops
 
-    def _build(self, pc: int, decoded, info):  # noqa: C901 - one arm per instruction
+    def _build(self, pc: int, decoded, info, want_info: bool):
+        """The info op (``want_info``) or the fast op of the instruction at ``pc``.
+
+        A fast op executes the instruction and returns the next pc; an info
+        op also sets ``hart.pc``, fills ``info``'s dynamic fields and returns
+        ``info``, whose static fields :func:`_classify` already filled.
+        ALU ops, loads and branches come from the semantics-table factories
+        (this method defines no closure, so it creates no cells);
+        :meth:`_build_other` writes out everything else.
+        """
+        mnemonic = decoded.mnemonic
+        closure = "info" if want_info else "fast"
+        hart = self.hart
+        rd = decoded.rd
+        imm = decoded.imm
+        if mnemonic in ALU:
+            if rd:
+                return _t1_factory("alu", mnemonic, closure)(
+                    hart.regs, rd, decoded.rs1, decoded.rs2, imm, imm & MASK64,
+                    (pc + imm) & MASK64, info, hart, pc + 4,
+                )
+        elif mnemonic in LOADS:
+            return _t1_factory("load" if rd else "load_x0", mnemonic, closure)(
+                hart.regs, rd, decoded.rs1, imm, self.memory.read, info, hart,
+                pc + 4,
+            )
+        elif mnemonic in BRANCHES:
+            return _t1_factory("branch", mnemonic, closure)(
+                hart.regs, decoded.rs1, decoded.rs2, (pc + imm) & MASK64, info,
+                hart, pc + 4,
+            )
+        return self._build_other(pc, decoded, info, want_info)
+
+    def _build_other(self, pc: int, decoded, info, want_info):  # noqa: C901
+        """:meth:`_build` for every instruction the factories do not cover."""
         hart = self.hart
         regs = hart.regs
-        memory = self.memory
         mnemonic = decoded.mnemonic
         rd = decoded.rd
         rs1 = decoded.rs1
@@ -475,136 +600,106 @@ class Executor:
         imm = decoded.imm
         next_pc = pc + 4
 
-        # --- table-driven: ALU ops and loads (repro.isa.semantics) ----------
-        alu = ALU.get(mnemonic)
-        if alu is not None:
-            info.timing_class = alu.timing_class
-            if rd == 0:
-                # Writes to x0 are discarded; the whole instruction is a no-op.
-                def fast():
-                    return next_pc
-
-                def info_op():
+        # --- no-ops: fence, and ALU ops writing x0 (the write is discarded)
+        if mnemonic == "fence" or mnemonic in ALU:
+            if want_info:
+                def op():
                     hart.pc = next_pc
                     return info
             else:
-                fast, info_op = _t1_factory("alu", mnemonic)(
-                    regs, rd, rs1, rs2, imm, imm & MASK64,
-                    (pc + imm) & MASK64, info, hart, next_pc,
-                )
-            return fast, info_op, _KIND_SEQ
-
-        load = LOADS.get(mnemonic)
-        if load is not None:
-            info.mem_size = load.size
-            info.timing_class = TC_MEM
-            fast, info_op = _t1_factory("load" if rd else "load_x0", mnemonic)(
-                regs, rd, rs1, imm, memory.read, info, hart, next_pc,
-            )
-            return fast, info_op, _KIND_SEQ
+                def op():
+                    return next_pc
+            return op
 
         # --- stores -----------------------------------------------------------
         size = STORES.get(mnemonic)
         if size is not None:
-            write = memory.write
+            write = self.memory.write
             bounds = self._code_bounds
             executor = self
-            info.mem_size = size
-            info.mem_is_store = True
-            info.timing_class = TC_MEM
-
-            def fast():
-                address = (regs[rs1] + imm) & MASK64
-                write(address, size, regs[rs2])
-                # Overlap test against [lo, hi): the store's byte range is
-                # [address, address + size), so a store that merely straddles
-                # the start of the compiled region must invalidate too.
-                if address < bounds[1] and address + size > bounds[0]:
-                    executor._invalidate(address, size)
-                    raise _BlockExit(next_pc)
-                if executor.stop:
-                    raise _Stopped(next_pc)
-                return next_pc
-
-            def info_op():
-                address = (regs[rs1] + imm) & MASK64
-                write(address, size, regs[rs2])
-                if address < bounds[1] and address + size > bounds[0]:
-                    executor._invalidate(address, size)
-                info.mem_addr = address
-                hart.pc = next_pc
-                return info
-            return fast, info_op, _KIND_SEQ
+            if want_info:
+                def op():
+                    address = (regs[rs1] + imm) & MASK64
+                    write(address, size, regs[rs2])
+                    if address < bounds[1] and address + size > bounds[0]:
+                        executor._invalidate(address, size)
+                    info.mem_addr = address
+                    hart.pc = next_pc
+                    return info
+            else:
+                def op():
+                    address = (regs[rs1] + imm) & MASK64
+                    write(address, size, regs[rs2])
+                    # Overlap test against [lo, hi): the store's byte range
+                    # is [address, address + size), so a store that merely
+                    # straddles the start of the compiled region must
+                    # invalidate too.
+                    if address < bounds[1] and address + size > bounds[0]:
+                        executor._invalidate(address, size)
+                        raise _BlockExit(next_pc)
+                    if executor.stop:
+                        raise _Stopped(next_pc)
+                    return next_pc
+            return op
 
         # --- control transfer -------------------------------------------------
         if mnemonic == "jal":
             target = (pc + imm) & MASK64
-            info.next_pc = target
-            info.branch_taken = True
-            info.timing_class = TC_JUMP
-            if rd:
-                def fast():
+            if want_info:
+                def op():
+                    if rd:
+                        regs[rd] = next_pc
+                    hart.pc = target
+                    return info
+            elif rd:
+                def op():
                     regs[rd] = next_pc
                     return target
             else:
-                def fast():
+                def op():
                     return target
-
-            def info_op():
-                if rd:
-                    regs[rd] = next_pc
-                hart.pc = target
-                return info
-            return fast, info_op, _KIND_TERM
+            return op
 
         if mnemonic == "jalr":
             target_mask = MASK64 & ~1
-            info.branch_taken = True
-            info.timing_class = TC_JUMP
-            if rd:
-                def fast():
+            if want_info:
+                def op():
+                    target = (regs[rs1] + imm) & target_mask
+                    if rd:
+                        regs[rd] = next_pc
+                    info.next_pc = target
+                    hart.pc = target
+                    return info
+            elif rd:
+                def op():
                     target = (regs[rs1] + imm) & target_mask
                     regs[rd] = next_pc
                     return target
             else:
-                def fast():
+                def op():
                     return (regs[rs1] + imm) & target_mask
+            return op
 
-            def info_op():
-                target = (regs[rs1] + imm) & target_mask
-                if rd:
-                    regs[rd] = next_pc
-                info.next_pc = target
-                hart.pc = target
-                return info
-            return fast, info_op, _KIND_TERM
+        # --- system: slow ops run only through their info op -----------------
+        if _SYSTEM_KINDS.get(mnemonic) == _KIND_SLOW and not want_info:
+            return _raise_slow
 
-        branch = BRANCHES.get(mnemonic)
-        if branch is not None:
-            taken_pc = (pc + imm) & MASK64
-            info.timing_class = branch.timing_class
-            fast, info_op = _t1_factory("branch", mnemonic)(
-                regs, rs1, rs2, taken_pc, info, hart, next_pc
-            )
-            return fast, info_op, _KIND_TERM
-
-        # --- system -----------------------------------------------------------
-        if mnemonic in ("csrrs", "csrrw", "csrrc", "csrrsi", "csrrwi", "csrrci"):
+        if mnemonic in _CSR_MNEMONICS:
             executor = self
             csr_address = decoded.csr
 
-            def info_op():
+            def op():
                 value = executor._read_csr(csr_address)
                 if rd:
                     regs[rd] = value & MASK64
                 hart.pc = next_pc
                 return info
-            return _raise_slow, info_op, _KIND_SLOW
+            return op
 
         if mnemonic == "ecall":
             executor = self
 
-            def info_op():
+            def op():
                 # Bare-metal convention: a7 holds the syscall number; 93 is
                 # exit with the code in a0.  Anything else is "unhandled".
                 if regs[17] == 93:
@@ -615,61 +710,42 @@ class Executor:
                     raise TrapError(f"unhandled ecall (a7={regs[17]}) at pc={pc:#x}")
                 hart.pc = next_pc
                 return info
-            return _raise_slow, info_op, _KIND_SLOW
+            return op
 
         if mnemonic == "ebreak":
-            def info_op():
+            def op():
                 raise TrapError(f"ebreak at pc={pc:#x}")
-            return _raise_slow, info_op, _KIND_SLOW
-
-        if mnemonic == "fence":
-            def fast():
-                return next_pc
-
-            def info_op():
-                hart.pc = next_pc
-                return info
-            return fast, info_op, _KIND_SEQ
+            return op
 
         if mnemonic == "fence.i":
             executor = self
+            if want_info:
+                def op():
+                    executor.flush()
+                    hart.pc = next_pc
+                    return info
+            else:
+                def op():
+                    executor.flush()
+                    return next_pc
+            return op
 
-            def fast():
-                executor.flush()
-                return next_pc
-
-            def info_op():
-                executor.flush()
-                hart.pc = next_pc
-                return info
-            return fast, info_op, _KIND_TERM
-
-        # --- RoCC custom instructions ------------------------------------------
-        if mnemonic == "rocc":
-            rocc = self.rocc
-            if rocc is None:
-                def fast():
-                    raise SimulationError(
-                        f"RoCC instruction at pc={pc:#x} but no accelerator attached"
-                    )
-                return fast, fast, _KIND_SEQ
-            execute = rocc.execute
-            funct7 = decoded.funct7
-            xd = bool(decoded.xd)
-            xs1 = bool(decoded.xs1)
-            xs2 = bool(decoded.xs2)
-            info.timing_class = TC_ROCC
-
-            def fast():
-                has_response, value, _ = execute(
-                    funct7, rd, rs1, rs2, regs[rs1], regs[rs2],
-                    xd, xs1, xs2, memory,
+        # --- RoCC custom instructions (_classify rejected anything else) -------
+        rocc = self.rocc
+        if rocc is None:
+            def op():
+                raise SimulationError(
+                    f"RoCC instruction at pc={pc:#x} but no accelerator attached"
                 )
-                if has_response and rd:
-                    regs[rd] = value & MASK64
-                return next_pc
-
-            def info_op():
+            return op
+        execute = rocc.execute
+        memory = self.memory
+        funct7 = decoded.funct7
+        xd = bool(decoded.xd)
+        xs1 = bool(decoded.xs1)
+        xs2 = bool(decoded.xs2)
+        if want_info:
+            def op():
                 has_response, value, busy_cycles = execute(
                     funct7, rd, rs1, rs2, regs[rs1], regs[rs2],
                     xd, xs1, xs2, memory,
@@ -680,8 +756,13 @@ class Executor:
                     regs[rd] = value & MASK64
                 hart.pc = next_pc
                 return info
-            return fast, info_op, _KIND_SEQ
-
-        raise SimulationError(  # pragma: no cover - decoder and builder in sync
-            f"unimplemented instruction {mnemonic!r} at {pc:#x}"
-        )
+        else:
+            def op():
+                has_response, value, _ = execute(
+                    funct7, rd, rs1, rs2, regs[rs1], regs[rs2],
+                    xd, xs1, xs2, memory,
+                )
+                if has_response and rd:
+                    regs[rd] = value & MASK64
+                return next_pc
+        return op

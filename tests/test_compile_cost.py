@@ -9,14 +9,16 @@ and the suite checks
   equals the value recorded below, so a smaller source cannot hide a change
   in what gets compiled, and ``RocketEmulator.timing_source_chars`` (the
   summed length of every span's source) stays under a ceiling about 5%
-  above its value once spans returned their cache counts to
-  ``RocketEmulator.run``;
+  above its value once a span stopped at the head of an already compiled
+  span instead of compiling that code again;
 * the functional engine compiles nothing per program: its closure factories
-  are compiled once per (shape, mnemonic) per process, so once one run has
-  warmed them a fresh ``SpikeSimulator`` runs without calling ``compile()``.
+  are compiled once per (shape, mnemonic, closure) per process, so once one
+  run has warmed them a fresh ``SpikeSimulator`` runs without calling
+  ``compile()``.
 
 Before spans returned their cache counts, the same runs compiled 194,680
-span characters (Software) and 92,426 (Method-1).
+span characters (Software) and 92,426 (Method-1); before spans stopped at
+compiled heads, 31 spans of 119,052 characters and 25 of 59,508.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from repro.testgen.generator import build_test_program
 
 #: solution -> (timing spans, span source-char ceiling)
 EXPECTED = {
-    SolutionKind.SOFTWARE: (31, 125_000),
-    SolutionKind.METHOD1: (25, 62_500),
+    SolutionKind.SOFTWARE: (29, 78_000),
+    SolutionKind.METHOD1: (23, 52_000),
 }
 
 
