@@ -30,6 +30,7 @@ read as misses.  ``hits``/``misses``/``bypasses`` counters feed the service's
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +42,11 @@ from repro.errors import ConfigurationError
 #: Bump when the persisted document layout changes (distinct from
 #: :func:`code_version`, which tracks the *measuring* code).
 SCHEMA_VERSION = 1
+
+#: Cell keys one :class:`ResultCache` remembers (:meth:`~ResultCache.key_for`).
+#: A fixed bound, so a long-running service cannot grow the memo without
+#: limit.
+KEY_MEMO_SIZE = 1024
 
 _CODE_VERSION = None
 
@@ -150,6 +156,12 @@ class ResultCache:
         self.path = os.path.abspath(path)
         os.makedirs(self.path, exist_ok=True)
         self.version = version if version is not None else code_version()
+        # Cells and everything they hold are frozen and hashable, and the
+        # version is fixed per cache, so a key is derived once per
+        # (cell, shards_per_cell).
+        self._key_memo = functools.lru_cache(maxsize=KEY_MEMO_SIZE)(
+            functools.partial(cell_key, version=self.version)
+        )
         #: Counters over this handle's lifetime (feed ``/stats`` + benchmarks).
         self.hits = 0
         self.misses = 0
@@ -157,7 +169,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------ keys
     def key_for(self, cell, shards_per_cell: int = 1) -> str:
-        return cell_key(cell, shards_per_cell, self.version)
+        """:func:`cell_key` under this cache's code version (memoized)."""
+        return self._key_memo(cell, shards_per_cell)
 
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.path, key[:2], f"{key}.json")
@@ -177,7 +190,7 @@ class ResultCache:
             shards = [
                 shard_report_from_dict(data) for data in document["shards"]
             ]
-        except (OSError, ValueError, TypeError, KeyError):
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
             if count:
                 self.misses += 1
             return None

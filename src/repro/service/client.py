@@ -2,13 +2,15 @@
 
 Used by the CI smoke runner (``python -m repro.serve --smoke``), the
 ``benchmarks/bench_campaign.py --service`` mode and the tests — anything
-that needs to drive a live server without adding a dependency.
+that needs to drive a live server without adding a dependency.  A job whose
+every cell is cached is answered by ``POST /submit`` itself (``200`` with
+the ``/result`` body); any other job is waited for on its ``/stream``,
+which ends when the job does, so no latency is rounded to a poll interval.
 """
 
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -48,36 +50,32 @@ def get_json(url: str, timeout: float = 30) -> dict:
 
 
 def submit(base_url: str, spec: dict, timeout: float = 30) -> dict:
-    """POST a campaign spec; returns the ``202`` submit payload."""
+    """POST a campaign spec; returns the ``202`` ticket, or the ``200``
+    ``/result`` payload of a job answered from the cache alone."""
     status, payload = request_json(f"{base_url}/submit", spec, timeout=timeout)
-    if status != 202:
+    if status not in (200, 202):
         raise ServiceError(status, payload)
     return payload
 
 
-def wait_for_result(base_url: str, job_id: str, poll_seconds: float = 0.05,
-                    timeout: float = 600) -> dict:
-    """Poll ``/status`` until the job finishes, then fetch ``/result``."""
-    deadline = time.monotonic() + timeout
-    while True:
-        status = get_json(f"{base_url}/status/{job_id}")
-        if status["status"] in ("done", "failed"):
-            break
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"job {job_id} still {status['status']!r} "
-                               f"after {timeout}s")
-        time.sleep(poll_seconds)
-    result_status, payload = request_json(f"{base_url}/result/{job_id}")
-    if result_status != 200:
-        raise ServiceError(result_status, payload)
+def wait_for_result(base_url: str, job_id: str, timeout: float = 600) -> dict:
+    """Read ``/stream`` until the job finishes, then fetch ``/result``.
+
+    ``timeout`` bounds each wait for the stream's next event.
+    """
+    stream_events(base_url, job_id, timeout=timeout)
+    status, payload = request_json(f"{base_url}/result/{job_id}")
+    if status != 200:
+        raise ServiceError(status, payload)
     return payload
 
 
-def submit_and_wait(base_url: str, spec: dict, poll_seconds: float = 0.05,
-                    timeout: float = 600) -> dict:
+def submit_and_wait(base_url: str, spec: dict, timeout: float = 600) -> dict:
     """Submit + wait; returns the ``/result`` payload (summary + cache info)."""
     ticket = submit(base_url, spec)
-    return wait_for_result(base_url, ticket["job"], poll_seconds, timeout)
+    if ticket["status"] == "done":  # answered by /submit alone
+        return ticket
+    return wait_for_result(base_url, ticket["job"], timeout)
 
 
 def stream_events(base_url: str, job_id: str, timeout: float = 600) -> list:

@@ -4,7 +4,10 @@ The engine is the service half of docs/service.md.  A submitted campaign
 spec is decomposed into :class:`~repro.core.campaign.CampaignCell`s; every
 cell is content-addressed through :mod:`repro.service.cache`:
 
-* **cached** cells are satisfied immediately from the store;
+* **cached** cells are loaded from the store inside
+  :meth:`CampaignService.submit` — a job whose every cell is cached is
+  merged and done before ``submit`` returns, so ``POST /submit`` answers
+  it with the result;
 * **in-flight** cells (an identical cell already being computed for another
   job) coalesce onto the first job's future — concurrent duplicate
   submissions cost one computation;
@@ -14,7 +17,8 @@ cell is content-addressed through :mod:`repro.service.cache`:
   fails its job naming a shard it left pending, and the broken pool is
   replaced.
 
-All shard reports — cached, coalesced and fresh alike — merge through
+Each cell's load is attempted once per job.  All shard reports — cached,
+coalesced and fresh alike — merge through
 :func:`repro.core.results.merge_shard_reports`, so a fully cache-hit job's
 :meth:`~repro.core.campaign.CampaignResult.to_summary` is bit-identical to
 the cold run's (modulo the request's own ``wall_seconds``; compare with
@@ -22,12 +26,15 @@ the cold run's (modulo the request's own ``wall_seconds``; compare with
 
 Jobs expose a status snapshot and an append-only NDJSON-able event list that
 :mod:`repro.service.server` streams; every mutation happens on the event
-loop, so no locks are needed beyond the executor boundary.
+loop, so no locks are needed beyond the executor boundary.  The newest
+:data:`FINISHED_JOBS_KEPT` finished jobs stay queryable; older ones are
+dropped, and a job in flight never is.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
@@ -38,7 +45,6 @@ from repro.core.campaign import (
     CampaignRun,
     grid_cells,
     lost_shard,
-    plan_shards,
     process_pool,
 )
 from repro.errors import ConfigurationError
@@ -47,6 +53,10 @@ from repro.verification.database import OperandClass
 
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
+
+#: Finished jobs kept for ``/status``, ``/result`` and ``/stream``; the
+#: oldest finished job beyond this many is dropped.
+FINISHED_JOBS_KEPT = 1024
 
 _SPEC_FIELDS = frozenset({
     "samples", "seed", "repetitions", "kinds", "workload", "workloads",
@@ -171,6 +181,7 @@ class Job:
     wall_seconds: float = 0.0
     created_monotonic: float = field(default_factory=time.monotonic)
     _changed: object = None  # asyncio.Condition, created on the loop
+    _task: object = None     # the background task computing missed cells
 
     def to_status(self) -> dict:
         return {
@@ -205,6 +216,8 @@ class CampaignService:
         self.shards_per_cell = shards_per_cell
         self.mp_start_method = mp_start_method
         self._jobs = {}
+        self._finished = collections.deque()  # finished job ids, oldest first
+        self._job_counts = collections.Counter()  # finished jobs by status
         self._inflight = {}          # cell key -> asyncio.Future([shards])
         self._executor = None
         self._ids = itertools.count(1)
@@ -238,7 +251,10 @@ class CampaignService:
         try:
             return self._jobs[job_id]
         except KeyError:
-            raise ConfigurationError(f"unknown job {job_id!r}") from None
+            raise ConfigurationError(
+                f"unknown job {job_id!r} (the service keeps the newest "
+                f"{FINISHED_JOBS_KEPT} finished jobs)"
+            ) from None
 
     @property
     def jobs(self) -> dict:
@@ -251,15 +267,17 @@ class CampaignService:
     def stats(self) -> dict:
         uptime = time.monotonic() - self._started_monotonic
         capacity = uptime * self.workers
+        in_flight = self.in_flight
+        done, failed = self._job_counts[DONE], self._job_counts[FAILED]
         return {
             "workers": self.workers,
             "shards_per_cell": self.shards_per_cell,
             "uptime_seconds": round(uptime, 3),
             "jobs": {
-                "total": len(self._jobs),
-                "in_flight": self.in_flight,
-                "done": sum(1 for j in self._jobs.values() if j.status == DONE),
-                "failed": sum(1 for j in self._jobs.values() if j.status == FAILED),
+                "total": in_flight + done + failed,
+                "in_flight": in_flight,
+                "done": done,
+                "failed": failed,
             },
             "shards_computed": self.shards_computed,
             "busy_seconds": round(self._busy_seconds, 3),
@@ -270,26 +288,45 @@ class CampaignService:
         }
 
     async def submit(self, spec: dict) -> Job:
-        """Validate ``spec``, register a job and start running it."""
+        """Validate ``spec``, register a job and serve its cached cells.
+
+        With the cache on, every cell not in flight for another job is
+        loaded here.  If all of them load, the job is merged and done when
+        this returns; otherwise a background task coalesces onto or
+        computes the rest.
+        """
         cells = cells_from_spec(spec)
         shards_per_cell = _spec_int(
             spec, "shards_per_cell", self.shards_per_cell, minimum=1
         )
+        use_cache = _spec_bool(spec, "cache", True)
+        run = CampaignRun(cells, shards_per_cell, self.cache)
         job = Job(
             job_id=f"job-{next(self._ids)}",
             spec=dict(spec),
             cells=cells,
             shards_per_cell=shards_per_cell,
-            use_cache=_spec_bool(spec, "cache", True),
+            use_cache=use_cache,
         )
-        job.shards_total = sum(
-            len(plan_shards(cell.num_samples, shards_per_cell)) for cell in cells
-        )
+        job.shards_total = sum(len(plan) for plan in run.plans)
         job._changed = asyncio.Condition()
         self._jobs[job.job_id] = job
         await self._emit(job, "submitted", cells=len(job.cells),
                          shards=job.shards_total)
-        asyncio.ensure_future(self._run_job(job))
+        if not use_cache:
+            self.cache.bypass(len(cells))
+        pending = {}             # cell id -> in-flight future or None
+        for cell_id, key in enumerate(run.keys):
+            inflight = self._inflight.get(key) if use_cache else None
+            if inflight is None and use_cache and run.load(cell_id):
+                job.cells_cached += 1
+                await self._cell_ended(job, run, cell_id, "cell_cached")
+            else:
+                pending[cell_id] = inflight
+        if pending:
+            job._task = asyncio.ensure_future(self._run_job(job, run, pending))
+        else:
+            await self._run_job(job, run, pending)
         return job
 
     async def wait(self, job: Job) -> Job:
@@ -326,17 +363,15 @@ class CampaignService:
                     await job._changed.wait()
 
     # -------------------------------------------------------------- execution
-    async def _run_job(self, job: Job) -> None:
+    async def _run_job(self, job: Job, run, pending: dict) -> None:
+        """Coalesce onto or compute the cells the cache did not serve
+        (``pending``), then merge every cell into the job's result."""
         job.status = RUNNING
         started = time.monotonic()
         try:
-            use_cache = job.use_cache
-            if not use_cache:
-                self.cache.bypass(len(job.cells))
-            run = CampaignRun(job.cells, job.shards_per_cell, self.cache)
             outcomes = await asyncio.gather(*(
-                self._cell_shards(job, run, cell_id, use_cache)
-                for cell_id in range(len(job.cells))
+                self._cell_shards(job, run, cell_id, inflight)
+                for cell_id, inflight in pending.items()
             ), return_exceptions=True)
             for outcome in outcomes:
                 if isinstance(outcome, BaseException):
@@ -357,37 +392,45 @@ class CampaignService:
             job.error = f"{type(error).__name__}: {error}"
             job.status = FAILED
             await self._emit(job, "failed", error=job.error)
+        self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Count a finished job; drop the oldest beyond the kept bound."""
+        self._job_counts[job.status] += 1
+        self._finished.append(job.job_id)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            del self._jobs[self._finished.popleft()]
 
     async def _cell_shards(self, job: Job, run, cell_id: int,
-                           use_cache: bool) -> None:
-        """Coalesce onto, load or compute one cell, and report which."""
-        key = run.keys[cell_id]
-        pending = self._inflight.get(key) if use_cache else None
-        if pending is not None:
-            run.shards[cell_id] = await asyncio.shield(pending)
+                           inflight) -> None:
+        """Coalesce onto (``inflight`` or another job's future) or compute
+        one cell, and report which."""
+        if inflight is None and job.use_cache:
+            inflight = self._inflight.get(run.keys[cell_id])
+        if inflight is not None:
+            run.shards[cell_id] = await asyncio.shield(inflight)
             job.cells_coalesced += 1
-            event = "cell_coalesced"
-        elif use_cache and run.load(cell_id):
-            job.cells_cached += 1
-            event = "cell_cached"
+            await self._cell_ended(job, run, cell_id, "cell_coalesced")
         else:
-            await self._compute(job, run, cell_id, use_cache)
+            await self._compute(job, run, cell_id)
             job.cells_computed += 1
-            event = "cell_done"
+            await self._cell_ended(job, run, cell_id, "cell_done")
+
+    async def _cell_ended(self, job: Job, run, cell_id: int,
+                          event: str) -> None:
         shards = len(run.shards[cell_id])
         if event != "cell_done":  # computed shards were counted one by one
             job.shards_done += shards
-        await self._emit(job, event, cell=run.cells[cell_id].label, key=key,
-                         shards=shards)
+        await self._emit(job, event, cell=run.cells[cell_id].label,
+                         key=run.keys[cell_id], shards=shards)
 
-    async def _compute(self, job: Job, run, cell_id: int,
-                       use_cache: bool) -> None:
+    async def _compute(self, job: Job, run, cell_id: int) -> None:
         """Shard one cell onto the pool; with the cache on, concurrent jobs
         coalesce onto it and it is stored."""
         loop = asyncio.get_running_loop()
         key, cell = run.keys[cell_id], run.cells[cell_id]
         inflight = loop.create_future()
-        if use_cache:
+        if job.use_cache:
             self._inflight[key] = inflight
         try:
             executor = self._ensure_executor()
@@ -404,7 +447,7 @@ class CampaignService:
                 for shard in submitted
             ))
             run.shards[cell_id] = shards
-            if use_cache:
+            if job.use_cache:
                 run.store(cell_id)
             inflight.set_result(shards)
         except BaseException as error:

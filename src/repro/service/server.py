@@ -2,20 +2,26 @@
 
 A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
 third-party framework, matching the repository's no-new-dependencies rule.
-Every response closes the connection, JSON in and out:
+Every response closes the connection, JSON in and out; a JSON reply goes
+out in one write, unindented so that ``json``'s C encoder encodes it:
 
 ============================  =============================================
 ``GET  /healthz``             liveness + package version
 ``GET  /stats``               cache hit rate, jobs in flight, worker
                               utilization (:meth:`CampaignService.stats`)
-``POST /submit``              campaign spec (docs/service.md) -> ``202``
-                              with the job id
+``POST /submit``              campaign spec (docs/service.md) -> ``200``
+                              with ``/result``'s body when every cell came
+                              from the cache, else ``202`` with the job id
 ``GET  /status/<job>``        job snapshot (cells cached/coalesced/computed)
 ``GET  /result/<job>``        ``200`` with the merged campaign summary once
                               done, ``409`` while running, ``500`` if failed
 ``GET  /stream/<job>``        NDJSON progress events, one JSON object per
                               line, ending when the job finishes
 ============================  =============================================
+
+The three job endpoints answer ``404`` naming the job once it is one of
+the finished jobs the service no longer keeps
+(:data:`~repro.service.engine.FINISHED_JOBS_KEPT`).
 
 :func:`serve_in_background` runs the whole stack (event loop, service,
 server) on a daemon thread for tests, benchmarks and the CI smoke runner;
@@ -80,7 +86,14 @@ class ServiceServer:
                 pass
         finally:
             try:
-                writer.close()
+                # Half-close first: a worker forked while this connection
+                # was open holds a copy of its socket, so closing ours
+                # alone would not end a /stream the client reads to EOF.
+                writer.write_eof()
+            except OSError:
+                pass
+            writer.close()
+            try:
                 await writer.wait_closed()
             except (ConnectionError, AttributeError):
                 pass
@@ -151,6 +164,9 @@ class ServiceServer:
         except ConfigurationError as error:
             await _send_json(writer, 400, {"error": str(error)})
             return
+        if job.finished:  # every cell came from the cache
+            await self._result(writer, job)
+            return
         await _send_json(writer, 202, {
             "job": job.job_id,
             "status": job.status,
@@ -202,15 +218,14 @@ class ServiceServer:
 
 
 async def _send_json(writer, status: int, payload: dict) -> None:
-    body = json.dumps(payload, indent=2).encode() + b"\n"
+    body = json.dumps(payload).encode() + b"\n"
     reason = _REASONS.get(status, "OK")
     writer.write(
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n".encode()
+        f"Connection: close\r\n\r\n".encode() + body
     )
-    writer.write(body)
     await writer.drain()
 
 

@@ -36,6 +36,7 @@ from repro.service.client import (
     request_json,
     stream_events,
     submit_and_wait,
+    wait_for_result,
 )
 from repro.testgen.config import SolutionKind
 
@@ -524,3 +525,213 @@ class TestSerialization:
         assert shard.models == ("spike", "rocket")
         again = shard_report_from_dict(shard_report_to_dict(shard))
         assert dataclasses.asdict(again) == dataclasses.asdict(shard)
+
+
+class TestSubmitAnswersCachedJob:
+    """A job whose every cell is cached ends at ``POST /submit``."""
+
+    SPEC = {"samples": SAMPLES, "kinds": list(KINDS), "verify": False}
+
+    def test_cached_job_is_done_when_submit_returns(self, tmp_path):
+        async def scenario():
+            cache = ResultCache(tmp_path)
+            service = CampaignService(cache)
+            try:
+                cold = await service.wait(await service.submit(self.SPEC))
+                warm = await service.submit(self.SPEC)
+            finally:
+                service.shutdown()
+            return cache, cold, warm
+
+        cache, cold, warm = asyncio.run(scenario())
+        assert warm.status == "done" and warm.cells_cached == len(KINDS)
+        assert comparable_summary(warm.summary) == comparable_summary(
+            cold.summary
+        )
+        # One load per cell per job: the cold job's misses, the warm hits.
+        assert cache.misses == len(KINDS) and cache.hits == len(KINDS)
+
+    def test_fully_cached_submit_answers_200_with_the_result(self, tmp_path):
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            cold = submit_and_wait(server.base_url, self.SPEC)
+            status, warm = request_json(f"{server.base_url}/submit", self.SPEC)
+            assert status == 200
+            assert warm["status"] == "done" and warm["job"] != cold["job"]
+            assert warm["cache"] == {"cells": len(KINDS), "hits": len(KINDS),
+                                     "coalesced": 0, "computed": 0}
+            assert comparable_summary(warm["summary"]) == comparable_summary(
+                cold["summary"]
+            )
+            assert request_json(f"{server.base_url}/result/{warm['job']}") == (
+                200, warm
+            )
+            names = [event["event"] for event in
+                     stream_events(server.base_url, warm["job"])]
+        assert names == ["submitted"] + ["cell_cached"] * len(KINDS) + ["done"]
+
+    def test_one_uncached_cell_still_answers_202(self, tmp_path):
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            software = dict(self.SPEC, kinds=[SolutionKind.SOFTWARE])
+            submit_and_wait(server.base_url, software)
+            status, ticket = request_json(f"{server.base_url}/submit",
+                                          self.SPEC)
+            assert status == 202 and "summary" not in ticket
+            result = wait_for_result(server.base_url, ticket["job"])
+        assert result["cache"] == {"cells": len(KINDS), "hits": 1,
+                                   "coalesced": 0, "computed": 1}
+
+    def test_submit_and_wait_never_polls(self, tmp_path, monkeypatch):
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"client slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            cold = submit_and_wait(server.base_url, self.SPEC)
+        assert cold["status"] == "done"
+        assert cold["cache"]["computed"] == len(KINDS)
+        assert cold["summary"]["cells"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_stream_ends_while_a_forked_process_holds_its_socket(tmp_path):
+    # A pool worker forked while a /stream connection is open inherits the
+    # server's socket; the stream must still end when the job does.
+    import http.client
+    import signal
+    import time
+
+    spec = {"samples": 40, "kinds": list(KINDS), "verify": False}
+    with serve_in_background(ResultCache(tmp_path)) as server:
+        status, ticket = request_json(f"{server.base_url}/submit", spec)
+        assert status == 202
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=20)
+        connection.request("GET", f"/stream/{ticket['job']}")
+        response = connection.getresponse()  # the server holds the socket
+        child = os.fork()
+        if child == 0:
+            try:
+                time.sleep(60)
+            finally:
+                os._exit(0)
+        try:
+            lines = response.read().splitlines()
+        finally:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            connection.close()
+    assert json.loads(lines[-1])["event"] == "done"
+
+
+class TestKeyMemo:
+    def test_key_for_equals_cell_key(self, tmp_path):
+        cache = ResultCache(tmp_path, version="v1")
+        for cell in _cells():
+            for shards in (1, 3):
+                assert cache.key_for(cell, shards) == cell_key(
+                    cell, shards, "v1"
+                )
+                assert cache.key_for(cell, shards) == cell_key(
+                    cell, shards, "v1"
+                )
+
+    def test_memo_stays_within_its_bound(self, tmp_path):
+        from repro.service.cache import KEY_MEMO_SIZE
+
+        cache = ResultCache(tmp_path)
+        base = _cells()[0]
+        cells = [dataclasses.replace(base, seed=seed)
+                 for seed in range(KEY_MEMO_SIZE + 50)]
+        keys = [cache.key_for(cell) for cell in cells]
+        info = cache._key_memo.cache_info()
+        assert info.currsize <= KEY_MEMO_SIZE == info.maxsize
+        assert len(set(keys)) == len(cells)
+        assert keys[-1] == cell_key(cells[-1], 1, cache.version)
+
+
+def test_non_object_entry_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = "ef" * 32
+    path = cache._entry_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump([], handle)
+    assert cache.load(key) is None
+    assert cache.misses == 1 and cache.hits == 0
+
+
+class TestSendJson:
+    def test_one_write_of_compact_json(self):
+        from repro.service.server import _send_json
+
+        class Writer:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(bytes(data))
+
+            async def drain(self):
+                pass
+
+        payload = {"job": "job-1", "status": "done",
+                   "summary": {"cells": [{"label": "software", "n": 3}]}}
+        writer = Writer()
+        asyncio.run(_send_json(writer, 200, payload))
+        assert len(writer.writes) == 1
+        head, body = writer.writes[0].split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert body == json.dumps(payload).encode() + b"\n"
+        assert json.loads(body) == payload
+
+
+class TestFinishedJobRetention:
+    SPEC = {"samples": 4, "kinds": [SolutionKind.SOFTWARE], "verify": False}
+
+    def test_oldest_finished_jobs_dropped_never_one_in_flight(
+            self, tmp_path, monkeypatch):
+        from repro.service import engine
+
+        monkeypatch.setattr(engine, "FINISHED_JOBS_KEPT", 2)
+
+        async def scenario():
+            service = CampaignService(ResultCache(tmp_path))
+            try:
+                first = await service.wait(await service.submit(self.SPEC))
+                running = await service.submit(dict(self.SPEC, seed=7))
+                cached = [await service.submit(self.SPEC) for _ in range(4)]
+                kept_while_running = sorted(service.jobs)
+                await service.wait(running)
+                return (first, running, cached, kept_while_running,
+                        sorted(service.jobs), service.stats()["jobs"])
+            finally:
+                service.shutdown()
+
+        first, running, cached, during, after, counts = asyncio.run(scenario())
+        assert all(job.status == "done" for job in cached)
+        # Bound 2: the two newest finished jobs, plus the one in flight.
+        assert during == sorted([running.job_id, cached[2].job_id,
+                                 cached[3].job_id])
+        assert after == sorted([running.job_id, cached[3].job_id])
+        assert first.job_id not in during
+        assert counts == {"total": 6, "in_flight": 0, "done": 6, "failed": 0}
+
+    def test_dropped_job_endpoints_answer_404_naming_it(self, tmp_path,
+                                                        monkeypatch):
+        from repro.service import engine
+
+        monkeypatch.setattr(engine, "FINISHED_JOBS_KEPT", 1)
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            old = submit_and_wait(server.base_url, self.SPEC)["job"]
+            new = submit_and_wait(server.base_url, self.SPEC)["job"]
+            for endpoint in ("status", "result", "stream"):
+                status, payload = request_json(
+                    f"{server.base_url}/{endpoint}/{old}"
+                )
+                assert status == 404 and old in payload["error"], endpoint
+            status, payload = request_json(f"{server.base_url}/status/{new}")
+            assert status == 200 and payload["status"] == "done"
